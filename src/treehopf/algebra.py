@@ -15,7 +15,6 @@ rationals throughout.
 from __future__ import annotations
 
 import enum
-import json
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -33,6 +32,24 @@ class Tag(enum.Enum):
 
 COMMUTATIVE = frozenset({Tag.HALPHA})
 GENERATOR_TAGS = frozenset({Tag.HALPHA, Tag.HALPHA_NC})
+
+# The named structure maps, filled by :func:`structure_map` when ``hopf`` and
+# ``qed`` are imported.  Both are plain dicts keyed by map name: the callable
+# itself, and the tags of its input slots (one tag for an element, several
+# for a tensor).
+MAPS: dict[str, Callable] = {}
+MAP_INPUTS: dict[str, tuple[Tag, ...]] = {}
+
+
+def structure_map(name: str, *input_tags: Tag):
+    """Register the decorated function in :data:`MAPS` under ``name``."""
+
+    def register(fn: Callable) -> Callable:
+        MAPS[name] = fn
+        MAP_INPUTS[name] = input_tags
+        return fn
+
+    return register
 
 
 def word_degree(tag: Tag, word: Word) -> int:
@@ -415,11 +432,3 @@ def tensor_from_json(data: dict) -> TensorElement:
         )
         terms[ws] = terms.get(ws, Fraction(0)) + Fraction(term["coeff"])
     return TensorElement(tags, terms)
-
-
-def dumps(obj) -> str:
-    if isinstance(obj, Element):
-        return json.dumps(element_to_json(obj), indent=2)
-    if isinstance(obj, TensorElement):
-        return json.dumps(tensor_to_json(obj), indent=2)
-    raise TypeError(type(obj))

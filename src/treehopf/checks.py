@@ -8,7 +8,6 @@ reports the first counterexample it finds, so a corrupted map fails loudly.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
@@ -22,20 +21,18 @@ from .trees import (
     enumerate_trees,
 )
 from .algebra import (
+    MAPS,
     Element,
     Tag,
     TensorElement,
     Word,
     embed_tree,
     from_word,
-    tensor,
     unit,
     word_as_tree,
 )
 from . import hopf, qed
-from .hopf import abelianize
-
-CoproductMap = Callable[[Element], TensorElement]
+from .hopf import ANTIPODE_NAME, COPRODUCT_NAME
 
 
 @dataclass
@@ -48,28 +45,6 @@ class CheckResult:
         status = "PASS" if self.ok else "FAIL"
         suffix = f"  ({self.detail})" if self.detail and not self.ok else ""
         return f"[{status}] {self.name}{suffix}"
-
-
-def default_maps() -> dict[str, Callable]:
-    return {
-        "delta-p-gamma": hopf.delta_p_gamma,
-        "delta-p-e": hopf.delta_p_e,
-        "delta-alpha": hopf.delta_alpha,
-        "delta-small": hopf.delta_small,
-        "delta-alpha-nc": hopf.delta_alpha_nc,
-        "delta-small-nc": hopf.delta_small_nc,
-        "antipode-p-gamma": hopf.antipode_p_gamma,
-        "antipode-p-e": hopf.antipode_p_e,
-        "antipode-alpha": hopf.antipode_alpha,
-        "antipode-alpha-nc": hopf.antipode_alpha_nc,
-        "delta-gamma-coaction": qed.delta_gamma_coaction,
-        "delta-e-coaction": qed.delta_e_coaction,
-        "delta-e": qed.electron_renorm_coaction,
-        "delta-gamma": qed.photon_renorm_coaction,
-        "sigma": qed.sigma,
-        "qed-coproduct": qed.qed_coproduct,
-        "qed-antipode": qed.qed_antipode,
-    }
 
 
 def corrupt_map(maps: dict[str, Callable], name: str) -> dict[str, Callable]:
@@ -148,20 +123,12 @@ def qed_basis(n: int) -> list[TensorElement]:
 
 
 def _sweep(
-    name: str,
-    items: Iterable,
-    law: Callable[[object], Optional[str]],
-    jobs: int = 1,
+    name: str, items: Iterable, law: Callable[[object], Optional[str]]
 ) -> CheckResult:
     """Run a per-item law; the law returns None on success or a description
-    of the violation.  Output is order-stable regardless of job count."""
-    items = list(items)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(law, items))
-    else:
-        results = [law(x) for x in items]
-    for detail in results:
+    of the violation.  The first violation in item order is reported."""
+    for x in items:
+        detail = law(x)
         if detail is not None:
             return CheckResult(name, False, detail)
     return CheckResult(name, True)
@@ -170,14 +137,9 @@ def _sweep(
 # -- coalgebra laws ---------------------------------------------------------
 
 
-def check_coassoc(tag: Tag, n: int, maps=None, jobs: int = 1) -> CheckResult:
-    maps = maps or default_maps()
-    delta = {
-        Tag.HGAMMA: maps["delta-p-gamma"],
-        Tag.HE: maps["delta-p-e"],
-        Tag.HALPHA: maps["delta-alpha"],
-        Tag.HALPHA_NC: maps["delta-alpha-nc"],
-    }[tag]
+def check_coassoc(tag: Tag, n: int, maps=None) -> CheckResult:
+    maps = maps or MAPS
+    delta = maps[COPRODUCT_NAME[tag]]
 
     def law(x: Element) -> Optional[str]:
         d = delta(x)
@@ -187,17 +149,12 @@ def check_coassoc(tag: Tag, n: int, maps=None, jobs: int = 1) -> CheckResult:
             return f"coassociativity fails on {x!r}: {lhs - rhs!r}"
         return None
 
-    return _sweep(f"coassoc[{tag.value}] order<={n}", basis_elements(tag, n), law, jobs)
+    return _sweep(f"coassoc[{tag.value}] order<={n}", basis_elements(tag, n), law)
 
 
-def check_counit(tag: Tag, n: int, maps=None, jobs: int = 1) -> CheckResult:
-    maps = maps or default_maps()
-    delta = {
-        Tag.HGAMMA: maps["delta-p-gamma"],
-        Tag.HE: maps["delta-p-e"],
-        Tag.HALPHA: maps["delta-alpha"],
-        Tag.HALPHA_NC: maps["delta-alpha-nc"],
-    }[tag]
+def check_counit(tag: Tag, n: int, maps=None) -> CheckResult:
+    maps = maps or MAPS
+    delta = maps[COPRODUCT_NAME[tag]]
 
     def law(x: Element) -> Optional[str]:
         d = delta(x)
@@ -207,23 +164,13 @@ def check_counit(tag: Tag, n: int, maps=None, jobs: int = 1) -> CheckResult:
             return f"counit law fails on {x!r}"
         return None
 
-    return _sweep(f"counit[{tag.value}] order<={n}", basis_elements(tag, n), law, jobs)
+    return _sweep(f"counit[{tag.value}] order<={n}", basis_elements(tag, n), law)
 
 
-def check_antipode(tag: Tag, n: int, maps=None, jobs: int = 1) -> CheckResult:
-    maps = maps or default_maps()
-    delta = {
-        Tag.HGAMMA: maps["delta-p-gamma"],
-        Tag.HE: maps["delta-p-e"],
-        Tag.HALPHA: maps["delta-alpha"],
-        Tag.HALPHA_NC: maps["delta-alpha-nc"],
-    }[tag]
-    antipode = {
-        Tag.HGAMMA: maps["antipode-p-gamma"],
-        Tag.HE: maps["antipode-p-e"],
-        Tag.HALPHA: maps["antipode-alpha"],
-        Tag.HALPHA_NC: maps["antipode-alpha-nc"],
-    }[tag]
+def check_antipode(tag: Tag, n: int, maps=None) -> CheckResult:
+    maps = maps or MAPS
+    delta = maps[COPRODUCT_NAME[tag]]
+    antipode = maps[ANTIPODE_NAME[tag]]
 
     def law(x: Element) -> Optional[str]:
         d = delta(x)
@@ -242,13 +189,13 @@ def check_antipode(tag: Tag, n: int, maps=None, jobs: int = 1) -> CheckResult:
             return f"antipode axiom fails on {x!r}"
         return None
 
-    return _sweep(f"antipode[{tag.value}] order<={n}", basis_elements(tag, n), law, jobs)
+    return _sweep(f"antipode[{tag.value}] order<={n}", basis_elements(tag, n), law)
 
 
-def check_alpha_trees(n: int, maps=None, jobs: int = 1) -> CheckResult:
+def check_alpha_trees(n: int, maps=None) -> CheckResult:
     """Coassociativity, counit and antipode on the charge algebra over the
     images of all single trees (not just low-degree monomials)."""
-    maps = maps or default_maps()
+    maps = maps or MAPS
     delta = maps["delta-alpha"]
     antipode = maps["antipode-alpha"]
 
@@ -270,12 +217,12 @@ def check_alpha_trees(n: int, maps=None, jobs: int = 1) -> CheckResult:
             return f"antipode fails on tree {t}"
         return None
 
-    return _sweep(f"hopf[Halpha] single trees order<={n}", all_trees_up_to(n), law, jobs)
+    return _sweep(f"hopf[Halpha] single trees order<={n}", all_trees_up_to(n), law)
 
 
-def check_primitive_pairing(n: int, maps=None, jobs: int = 1) -> CheckResult:
+def check_primitive_pairing(n: int, maps=None) -> CheckResult:
     """The charge coproduct of a tree contains t (x) 1 and 1 (x) t exactly once."""
-    maps = maps or default_maps()
+    maps = maps or MAPS
     delta = maps["delta-alpha"]
 
     def law(t: Tree) -> Optional[str]:
@@ -287,15 +234,15 @@ def check_primitive_pairing(n: int, maps=None, jobs: int = 1) -> CheckResult:
             return f"primitive pairing fails on tree {t}"
         return None
 
-    return _sweep(f"primitive-pairing order<={n}", all_trees_up_to(n), law, jobs)
+    return _sweep(f"primitive-pairing order<={n}", all_trees_up_to(n), law)
 
 
 # -- coactions --------------------------------------------------------------
 
 
-def check_coaction_d1(which: str, n: int, maps=None, jobs: int = 1) -> CheckResult:
+def check_coaction_d1(which: str, n: int, maps=None) -> CheckResult:
     """(coact (x) Id) coact == (Id (x) charge coproduct) coact."""
-    maps = maps or default_maps()
+    maps = maps or MAPS
     tag, coact = {
         "gamma": (Tag.HGAMMA, maps["delta-gamma-coaction"]),
         "e": (Tag.HE, maps["delta-e-coaction"]),
@@ -313,12 +260,12 @@ def check_coaction_d1(which: str, n: int, maps=None, jobs: int = 1) -> CheckResu
             return f"(D1) fails on {x!r}"
         return None
 
-    return _sweep(f"(D1)[{which}] order<={n}", basis_elements(tag, n), law, jobs)
+    return _sweep(f"(D1)[{which}] order<={n}", basis_elements(tag, n), law)
 
 
-def check_coaction_d2(which: str, n: int, maps=None, jobs: int = 1) -> CheckResult:
+def check_coaction_d2(which: str, n: int, maps=None) -> CheckResult:
     """(pruning (x) Id) coact == merge-middle of (coact (x) coact) pruning."""
-    maps = maps or default_maps()
+    maps = maps or MAPS
     tag, coact, pruning = {
         "gamma": (Tag.HGAMMA, maps["delta-gamma-coaction"], maps["delta-p-gamma"]),
         "e": (Tag.HE, maps["delta-e-coaction"], maps["delta-p-e"]),
@@ -336,7 +283,7 @@ def check_coaction_d2(which: str, n: int, maps=None, jobs: int = 1) -> CheckResu
             return f"(D2) fails on {x!r}"
         return None
 
-    return _sweep(f"(D2)[{which}] order<={n}", basis_elements(tag, n), law, jobs)
+    return _sweep(f"(D2)[{which}] order<={n}", basis_elements(tag, n), law)
 
 
 # -- QED Hopf algebra -------------------------------------------------------
@@ -359,8 +306,8 @@ def _apply_qed_pair(t: TensorElement, i: int, f) -> TensorElement:
     return out
 
 
-def check_qed_hopf(n: int, maps=None, jobs: int = 1) -> CheckResult:
-    maps = maps or default_maps()
+def check_qed_hopf(n: int, maps=None) -> CheckResult:
+    maps = maps or MAPS
     coproduct = maps["qed-coproduct"]
     antipode = maps["qed-antipode"]
 
@@ -382,18 +329,18 @@ def check_qed_hopf(n: int, maps=None, jobs: int = 1) -> CheckResult:
                 return f"qed antipode fails on {x!r}"
         return None
 
-    return _sweep(f"hopf[Hqed] order<={n}", qed_basis(n), law, jobs)
+    return _sweep(f"hopf[Hqed] order<={n}", qed_basis(n), law)
 
 
-def check_electron_coaction_law(n: int, maps=None, jobs: int = 1) -> CheckResult:
+def check_electron_coaction_law(n: int, maps=None) -> CheckResult:
     """Coassociativity of the electron renormalization coaction with respect
     to the QED coproduct, after regrouping the last two slots."""
-    maps = maps or default_maps()
+    maps = maps or MAPS
     de = maps["delta-e"]
     dqed = maps["qed-coproduct"]
 
     def law(x: Element) -> Optional[str]:
-        d = qed.regroup_as_qed(de(x))
+        d = de(x)
         lhs = d.map_slot(0, lambda w: de(from_word(Tag.HE, w)))
         rhs = _apply_qed_pair(d, 1, dqed)
         if lhs != rhs:
@@ -404,12 +351,11 @@ def check_electron_coaction_law(n: int, maps=None, jobs: int = 1) -> CheckResult
         f"coaction-law[delta-e vs qed] order<={n}",
         basis_elements(Tag.HE, n),
         law,
-        jobs,
     )
 
 
-def check_electron_coaction_morphism(n: int, maps=None, jobs: int = 1) -> CheckResult:
-    maps = maps or default_maps()
+def check_electron_coaction_morphism(n: int, maps=None) -> CheckResult:
+    maps = maps or MAPS
     de = maps["delta-e"]
 
     def law(pair) -> Optional[str]:
@@ -424,7 +370,7 @@ def check_electron_coaction_morphism(n: int, maps=None, jobs: int = 1) -> CheckR
         for x, y in itertools.product(words, repeat=2)
         if _degree(x) + _degree(y) <= n
     ]
-    return _sweep(f"morphism[delta-e] order<={n}", pairs, law, jobs)
+    return _sweep(f"morphism[delta-e] order<={n}", pairs, law)
 
 
 def _degree(x: Element) -> int:
@@ -432,10 +378,10 @@ def _degree(x: Element) -> int:
     return max(comps) if comps else 0
 
 
-def check_intertwine(n: int, maps=None, jobs: int = 1) -> CheckResult:
+def check_intertwine(n: int, maps=None) -> CheckResult:
     """The over-multiplication morphism intertwines the photon coaction and
     the charge coproduct."""
-    maps = maps or default_maps()
+    maps = maps or MAPS
     sig = maps["sigma"]
     dgamma = maps["delta-gamma"]
     dalpha = maps["delta-alpha"]
@@ -447,11 +393,11 @@ def check_intertwine(n: int, maps=None, jobs: int = 1) -> CheckResult:
             return f"intertwining fails on {x!r}"
         return None
 
-    return _sweep(f"intertwine order<={n}", basis_elements(Tag.HGAMMA, n), law, jobs)
+    return _sweep(f"intertwine order<={n}", basis_elements(Tag.HGAMMA, n), law)
 
 
-def check_photon_coassoc(n: int, maps=None, jobs: int = 1) -> CheckResult:
-    maps = maps or default_maps()
+def check_photon_coassoc(n: int, maps=None) -> CheckResult:
+    maps = maps or MAPS
     dgamma = maps["delta-gamma"]
     dalpha = maps["delta-alpha"]
 
@@ -464,14 +410,14 @@ def check_photon_coassoc(n: int, maps=None, jobs: int = 1) -> CheckResult:
         return None
 
     return _sweep(
-        f"coassoc[delta-gamma] order<={n}", basis_elements(Tag.HGAMMA, n), law, jobs
+        f"coassoc[delta-gamma] order<={n}", basis_elements(Tag.HGAMMA, n), law
     )
 
 
-def check_single_tree_restriction(n: int, maps=None, jobs: int = 1) -> CheckResult:
+def check_single_tree_restriction(n: int, maps=None) -> CheckResult:
     """On single trees the photon coaction equals the noncommutative charge
     coproduct read through the word/tree identification."""
-    maps = maps or default_maps()
+    maps = maps or MAPS
     dgamma = maps["delta-gamma"]
     dnc = maps["delta-alpha-nc"]
 
@@ -494,13 +440,13 @@ def check_single_tree_restriction(n: int, maps=None, jobs: int = 1) -> CheckResu
                 return f"left slot not a single tree on {t}"
         return None
 
-    return _sweep(f"single-tree-restriction order<={n}", all_trees_up_to(n), law, jobs)
+    return _sweep(f"single-tree-restriction order<={n}", all_trees_up_to(n), law)
 
 
 # -- combinatorial counts ---------------------------------------------------
 
 
-def check_catalan(n: int, maps=None, jobs: int = 1) -> CheckResult:
+def check_catalan(n: int, maps=None) -> CheckResult:
     for m in range(n + 1):
         got = len(enumerate_trees(m))
         if got != catalan(m):
@@ -510,8 +456,8 @@ def check_catalan(n: int, maps=None, jobs: int = 1) -> CheckResult:
     return CheckResult(f"catalan n<={n}", True)
 
 
-def check_term_counts(n: int, maps=None, jobs: int = 1) -> CheckResult:
-    maps = maps or default_maps()
+def check_term_counts(n: int, maps=None) -> CheckResult:
+    maps = maps or MAPS
     dpg = maps["delta-p-gamma"]
 
     def law(t: Tree) -> Optional[str]:
@@ -521,10 +467,10 @@ def check_term_counts(n: int, maps=None, jobs: int = 1) -> CheckResult:
             return f"term count {got} != {want} on {t}"
         return None
 
-    return _sweep(f"term-count order<={n}", all_trees_up_to(n), law, jobs)
+    return _sweep(f"term-count order<={n}", all_trees_up_to(n), law)
 
 
-def check_cross(n: int, maps=None, jobs: int = 1) -> CheckResult:
+def check_cross(n: int, maps=None) -> CheckResult:
     """Recursive vs factorization implementations agree."""
 
     def law(t: Tree) -> Optional[str]:
@@ -540,16 +486,14 @@ def check_cross(n: int, maps=None, jobs: int = 1) -> CheckResult:
             return f"electron renorm coaction mismatch on {t}"
         return None
 
-    return _sweep(f"cross-check order<={n}", all_trees_up_to(n), law, jobs)
+    return _sweep(f"cross-check order<={n}", all_trees_up_to(n), law)
 
 
 # -- suites -----------------------------------------------------------------
 
 
-def run_suite(
-    suite: str, order: int | None = None, maps=None, jobs: int = 1
-) -> list[CheckResult]:
-    maps = maps or default_maps()
+def run_suite(suite: str, order: int | None = None, maps=None) -> list[CheckResult]:
+    maps = maps or MAPS
     n = order
 
     def d(default: int) -> int:
@@ -557,44 +501,44 @@ def run_suite(
 
     suites: dict[str, Callable[[], list[CheckResult]]] = {
         "coassoc": lambda: [
-            check_coassoc(Tag.HGAMMA, d(5), maps, jobs),
-            check_coassoc(Tag.HE, d(5), maps, jobs),
-            check_coassoc(Tag.HALPHA, d(5), maps, jobs),
-            check_coassoc(Tag.HALPHA_NC, d(5), maps, jobs),
+            check_coassoc(Tag.HGAMMA, d(5), maps),
+            check_coassoc(Tag.HE, d(5), maps),
+            check_coassoc(Tag.HALPHA, d(5), maps),
+            check_coassoc(Tag.HALPHA_NC, d(5), maps),
         ],
         "counit": lambda: [
-            check_counit(tag, d(5), maps, jobs) for tag in Tag
+            check_counit(tag, d(5), maps) for tag in Tag
         ],
         "antipode": lambda: [
-            check_antipode(tag, d(4), maps, jobs) for tag in Tag
+            check_antipode(tag, d(4), maps) for tag in Tag
         ],
-        "hopf-alpha-trees": lambda: [check_alpha_trees(d(6), maps, jobs)],
+        "hopf-alpha-trees": lambda: [check_alpha_trees(d(6), maps)],
         "coaction": lambda: [
-            check_coaction_d1("gamma", d(4), maps, jobs),
-            check_coaction_d1("e", d(4), maps, jobs),
-            check_coaction_d1("alpha", d(4), maps, jobs),
-            check_coaction_d1("alpha-nc", d(4), maps, jobs),
+            check_coaction_d1("gamma", d(4), maps),
+            check_coaction_d1("e", d(4), maps),
+            check_coaction_d1("alpha", d(4), maps),
+            check_coaction_d1("alpha-nc", d(4), maps),
         ],
         "compat": lambda: [
-            check_coaction_d2("gamma", d(4), maps, jobs),
-            check_coaction_d2("e", d(4), maps, jobs),
+            check_coaction_d2("gamma", d(4), maps),
+            check_coaction_d2("e", d(4), maps),
         ],
         "qed": lambda: [
-            check_qed_hopf(d(4), maps, jobs),
-            check_electron_coaction_law(d(4), maps, jobs),
-            check_electron_coaction_morphism(d(4), maps, jobs),
+            check_qed_hopf(d(4), maps),
+            check_electron_coaction_law(d(4), maps),
+            check_electron_coaction_morphism(d(4), maps),
         ],
-        "intertwine": lambda: [check_intertwine(d(5), maps, jobs)],
+        "intertwine": lambda: [check_intertwine(d(5), maps)],
         "photon": lambda: [
-            check_photon_coassoc(d(4), maps, jobs),
-            check_single_tree_restriction(d(6), maps, jobs),
+            check_photon_coassoc(d(4), maps),
+            check_single_tree_restriction(d(6), maps),
         ],
-        "primitive": lambda: [check_primitive_pairing(d(6), maps, jobs)],
+        "primitive": lambda: [check_primitive_pairing(d(6), maps)],
         "counts": lambda: [
-            check_catalan(d(12), maps, jobs),
-            check_term_counts(d(8), maps, jobs),
+            check_catalan(d(12), maps),
+            check_term_counts(d(8), maps),
         ],
-        "crosscheck": lambda: [check_cross(d(8), maps, jobs)],
+        "crosscheck": lambda: [check_cross(d(8), maps)],
     }
     if suite == "all":
         out: list[CheckResult] = []

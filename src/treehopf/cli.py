@@ -11,19 +11,18 @@ import json
 import sys
 from fractions import Fraction
 
-from .trees import enumerate_trees, parse, render, tree_name, catalan
+from .trees import enumerate_trees, parse, render
 from .algebra import (
+    MAPS,
+    MAP_INPUTS,
     Element,
     Tag,
     TensorElement,
     element_to_json,
     embed_tree,
-    from_word,
     tensor_to_json,
-    word_degree,
-    word_key,
 )
-from . import checks, hopf, qed, renorm
+from . import checks, renorm
 
 
 def _fmt_coeff(c: Fraction, latex: bool) -> str:
@@ -40,34 +39,21 @@ def _fmt_word(w, latex: bool) -> str:
     return sep.join(render(t) for t in w)
 
 
-def format_element(x: Element, fmt: str) -> str:
+def format_output(x: Element | TensorElement, fmt: str) -> str:
+    """Render a map's output; an element is written as one-slot terms."""
     if fmt == "json":
-        return json.dumps(element_to_json(x), indent=2)
-    latex = fmt == "latex"
-    if not x.terms:
-        return "0"
-    parts = []
-    for w, c in x.sorted_terms():
-        body = _fmt_word(w, latex)
-        if c == 1:
-            parts.append(body)
-        elif c == -1:
-            parts.append(f"-{body}")
-        else:
-            parts.append(f"{_fmt_coeff(c, latex)}*{body}" if not latex else f"{_fmt_coeff(c, latex)} {body}")
-    joined = " + ".join(parts)
-    return joined.replace("+ -", "- ")
-
-
-def format_tensor(x: TensorElement, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(tensor_to_json(x), indent=2)
+        data = element_to_json(x) if isinstance(x, Element) else tensor_to_json(x)
+        return json.dumps(data, indent=2)
     latex = fmt == "latex"
     otimes = " \\otimes " if latex else " (x) "
     if not x.terms:
         return "0"
+    if isinstance(x, Element):
+        terms = [((w,), c) for w, c in x.sorted_terms()]
+    else:
+        terms = x.sorted_terms()
     parts = []
-    for ws, c in x.sorted_terms():
+    for ws, c in terms:
         body = otimes.join(_fmt_word(w, latex) for w in ws)
         if c == 1:
             parts.append(body)
@@ -77,26 +63,6 @@ def format_tensor(x: TensorElement, fmt: str) -> str:
             parts.append(f"{_fmt_coeff(c, latex)} {body}" if latex else f"{_fmt_coeff(c, latex)}*{body}")
     joined = " + ".join(parts)
     return joined.replace("+ -", "- ")
-
-
-MAP_TABLE = {
-    # name -> (input tag, callable)
-    "delta-p-gamma": (Tag.HGAMMA, hopf.delta_p_gamma),
-    "delta-p-e": (Tag.HE, hopf.delta_p_e),
-    "delta-alpha": (Tag.HALPHA, hopf.delta_alpha),
-    "delta-small": (Tag.HALPHA, hopf.delta_small),
-    "delta-alpha-nc": (Tag.HALPHA_NC, hopf.delta_alpha_nc),
-    "delta-small-nc": (Tag.HALPHA_NC, hopf.delta_small_nc),
-    "antipode-p-gamma": (Tag.HGAMMA, hopf.antipode_p_gamma),
-    "antipode-p-e": (Tag.HE, hopf.antipode_p_e),
-    "antipode-alpha": (Tag.HALPHA, hopf.antipode_alpha),
-    "antipode-alpha-nc": (Tag.HALPHA_NC, hopf.antipode_alpha_nc),
-    "delta-gamma-coaction": (Tag.HGAMMA, qed.delta_gamma_coaction),
-    "delta-e-coaction": (Tag.HE, qed.delta_e_coaction),
-    "delta-e": (Tag.HE, qed.electron_renorm_coaction),
-    "delta-gamma": (Tag.HGAMMA, qed.photon_renorm_coaction),
-    "sigma": (Tag.HGAMMA, qed.sigma),
-}
 
 
 def parse_element(tag: Tag, text: str) -> Element:
@@ -125,25 +91,27 @@ def cmd_enum(args) -> int:
 
 
 def cmd_map(args) -> int:
-    if args.name not in MAP_TABLE:
-        print(f"unknown map {args.name!r}; choose from {sorted(MAP_TABLE)}", file=sys.stderr)
+    tags = MAP_INPUTS.get(args.name)
+    if tags is None:
+        single = sorted(name for name, t in MAP_INPUTS.items() if len(t) == 1)
+        print(f"unknown map {args.name!r}; choose from {single}", file=sys.stderr)
         return 2
-    tag, fn = MAP_TABLE[args.name]
-    x = parse_element(tag, args.element)
-    out = fn(x)
-    if isinstance(out, Element):
-        print(format_element(out, args.format))
-    else:
-        print(format_tensor(out, args.format))
+    if len(tags) != 1:
+        slots = ", ".join(tag.value for tag in tags)
+        print(
+            f"error: map takes single-algebra elements; {args.name} acts on ({slots}) tensors",
+            file=sys.stderr,
+        )
+        return 2
+    x = parse_element(tags[0], args.element)
+    print(format_output(MAPS[args.name](x), args.format))
     return 0
 
 
 def cmd_check(args) -> int:
-    maps = checks.default_maps()
-    if args.corrupt:
-        maps = checks.corrupt_map(maps, args.corrupt)
+    maps = checks.corrupt_map(MAPS, args.corrupt) if args.corrupt else MAPS
     try:
-        results = checks.run_suite(args.suite, args.order, maps, args.jobs)
+        results = checks.run_suite(args.suite, args.order, maps)
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
         return 2
@@ -200,7 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
     pc = sub.add_parser("check", help="run a named axiom sweep")
     pc.add_argument("suite")
     pc.add_argument("--order", type=int, default=None)
-    pc.add_argument("--jobs", type=int, default=1)
     pc.add_argument("--corrupt", default=None, help="negative control: corrupt one structure map")
     pc.set_defaults(fn=cmd_check)
 
@@ -219,7 +186,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, RecursionError) as exc:
+        # RecursionError: a tree nested deeper than the interpreter's stack.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

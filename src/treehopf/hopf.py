@@ -10,19 +10,18 @@ tree) and then read into the commutative algebra or its noncommutative lift.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable
 
 from .trees import Tree, E, graft, v_wrap, over, decompose_over, decompose_under, compose_over, compose_under
 from .algebra import (
+    MAPS,
     Element,
     Tag,
     TensorElement,
     Word,
-    embed_tree,
     from_word,
     lift_linear,
     multiply_words,
-    tensor,
+    structure_map,
     unit,
     zero,
 )
@@ -119,11 +118,13 @@ def _pruning_tensor(tag: Tag, word: Word, pairs_fn) -> TensorElement:
     return out
 
 
+@structure_map("delta-p-gamma", Tag.HGAMMA)
 def delta_p_gamma(x: Element) -> TensorElement:
     """Pruning coproduct dual to the over product, on the photon algebra."""
     return lift_linear(Tag.HGAMMA, lambda w: _pruning_tensor(Tag.HGAMMA, w, pruning_pairs_over))(x)
 
 
+@structure_map("delta-p-e", Tag.HE)
 def delta_p_e(x: Element) -> TensorElement:
     """Pruning coproduct dual to the under product, on the electron algebra."""
     return lift_linear(Tag.HE, lambda w: _pruning_tensor(Tag.HE, w, pruning_pairs_under))(x)
@@ -164,17 +165,6 @@ def delta_p_e_recursive(x: Element) -> TensorElement:
     )(x)
 
 
-def reduced_pruning(t: Tree) -> TensorElement:
-    """Reduced under-pruning coproduct of a single nonroot tree."""
-    if t is E:
-        raise ValueError("the reduced pruning coproduct needs a nonroot tree")
-    full = delta_p_e(embed_tree(Tag.HE, t))
-    prim = TensorElement(
-        (Tag.HE, Tag.HE), {((t,), ()): Fraction(1), ((), (t,)): Fraction(1)}
-    )
-    return full - prim
-
-
 # -- charge coproduct and coaction ------------------------------------------
 
 
@@ -206,30 +196,41 @@ def _multiplicative(tag: Tag, word: Word, gen_fn) -> TensorElement:
     return out
 
 
+@structure_map("delta-alpha", Tag.HALPHA)
 def delta_alpha(x: Element) -> TensorElement:
     """Charge coproduct on the commutative charge algebra."""
     return lift_linear(Tag.HALPHA, lambda w: _multiplicative(Tag.HALPHA, w, _generator_coproduct))(x)
 
 
+@structure_map("delta-small", Tag.HALPHA)
 def delta_small(x: Element) -> TensorElement:
     """Charge coaction on the commutative charge algebra."""
     return lift_linear(Tag.HALPHA, lambda w: _multiplicative(Tag.HALPHA, w, _generator_coaction))(x)
 
 
+@structure_map("delta-alpha-nc", Tag.HALPHA_NC)
 def delta_alpha_nc(x: Element) -> TensorElement:
     """Charge coproduct on the noncommutative lift."""
     return lift_linear(Tag.HALPHA_NC, lambda w: _multiplicative(Tag.HALPHA_NC, w, _generator_coproduct))(x)
 
 
+@structure_map("delta-small-nc", Tag.HALPHA_NC)
 def delta_small_nc(x: Element) -> TensorElement:
     return lift_linear(Tag.HALPHA_NC, lambda w: _multiplicative(Tag.HALPHA_NC, w, _generator_coaction))(x)
 
 
-COPRODUCTS: dict[Tag, Callable[[Element], TensorElement]] = {
-    Tag.HGAMMA: delta_p_gamma,
-    Tag.HE: delta_p_e,
-    Tag.HALPHA: delta_alpha,
-    Tag.HALPHA_NC: delta_alpha_nc,
+# Name in MAPS of each tag's coproduct and antipode.
+COPRODUCT_NAME = {
+    Tag.HGAMMA: "delta-p-gamma",
+    Tag.HE: "delta-p-e",
+    Tag.HALPHA: "delta-alpha",
+    Tag.HALPHA_NC: "delta-alpha-nc",
+}
+ANTIPODE_NAME = {
+    Tag.HGAMMA: "antipode-p-gamma",
+    Tag.HE: "antipode-p-e",
+    Tag.HALPHA: "antipode-alpha",
+    Tag.HALPHA_NC: "antipode-alpha-nc",
 }
 
 
@@ -246,7 +247,6 @@ def abelianize(x: Element) -> Element:
 # -- antipodes --------------------------------------------------------------
 
 _antipode_letter_cache: dict[tuple[Tag, Tree], Element] = {}
-_antipode_gen_cache: dict[tuple[Tag, Tree], Element] = {}
 
 
 def _antipode_word(tag: Tag, word: Word) -> Element:
@@ -272,7 +272,9 @@ def _antipode_letter(tag: Tag, t: Tree) -> Element:
     got = _antipode_letter_cache.get(key)
     if got is None:
         gen = from_word(tag, (t,))
-        full = COPRODUCTS[tag](gen)
+        # Always the registered coproduct, never a corrupted copy: this
+        # cache outlives any one sweep.
+        full = MAPS[COPRODUCT_NAME[tag]](gen)
         got = -gen
         for (w1, w2), c in full.terms.items():
             if not w1 or not w2:
@@ -282,29 +284,25 @@ def _antipode_letter(tag: Tag, t: Tree) -> Element:
     return got
 
 
+@structure_map("antipode-p-e", Tag.HE)
 def antipode_p_e(x: Element) -> Element:
     """Antipode of the electron propagator Hopf algebra."""
     return _antipode_element(Tag.HE, x)
 
 
+@structure_map("antipode-p-gamma", Tag.HGAMMA)
 def antipode_p_gamma(x: Element) -> Element:
     """Antipode of the photon propagator Hopf algebra."""
     return _antipode_element(Tag.HGAMMA, x)
 
 
+@structure_map("antipode-alpha", Tag.HALPHA)
 def antipode_alpha(x: Element) -> Element:
     """Antipode of the charge Hopf algebra."""
     return _antipode_element(Tag.HALPHA, x)
 
 
+@structure_map("antipode-alpha-nc", Tag.HALPHA_NC)
 def antipode_alpha_nc(x: Element) -> Element:
     """Antipode of the noncommutative lift, from the same recursion."""
     return _antipode_element(Tag.HALPHA_NC, x)
-
-
-ANTIPODES: dict[Tag, Callable[[Element], Element]] = {
-    Tag.HGAMMA: antipode_p_gamma,
-    Tag.HE: antipode_p_e,
-    Tag.HALPHA: antipode_alpha,
-    Tag.HALPHA_NC: antipode_alpha_nc,
-}

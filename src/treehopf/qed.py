@@ -21,6 +21,7 @@ from .algebra import (
     from_word,
     lift_linear,
     multiply_words,
+    structure_map,
     unit,
     zero,
 )
@@ -51,11 +52,13 @@ def _coaction_tensor(tag: Tag, word: Word) -> TensorElement:
     return out
 
 
+@structure_map("delta-gamma-coaction", Tag.HGAMMA)
 def delta_gamma_coaction(x: Element) -> TensorElement:
     """Right coaction of the charge algebra on the photon algebra."""
     return lift_linear(Tag.HGAMMA, lambda w: _coaction_tensor(Tag.HGAMMA, w))(x)
 
 
+@structure_map("delta-e-coaction", Tag.HE)
 def delta_e_coaction(x: Element) -> TensorElement:
     """Right coaction of the charge algebra on the electron algebra."""
     return lift_linear(Tag.HE, lambda w: _coaction_tensor(Tag.HE, w))(x)
@@ -106,6 +109,7 @@ def delta_e_coaction_recursive(x: Element) -> TensorElement:
 # -- sigma and the photon renormalization coaction --------------------------
 
 
+@structure_map("sigma", Tag.HGAMMA)
 def sigma(x: Element) -> Element:
     """Algebra morphism from the photon algebra onto the charge algebra that
     multiplies the letters of a word with the over product."""
@@ -136,6 +140,7 @@ def delta_sigma(
     return spread.slot_multiply(1, 2, 1)
 
 
+@structure_map("delta-gamma", Tag.HGAMMA)
 def photon_renorm_coaction(x: Element) -> TensorElement:
     """Photon renormalization coaction on the photon algebra."""
     return delta_sigma(x, delta_gamma_coaction, sigma, delta_p_gamma)
@@ -164,6 +169,7 @@ def semidirect_coproduct_generic(
     return out
 
 
+@structure_map("qed-coproduct", Tag.HALPHA, Tag.HE)
 def qed_coproduct(ab: TensorElement) -> TensorElement:
     """Coproduct of the QED Hopf algebra (charge x electron), 4 slots out."""
     if ab.tags != (Tag.HALPHA, Tag.HE):
@@ -177,6 +183,7 @@ def qed_counit(ab: TensorElement) -> Fraction:
     return ab.terms.get(((), ()), Fraction(0))
 
 
+@structure_map("qed-antipode", Tag.HALPHA, Tag.HE)
 def qed_antipode(ab: TensorElement) -> TensorElement:
     """Antipode of the QED Hopf algebra: S(a (x) b) twists the electron
     antipode of b through the coaction and the charge antipode."""
@@ -195,24 +202,14 @@ def qed_antipode(ab: TensorElement) -> TensorElement:
     return out
 
 
-def qed_multiply(x: TensorElement, y: TensorElement) -> TensorElement:
-    """Componentwise product of the smash algebra."""
-    return x * y
-
-
 def qed_unit() -> TensorElement:
     return TensorElement((Tag.HALPHA, Tag.HE), {((), ()): Fraction(1)})
-
-
-def qed_embed(a: Element, b: Element) -> TensorElement:
-    from .algebra import tensor
-
-    return tensor([a, b])
 
 
 # -- the electron renormalization coaction ----------------------------------
 
 
+@structure_map("delta-e", Tag.HE)
 def electron_renorm_coaction(x: Element) -> TensorElement:
     """Electron renormalization coaction: coact with the charge algebra on
     the left leg of the under-pruning coproduct.  Three slots out:
@@ -260,11 +257,3 @@ def electron_renorm_coaction_recursive(x: Element) -> TensorElement:
         return out
 
     return lift_linear(Tag.HE, word_fn)(x)
-
-
-def regroup_as_qed(t3: TensorElement) -> TensorElement:
-    """Explicit adapter: a 3-slot (He, Halpha, He) tensor read as
-    (He, qed-pair); the slot layout is unchanged, only the grouping."""
-    if t3.tags != _ERN_TAGS:
-        raise ValueError("expected an (He, Halpha, He) tensor")
-    return t3

@@ -271,10 +271,6 @@ def gc(coeffs: Sequence[RingValue]) -> Series:
     return s
 
 
-def gp_multiply(f: Series, g: Series) -> Series:
-    return f * g
-
-
 def gc_compose(phi: Series, psi: Series) -> Series:
     """Group law of the substitution group: (phi psi)(x) = phi(psi(x)), so
     that acting with the product equals acting twice in order."""
@@ -295,10 +291,6 @@ def semidirect_multiply(
     phi, f = pair_a
     psi, g = pair_b
     return gc_compose(phi, psi), gp_action(f, psi) * g
-
-
-def series_inverse(f: Series) -> Series:
-    return f.inverse()
 
 
 Cocycle = Callable[[Series], Series]

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import re
-import threading
 from typing import Optional
 
 
@@ -65,7 +64,6 @@ class Tree:
 E = Tree(None, None)
 
 _pool: dict[tuple[int, int], Tree] = {}
-_pool_lock = threading.Lock()
 
 
 def graft(left: Tree, right: Tree) -> Tree:
@@ -73,11 +71,8 @@ def graft(left: Tree, right: Tree) -> Tree:
     key = (id(left), id(right))
     t = _pool.get(key)
     if t is None:
-        with _pool_lock:
-            t = _pool.get(key)
-            if t is None:
-                t = Tree(left, right)
-                _pool[key] = t
+        t = Tree(left, right)
+        _pool[key] = t
     return t
 
 
@@ -145,39 +140,59 @@ def catalan(n: int) -> int:
 
 
 _enum_cache: list[list[Tree]] = [[E]]
-_enum_lock = threading.Lock()
+
+
+def _level(n: int) -> list[Tree]:
+    """The cached list of all trees of order n; callers must not mutate it."""
+    if n < 0:
+        raise ValueError("order must be non-negative")
+    while n >= len(_enum_cache):
+        m = len(_enum_cache)
+        # Left orders descend, and left then right subtrees come in canonical
+        # order: this is already the order of Tree.sort_key, so no sort.
+        _enum_cache.append(
+            [
+                graft(l, r)
+                for k in range(m)
+                for l in _enum_cache[m - 1 - k]
+                for r in _enum_cache[k]
+            ]
+        )
+    return _enum_cache[n]
 
 
 def enumerate_trees(n: int) -> list[Tree]:
     """All trees of order n, in canonical order.  Length is the n-th Catalan number."""
-    if n < 0:
-        raise ValueError("order must be non-negative")
-    if n >= len(_enum_cache):
-        with _enum_lock:
-            while n >= len(_enum_cache):
-                m = len(_enum_cache)
-                level = [
-                    graft(l, r)
-                    for k in range(m)
-                    for l in _enum_cache[m - 1 - k]
-                    for r in _enum_cache[k]
-                ]
-                level.sort(key=Tree.sort_key)
-                _enum_cache.append(level)
-    return list(_enum_cache[n])
+    return list(_level(n))
 
 
 def all_trees_up_to(n: int) -> list[Tree]:
     out: list[Tree] = []
     for m in range(n + 1):
-        out.extend(enumerate_trees(m))
+        out.extend(_level(m))
     return out
 
 
 def tree_index(t: Tree) -> tuple[int, int]:
-    """(n, k) such that t is the k-th tree (1-based) of order n in canonical order."""
-    level = enumerate_trees(t.order)
-    return t.order, level.index(t) + 1
+    """(n, k) such that t is the k-th tree (1-based) of order n in canonical order.
+
+    The 0-based rank of s = l v r of order m is the number of trees of order m
+    with a larger left subtree, sum over a > |l| of C(a) C(m-1-a), plus
+    rank(l) C(|r|) + rank(r).  Unrolled over the nodes of t, each node adds
+    its first term times the product of C(|r|) over the ancestors whose left
+    subtree holds it.
+    """
+    rank = 0
+    stack = [(t, 1)]
+    while stack:
+        s, scale = stack.pop()
+        if s.is_root:
+            continue
+        m, a = s.order, s.left.order
+        rank += scale * sum(catalan(k) * catalan(m - 1 - k) for k in range(a + 1, m))
+        stack.append((s.left, scale * catalan(s.right.order)))
+        stack.append((s.right, scale))
+    return t.order, rank + 1
 
 
 def tree_name(t: Tree) -> str:
@@ -201,7 +216,7 @@ def parse(text: str) -> Tree:
     m = _NAME_RE.match(s)
     if m:
         n, k = int(m.group(1)), int(m.group(2))
-        level = enumerate_trees(n)
+        level = _level(n)
         if not 1 <= k <= len(level):
             raise ValueError(f"no tree named {s}: order {n} has {len(level)} trees")
         return level[k - 1]

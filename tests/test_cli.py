@@ -57,6 +57,11 @@ class TestMap:
         assert code == 0
         assert "\\otimes" in out
 
+    def test_element_latex(self, capsys):
+        code, out, _ = run(capsys, "map", "antipode-p-e", "Y2.2", "--format", "latex")
+        assert code == 0
+        assert out == "-(e v (e v e)) + (e v e) \\cdot (e v e)\n"
+
     def test_unknown_map(self, capsys):
         code, _, err = run(capsys, "map", "no-such-map", "e")
         assert code == 2
@@ -64,6 +69,21 @@ class TestMap:
     def test_bad_tree(self, capsys):
         code, _, err = run(capsys, "map", "delta-p-e", "(e v")
         assert code == 2
+
+    def test_tensor_input_map_rejected(self, capsys):
+        code, out, err = run(capsys, "map", "qed-coproduct", "e")
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert "map takes single-algebra elements" in err
+
+    def test_deep_tree_is_usage_error(self, capsys):
+        comb = "(e v " * 1500 + "e" + ")" * 1500
+        code, out, err = run(capsys, "map", "antipode-p-e", comb)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ")
 
 
 class TestCheck:
@@ -75,12 +95,6 @@ class TestCheck:
     def test_unknown_suite(self, capsys):
         code, _, _ = run(capsys, "check", "bogus")
         assert code == 2
-
-    def test_jobs_flag_stable(self, capsys):
-        code1, out1, _ = run(capsys, "check", "coassoc", "--order", "3")
-        code2, out2, _ = run(capsys, "check", "coassoc", "--order", "3", "--jobs", "4")
-        assert code1 == code2 == 0
-        assert out1 == out2
 
     def test_corrupt_fails_with_counterexample(self, capsys):
         code, out, _ = run(

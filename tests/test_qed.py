@@ -186,8 +186,8 @@ class TestSmashProduct:
     def test_embedding_multiplicative(self):
         a = ha(DEUXDEUX)
         b = he(Y)
-        ab = qed.qed_embed(a, b)
-        assert qed.qed_multiply(qed.qed_embed(a, unit(Tag.HE)), qed.qed_embed(unit(Tag.HALPHA), b)) == ab
+        ab = tensor([a, b])
+        assert tensor([a, unit(Tag.HE)]) * tensor([unit(Tag.HALPHA), b]) == ab
 
     def test_hopf_axioms(self):
         assert check_qed_hopf(3).ok

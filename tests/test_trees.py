@@ -26,6 +26,7 @@ from treehopf.trees import (
     over,
     parse,
     render,
+    tree_index,
     tree_name,
     un_graft,
     under,
@@ -163,6 +164,16 @@ class TestEnumeration:
         for n in range(1, 7):
             orders = [t.left.order for t in enumerate_trees(n)]
             assert orders == sorted(orders, reverse=True)
+
+    def test_levels_in_sort_key_order(self):
+        for n in range(11):
+            keys = [t.sort_key() for t in enumerate_trees(n)]
+            assert keys == sorted(keys), n
+
+    def test_index_is_position(self):
+        for n in range(10):
+            for k, t in enumerate(enumerate_trees(n), start=1):
+                assert tree_index(t) == (n, k)
 
     def test_names(self):
         assert tree_name(E) == "Y0.1"
