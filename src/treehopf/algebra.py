@@ -8,8 +8,10 @@ Four algebras share one element representation, distinguished by a tag:
   is the sorted tuple of generator arguments u.
 * ``HALPHA_NC`` -- the noncommutative lift; same generator words, unsorted.
 
-The empty word is the unit (the root tree ``e``).  Coefficients are exact
-rationals throughout.
+The empty word is the unit (the root tree ``e``).  Coefficients are exact:
+a Python ``int`` when integral and a ``fractions.Fraction`` otherwise, never
+a float.  Every structure map has integer structure constants, so its
+results stay in ``int`` arithmetic.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from typing import Callable, Iterable, Sequence
 from .trees import Tree, E, decompose_over, compose_over, parse, render
 
 Word = tuple[Tree, ...]
+Coeff = int | Fraction
 
 
 class Tag(enum.Enum):
@@ -30,7 +33,6 @@ class Tag(enum.Enum):
     HALPHA_NC = "HalphaNC"
 
 
-COMMUTATIVE = frozenset({Tag.HALPHA})
 GENERATOR_TAGS = frozenset({Tag.HALPHA, Tag.HALPHA_NC})
 
 # The named structure maps, filled by :func:`structure_map` when ``hopf`` and
@@ -52,8 +54,29 @@ def structure_map(name: str, *input_tags: Tag):
     return register
 
 
+def _coeff(c) -> Coeff:
+    """The one coefficient normalizer: an ``int`` stays an ``int``, an
+    integral ``Fraction`` becomes its numerator, anything else (a ``str``, a
+    non-integral ``Fraction``) becomes a ``Fraction``.  Floats are refused,
+    because their binary value is not the decimal the caller wrote."""
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        if isinstance(c, float):
+            raise TypeError(f"coefficients must be exact (int, Fraction or str), not {c!r}")
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _exact(terms: dict) -> dict:
+    """Terms computed from exact coefficients: zeros dropped and integral
+    ``Fraction``s (which ``int``/``Fraction`` arithmetic can produce) demoted
+    to ``int``."""
+    return {k: c if type(c) is int else _coeff(c) for k, c in terms.items() if c}
+
+
 def word_degree(tag: Tag, word: Word) -> int:
-    if tag in GENERATOR_TAGS:
+    if tag is Tag.HALPHA or tag is Tag.HALPHA_NC:
         return sum(u.order + 1 for u in word)
     return sum(t.order for t in word)
 
@@ -64,16 +87,19 @@ def word_key(word: Word):
 
 def normalize_word(tag: Tag, word: Iterable[Tree]) -> Word:
     w = tuple(word)
-    if tag not in GENERATOR_TAGS and any(t is E for t in w):
+    if tag is Tag.HALPHA:
+        return tuple(sorted(w, key=Tree.sort_key))
+    if tag is not Tag.HALPHA_NC and any(t is E for t in w):
         # In the free algebras a root-tree letter is the unit, not a letter.
         raise ValueError("basis words must not contain the root tree")
-    if tag in COMMUTATIVE:
-        w = tuple(sorted(w, key=Tree.sort_key))
     return w
 
 
 def multiply_words(tag: Tag, a: Word, b: Word) -> Word:
-    return normalize_word(tag, a + b)
+    """Product of two basis words; only the commutative algebra re-sorts."""
+    if tag is Tag.HALPHA:
+        return tuple(sorted(a + b, key=Tree.sort_key))
+    return a + b
 
 
 class Element:
@@ -81,14 +107,19 @@ class Element:
 
     __slots__ = ("tag", "terms")
 
-    def __init__(self, tag: Tag, terms: dict[Word, Fraction] | None = None):
+    def __init__(self, tag: Tag, terms: dict[Word, Coeff] | None = None):
         self.tag = tag
-        self.terms: dict[Word, Fraction] = {}
-        if terms:
-            for w, c in terms.items():
-                if c:
-                    self.terms[w] = self.terms.get(w, Fraction(0)) + Fraction(c)
-            self.terms = {w: c for w, c in self.terms.items() if c}
+        self.terms: dict[Word, Coeff] = (
+            {w: c for w, c0 in terms.items() if (c := _coeff(c0))} if terms else {}
+        )
+
+    @classmethod
+    def _new(cls, tag: Tag, terms: dict[Word, Coeff]) -> "Element":
+        """Trusted constructor for results computed here from exact terms."""
+        x = object.__new__(cls)
+        x.tag = tag
+        x.terms = _exact(terms)
+        return x
 
     # -- linear structure ---------------------------------------------------
 
@@ -96,18 +127,18 @@ class Element:
         self._check(other)
         terms = dict(self.terms)
         for w, c in other.terms.items():
-            terms[w] = terms.get(w, Fraction(0)) + c
-        return Element(self.tag, terms)
+            terms[w] = terms.get(w, 0) + c
+        return Element._new(self.tag, terms)
 
     def __sub__(self, other: "Element") -> "Element":
         return self + (-other)
 
     def __neg__(self) -> "Element":
-        return Element(self.tag, {w: -c for w, c in self.terms.items()})
+        return Element._new(self.tag, {w: -c for w, c in self.terms.items()})
 
     def scale(self, k) -> "Element":
-        k = Fraction(k)
-        return Element(self.tag, {w: k * c for w, c in self.terms.items()})
+        k = _coeff(k)
+        return Element._new(self.tag, {w: k * c for w, c in self.terms.items()})
 
     def __rmul__(self, k) -> "Element":
         return self.scale(k)
@@ -116,12 +147,13 @@ class Element:
         if not isinstance(other, Element):
             return self.scale(other)
         self._check(other)
-        terms: dict[Word, Fraction] = {}
+        tag = self.tag
+        terms: dict[Word, Coeff] = {}
         for wa, ca in self.terms.items():
             for wb, cb in other.terms.items():
-                w = multiply_words(self.tag, wa, wb)
-                terms[w] = terms.get(w, Fraction(0)) + ca * cb
-        return Element(self.tag, terms)
+                w = multiply_words(tag, wa, wb)
+                terms[w] = terms.get(w, 0) + ca * cb
+        return Element._new(tag, terms)
 
     def __eq__(self, other) -> bool:
         return (
@@ -142,17 +174,17 @@ class Element:
 
     # -- inspection ---------------------------------------------------------
 
-    def counit(self) -> Fraction:
+    def counit(self) -> Coeff:
         """Coefficient of the empty word."""
-        return self.terms.get((), Fraction(0))
+        return self.terms.get((), 0)
 
     def grade_components(self) -> dict[int, "Element"]:
-        out: dict[int, dict[Word, Fraction]] = {}
+        out: dict[int, dict[Word, Coeff]] = {}
         for w, c in self.terms.items():
             out.setdefault(word_degree(self.tag, w), {})[w] = c
-        return {d: Element(self.tag, t) for d, t in sorted(out.items())}
+        return {d: Element._new(self.tag, t) for d, t in sorted(out.items())}
 
-    def sorted_terms(self) -> list[tuple[Word, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Word, Coeff]]:
         return sorted(
             self.terms.items(),
             key=lambda it: (word_degree(self.tag, it[0]), len(it[0]), word_key(it[0])),
@@ -169,15 +201,15 @@ class Element:
 
 
 def unit(tag: Tag) -> Element:
-    return Element(tag, {(): Fraction(1)})
+    return Element._new(tag, {(): 1})
 
 
 def zero(tag: Tag) -> Element:
-    return Element(tag)
+    return Element._new(tag, {})
 
 
 def from_word(tag: Tag, word: Iterable[Tree], coeff=1) -> Element:
-    return Element(tag, {normalize_word(tag, word): Fraction(coeff)})
+    return Element(tag, {normalize_word(tag, word): coeff})
 
 
 def embed_tree(tag: Tag, t: Tree) -> Element:
@@ -206,15 +238,22 @@ class TensorElement:
     def __init__(
         self,
         tags: Sequence[Tag],
-        terms: dict[tuple[Word, ...], Fraction] | None = None,
+        terms: dict[tuple[Word, ...], Coeff] | None = None,
     ):
         self.tags = tuple(tags)
-        self.terms: dict[tuple[Word, ...], Fraction] = {}
-        if terms:
-            for ws, c in terms.items():
-                if c:
-                    self.terms[ws] = self.terms.get(ws, Fraction(0)) + Fraction(c)
-            self.terms = {ws: c for ws, c in self.terms.items() if c}
+        self.terms: dict[tuple[Word, ...], Coeff] = (
+            {ws: c for ws, c0 in terms.items() if (c := _coeff(c0))} if terms else {}
+        )
+
+    @classmethod
+    def _new(
+        cls, tags: tuple[Tag, ...], terms: dict[tuple[Word, ...], Coeff]
+    ) -> "TensorElement":
+        """Trusted constructor for results computed here from exact terms."""
+        x = object.__new__(cls)
+        x.tags = tags
+        x.terms = _exact(terms)
+        return x
 
     @property
     def nslots(self) -> int:
@@ -224,18 +263,18 @@ class TensorElement:
         self._check(other)
         terms = dict(self.terms)
         for ws, c in other.terms.items():
-            terms[ws] = terms.get(ws, Fraction(0)) + c
-        return TensorElement(self.tags, terms)
+            terms[ws] = terms.get(ws, 0) + c
+        return TensorElement._new(self.tags, terms)
 
     def __sub__(self, other: "TensorElement") -> "TensorElement":
         return self + (-other)
 
     def __neg__(self) -> "TensorElement":
-        return TensorElement(self.tags, {ws: -c for ws, c in self.terms.items()})
+        return TensorElement._new(self.tags, {ws: -c for ws, c in self.terms.items()})
 
     def scale(self, k) -> "TensorElement":
-        k = Fraction(k)
-        return TensorElement(self.tags, {ws: k * c for ws, c in self.terms.items()})
+        k = _coeff(k)
+        return TensorElement._new(self.tags, {ws: k * c for ws, c in self.terms.items()})
 
     def __rmul__(self, k) -> "TensorElement":
         return self.scale(k)
@@ -243,15 +282,13 @@ class TensorElement:
     def __mul__(self, other: "TensorElement") -> "TensorElement":
         """Componentwise product, slot by slot in each slot's algebra."""
         self._check(other)
-        terms: dict[tuple[Word, ...], Fraction] = {}
+        tags = self.tags
+        terms: dict[tuple[Word, ...], Coeff] = {}
         for wa, ca in self.terms.items():
             for wb, cb in other.terms.items():
-                ws = tuple(
-                    multiply_words(tag, x, y)
-                    for tag, x, y in zip(self.tags, wa, wb)
-                )
-                terms[ws] = terms.get(ws, Fraction(0)) + ca * cb
-        return TensorElement(self.tags, terms)
+                ws = tuple(map(multiply_words, tags, wa, wb))
+                terms[ws] = terms.get(ws, 0) + ca * cb
+        return TensorElement._new(tags, terms)
 
     def __eq__(self, other) -> bool:
         return (
@@ -278,31 +315,31 @@ class TensorElement:
         rest = [k for k in range(self.nslots) if k not in (i, j)]
         tags = [self.tags[k] for k in rest]
         tags.insert(target, self.tags[i])
-        terms: dict[tuple[Word, ...], Fraction] = {}
+        terms: dict[tuple[Word, ...], Coeff] = {}
         for ws, c in self.terms.items():
             merged = multiply_words(self.tags[i], ws[i], ws[j])
             out = [ws[k] for k in rest]
             out.insert(target, merged)
             key = tuple(out)
-            terms[key] = terms.get(key, Fraction(0)) + c
-        return TensorElement(tags, terms)
+            terms[key] = terms.get(key, 0) + c
+        return TensorElement._new(tuple(tags), terms)
 
     def contract_counit(self, i: int) -> "TensorElement":
         """Apply the counit to slot i (keep only terms whose slot i is empty)."""
         tags = self.tags[:i] + self.tags[i + 1 :]
-        terms: dict[tuple[Word, ...], Fraction] = {}
+        terms: dict[tuple[Word, ...], Coeff] = {}
         for ws, c in self.terms.items():
             if ws[i]:
                 continue
             key = ws[:i] + ws[i + 1 :]
-            terms[key] = terms.get(key, Fraction(0)) + c
-        return TensorElement(tags, terms)
+            terms[key] = terms.get(key, 0) + c
+        return TensorElement._new(tags, terms)
 
     def swap_slots(self, i: int, j: int) -> "TensorElement":
         perm = list(range(self.nslots))
         perm[i], perm[j] = perm[j], perm[i]
         tags = tuple(self.tags[k] for k in perm)
-        return TensorElement(
+        return TensorElement._new(
             tags, {tuple(ws[k] for k in perm): c for ws, c in self.terms.items()}
         )
 
@@ -314,29 +351,46 @@ class TensorElement:
         ``f`` may return an :class:`Element` (slot count preserved) or a
         :class:`TensorElement` (slot i expands into the image's slots).
         """
-        out: TensorElement | None = None
+        return self._splice(i, 1, lambda ws: f(ws[0]))
+
+    def _splice(
+        self,
+        i: int,
+        width: int,
+        f: Callable[[tuple[Word, ...]], "TensorElement | Element"],
+    ) -> "TensorElement":
+        """Replace the ``width`` slots from i by ``f`` of their words, extending
+        linearly; every image is accumulated into one dict."""
+        j = i + width
+        terms: dict[tuple[Word, ...], Coeff] = {}
+        image_tags = None
         for ws, c in self.terms.items():
-            image = f(ws[i])
+            image = f(ws[i:j])
             if isinstance(image, Element):
-                image = TensorElement((image.tag,), {(w,): k for w, k in image.terms.items()})
-            tags = self.tags[:i] + image.tags + self.tags[i + 1 :]
-            terms: dict[tuple[Word, ...], Fraction] = {}
-            for iws, ic in image.terms.items():
-                key = ws[:i] + iws + ws[i + 1 :]
-                terms[key] = terms.get(key, Fraction(0)) + c * ic
-            piece = TensorElement(tags, terms)
-            out = piece if out is None else out + piece
-        if out is None:
+                tags = (image.tag,)
+                items = [((w,), k) for w, k in image.terms.items()]
+            else:
+                tags = image.tags
+                items = image.terms.items()
+            if image_tags is None:
+                image_tags = tags
+            elif tags != image_tags:
+                raise ValueError(f"image tag mismatch: {image_tags} vs {tags}")
+            head, tail = ws[:i], ws[j:]
+            for iws, ic in items:
+                key = head + iws + tail
+                terms[key] = terms.get(key, 0) + c * ic
+        if image_tags is None:
             raise ValueError("cannot infer output tags of a map applied to 0")
-        return out
+        return TensorElement._new(self.tags[:i] + image_tags + self.tags[j:], terms)
 
     def slot_element(self) -> Element:
         """View a 1-slot tensor as a plain element."""
         if self.nslots != 1:
             raise ValueError("not a 1-slot tensor")
-        return Element(self.tags[0], {ws[0]: c for ws, c in self.terms.items()})
+        return Element._new(self.tags[0], {ws[0]: c for ws, c in self.terms.items()})
 
-    def sorted_terms(self) -> list[tuple[tuple[Word, ...], Fraction]]:
+    def sorted_terms(self) -> list[tuple[tuple[Word, ...], Coeff]]:
         return sorted(
             self.terms.items(),
             key=lambda it: tuple(
@@ -360,21 +414,21 @@ class TensorElement:
 def tensor(xs: Sequence[Element]) -> TensorElement:
     """Outer tensor product of elements, one per slot."""
     tags = tuple(x.tag for x in xs)
-    terms: dict[tuple[Word, ...], Fraction] = {}
+    terms: dict[tuple[Word, ...], Coeff] = {}
 
-    def rec(i: int, ws: tuple[Word, ...], c: Fraction):
+    def rec(i: int, ws: tuple[Word, ...], c: Coeff):
         if i == len(xs):
-            terms[ws] = terms.get(ws, Fraction(0)) + c
+            terms[ws] = c
             return
         for w, k in xs[i].terms.items():
             rec(i + 1, ws + (w,), c * k)
 
-    rec(0, (), Fraction(1))
-    return TensorElement(tags, terms)
+    rec(0, (), 1)
+    return TensorElement._new(tags, terms)
 
 
 def tensor_unit(tags: Sequence[Tag]) -> TensorElement:
-    return TensorElement(tuple(tags), {tuple(() for _ in tags): Fraction(1)})
+    return TensorElement._new(tuple(tags), {tuple(() for _ in tags): 1})
 
 
 def lift_linear(
@@ -405,11 +459,11 @@ def element_to_json(x: Element) -> dict:
 
 def element_from_json(data: dict) -> Element:
     tag = Tag(data["tag"])
-    out = zero(tag)
+    terms: dict[Word, Coeff] = {}
     for term in data["terms"]:
-        word = [parse(s) for s in term["word"]]
-        out = out + from_word(tag, word, Fraction(term["coeff"]))
-    return out
+        w = normalize_word(tag, [parse(s) for s in term["word"]])
+        terms[w] = terms.get(w, 0) + _coeff(term["coeff"])
+    return Element._new(tag, terms)
 
 
 def tensor_to_json(x: TensorElement) -> dict:
@@ -424,11 +478,11 @@ def tensor_to_json(x: TensorElement) -> dict:
 
 def tensor_from_json(data: dict) -> TensorElement:
     tags = tuple(Tag(t) for t in data["tags"])
-    terms: dict[tuple[Word, ...], Fraction] = {}
+    terms: dict[tuple[Word, ...], Coeff] = {}
     for term in data["terms"]:
         ws = tuple(
             normalize_word(tag, [parse(s) for s in slot])
             for tag, slot in zip(tags, term["slots"])
         )
-        terms[ws] = terms.get(ws, Fraction(0)) + Fraction(term["coeff"])
-    return TensorElement(tags, terms)
+        terms[ws] = terms.get(ws, 0) + _coeff(term["coeff"])
+    return TensorElement._new(tags, terms)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
 from .trees import (
@@ -116,9 +115,7 @@ def qed_basis(n: int) -> list[TensorElement]:
     for wa in basis_words(Tag.HALPHA, n):
         da = sum(u.order + 1 for u in wa)
         for wb in basis_words(Tag.HE, n - da):
-            out.append(
-                TensorElement((Tag.HALPHA, Tag.HE), {(wa, wb): Fraction(1)})
-            )
+            out.append(TensorElement((Tag.HALPHA, Tag.HE), {(wa, wb): 1}))
     return out
 
 
@@ -291,19 +288,7 @@ def check_coaction_d2(which: str, n: int, maps=None) -> CheckResult:
 
 def _apply_qed_pair(t: TensorElement, i: int, f) -> TensorElement:
     """Apply a map on 2-slot (charge, electron) elements to slots (i, i+1)."""
-    out = None
-    for ws, c in t.terms.items():
-        pair = TensorElement((Tag.HALPHA, Tag.HE), {(ws[i], ws[i + 1]): Fraction(1)})
-        image = f(pair)
-        tags = t.tags[:i] + image.tags + t.tags[i + 2 :]
-        piece_terms = {}
-        for iws, ic in image.terms.items():
-            key = ws[:i] + iws + ws[i + 2 :]
-            piece_terms[key] = piece_terms.get(key, Fraction(0)) + c * ic
-        piece = TensorElement(tags, piece_terms)
-        out = piece if out is None else out + piece
-    assert out is not None
-    return out
+    return t._splice(i, 2, lambda pair: f(TensorElement((Tag.HALPHA, Tag.HE), {pair: 1})))
 
 
 def check_qed_hopf(n: int, maps=None) -> CheckResult:
@@ -431,7 +416,7 @@ def check_single_tree_restriction(n: int, maps=None) -> CheckResult:
                 () if t1 is E else (t1,),
                 tuple(sorted(w2, key=Tree.sort_key)),
             )
-            terms[key] = terms.get(key, Fraction(0)) + c
+            terms[key] = terms.get(key, 0) + c
         rhs = TensorElement((Tag.HGAMMA, Tag.HALPHA), terms)
         if lhs != rhs:
             return f"single-tree restriction fails on tree {t}"

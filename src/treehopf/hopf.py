@@ -9,11 +9,10 @@ tree) and then read into the commutative algebra or its noncommutative lift.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .trees import Tree, E, graft, v_wrap, over, decompose_over, decompose_under, compose_over, compose_under
 from .algebra import (
     MAPS,
+    Coeff,
     Element,
     Tag,
     TensorElement,
@@ -21,9 +20,10 @@ from .algebra import (
     from_word,
     lift_linear,
     multiply_words,
+    normalize_word,
     structure_map,
+    tensor_unit,
     unit,
-    zero,
 )
 
 TreePairs = dict[tuple[Tree, Tree], int]
@@ -102,7 +102,7 @@ def pruning_pairs_under(t: Tree) -> list[tuple[Tree, Tree]]:
 
 
 def _pruning_tensor(tag: Tag, word: Word, pairs_fn) -> TensorElement:
-    out = TensorElement((tag, tag), {((), ()): Fraction(1)})
+    out = tensor_unit((tag, tag))
     for t in word:
         piece = TensorElement(
             (tag, tag),
@@ -110,7 +110,7 @@ def _pruning_tensor(tag: Tag, word: Word, pairs_fn) -> TensorElement:
                 (
                     () if a is E else (a,),
                     () if b is E else (b,),
-                ): Fraction(1)
+                ): 1
                 for a, b in pairs_fn(t)
             },
         )
@@ -169,7 +169,7 @@ def delta_p_e_recursive(x: Element) -> TensorElement:
 
 
 def _pairs_to_tensor(tag: Tag, pairs: TreePairs) -> TensorElement:
-    terms: dict[tuple[Word, ...], Fraction] = {}
+    terms: dict[tuple[Word, ...], int] = {}
     for (a, b), c in pairs.items():
         wa = tuple(decompose_over(a))
         wb = tuple(decompose_over(b))
@@ -177,7 +177,7 @@ def _pairs_to_tensor(tag: Tag, pairs: TreePairs) -> TensorElement:
             wa = multiply_words(tag, wa, ())
             wb = multiply_words(tag, wb, ())
         key = (wa, wb)
-        terms[key] = terms.get(key, Fraction(0)) + c
+        terms[key] = terms.get(key, 0) + c
     return TensorElement((tag, tag), terms)
 
 
@@ -190,7 +190,7 @@ def _generator_coaction(tag: Tag, u: Tree) -> TensorElement:
 
 
 def _multiplicative(tag: Tag, word: Word, gen_fn) -> TensorElement:
-    out = TensorElement((tag, tag), {((), ()): Fraction(1)})
+    out = tensor_unit((tag, tag))
     for u in word:
         out = out * gen_fn(tag, u)
     return out
@@ -238,10 +238,11 @@ def abelianize(x: Element) -> Element:
     """Project the noncommutative lift onto the commutative charge algebra."""
     if x.tag is not Tag.HALPHA_NC:
         raise ValueError("abelianize expects a noncommutative-lift element")
-    out = zero(Tag.HALPHA)
+    terms: dict[Word, Coeff] = {}
     for w, c in x.terms.items():
-        out = out + from_word(Tag.HALPHA, w, c)
-    return out
+        v = normalize_word(Tag.HALPHA, w)
+        terms[v] = terms.get(v, 0) + c
+    return Element._new(Tag.HALPHA, terms)
 
 
 # -- antipodes --------------------------------------------------------------
@@ -259,10 +260,11 @@ def _antipode_word(tag: Tag, word: Word) -> Element:
 
 
 def _antipode_element(tag: Tag, x: Element) -> Element:
-    out = zero(tag)
+    terms: dict[Word, Coeff] = {}
     for w, c in x.terms.items():
-        out = out + _antipode_word(tag, w).scale(c)
-    return out
+        for v, k in _antipode_word(tag, w).terms.items():
+            terms[v] = terms.get(v, 0) + c * k
+    return Element._new(tag, terms)
 
 
 def _antipode_letter(tag: Tag, t: Tree) -> Element:

@@ -8,22 +8,21 @@ algebra is the three-slot electron renormalization coaction.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Callable
 
 from .trees import Tree, E, decompose_over, graft
 from .algebra import (
+    Coeff,
     Element,
     Tag,
     TensorElement,
     Word,
-    embed_tree,
     from_word,
     lift_linear,
     multiply_words,
+    normalize_word,
     structure_map,
-    unit,
-    zero,
+    tensor_unit,
 )
 from .hopf import (
     antipode_alpha,
@@ -39,15 +38,15 @@ from .hopf import (
 
 
 def _coaction_tensor(tag: Tag, word: Word) -> TensorElement:
-    out = TensorElement((tag, Tag.HALPHA), {((), ()): Fraction(1)})
+    out = tensor_unit((tag, Tag.HALPHA))
     for t in word:
-        terms: dict[tuple[Word, ...], Fraction] = {}
+        terms: dict[tuple[Word, ...], int] = {}
         for (a, b), c in charge_coaction_tree(t).items():
             key = (
                 () if a is E else (a,),
                 multiply_words(Tag.HALPHA, tuple(decompose_over(b)), ()),
             )
-            terms[key] = terms.get(key, Fraction(0)) + c
+            terms[key] = terms.get(key, 0) + c
         out = out * TensorElement((tag, Tag.HALPHA), terms)
     return out
 
@@ -64,17 +63,17 @@ def delta_e_coaction(x: Element) -> TensorElement:
     return lift_linear(Tag.HE, lambda w: _coaction_tensor(Tag.HE, w))(x)
 
 
-_coaction_rec_cache: dict[Tree, dict[tuple[Tree, Word], Fraction]] = {}
+_coaction_rec_cache: dict[Tree, dict[tuple[Tree, Word], int]] = {}
 
 
-def _coaction_tree_recursive(t: Tree) -> dict[tuple[Tree, Word], Fraction]:
+def _coaction_tree_recursive(t: Tree) -> dict[tuple[Tree, Word], int]:
     """Grafting recursion for the coaction on a single tree: for t = l v r,
     sum over the charge coproduct of l and the coaction of r of
     (l1 v r_left) (x) l2 / r_right."""
     got = _coaction_rec_cache.get(t)
     if got is None:
         if t is E:
-            got = {(E, ()): Fraction(1)}
+            got = {(E, ()): 1}
         else:
             got = {}
             for (l1, l2), cl in charge_coproduct_tree(t.left).items():
@@ -84,7 +83,7 @@ def _coaction_tree_recursive(t: Tree) -> dict[tuple[Tree, Word], Fraction]:
                         Tag.HALPHA, tuple(decompose_over(l2)), ra
                     )
                     key = (left, right)
-                    got[key] = got.get(key, Fraction(0)) + cl * cr
+                    got[key] = got.get(key, 0) + cl * cr
         _coaction_rec_cache[t] = got
     return got
 
@@ -94,7 +93,7 @@ def delta_e_coaction_recursive(x: Element) -> TensorElement:
     recursion instead of the noncommutative-lift identification."""
 
     def word_fn(word: Word) -> TensorElement:
-        out = TensorElement((Tag.HE, Tag.HALPHA), {((), ()): Fraction(1)})
+        out = tensor_unit((Tag.HE, Tag.HALPHA))
         for t in word:
             terms = {
                 ((() if a is E else (a,)), b): c
@@ -115,13 +114,12 @@ def sigma(x: Element) -> Element:
     multiplies the letters of a word with the over product."""
     if x.tag is not Tag.HGAMMA:
         raise ValueError("sigma is defined on the photon algebra")
-    out = zero(Tag.HALPHA)
+    terms: dict[Word, Coeff] = {}
     for w, c in x.terms.items():
-        piece = unit(Tag.HALPHA)
-        for t in w:
-            piece = piece * embed_tree(Tag.HALPHA, t)
-        out = out + piece.scale(c)
-    return out
+        # The charge image of a tree is its over-factorization, one word.
+        v = normalize_word(Tag.HALPHA, [u for t in w for u in decompose_over(t)])
+        terms[v] = terms.get(v, 0) + c
+    return Element._new(Tag.HALPHA, terms)
 
 
 def delta_sigma(
@@ -177,10 +175,10 @@ def qed_coproduct(ab: TensorElement) -> TensorElement:
     return semidirect_coproduct_generic(ab, delta_alpha, delta_p_e, delta_e_coaction)
 
 
-def qed_counit(ab: TensorElement) -> Fraction:
+def qed_counit(ab: TensorElement) -> Coeff:
     if ab.nslots != 2:
         raise ValueError("expected a 2-slot element")
-    return ab.terms.get(((), ()), Fraction(0))
+    return ab.terms.get(((), ()), 0)
 
 
 @structure_map("qed-antipode", Tag.HALPHA, Tag.HE)
@@ -189,21 +187,22 @@ def qed_antipode(ab: TensorElement) -> TensorElement:
     antipode of b through the coaction and the charge antipode."""
     if ab.tags != (Tag.HALPHA, Tag.HE):
         raise ValueError("expected a (Halpha, He) element")
-    out = TensorElement((Tag.HALPHA, Tag.HE))
+    terms: dict[tuple[Word, ...], Coeff] = {}
     for (wa, wb), c in ab.terms.items():
         sa = antipode_alpha(from_word(Tag.HALPHA, wa))
         sb = delta_e_coaction(antipode_p_e(from_word(Tag.HE, wb)))  # (He, Halpha)
         sb = sb.map_slot(1, lambda w: antipode_alpha(from_word(Tag.HALPHA, w)))
         sb = sb.swap_slots(0, 1)  # (Halpha, He)
-        piece = TensorElement(
+        piece = TensorElement._new(
             (Tag.HALPHA, Tag.HE), {(w, ()): k for w, k in sa.terms.items()}
         ) * sb
-        out = out + piece.scale(c)
-    return out
+        for ws, k in piece.terms.items():
+            terms[ws] = terms.get(ws, 0) + c * k
+    return TensorElement._new((Tag.HALPHA, Tag.HE), terms)
 
 
 def qed_unit() -> TensorElement:
-    return TensorElement((Tag.HALPHA, Tag.HE), {((), ()): Fraction(1)})
+    return tensor_unit((Tag.HALPHA, Tag.HE))
 
 
 # -- the electron renormalization coaction ----------------------------------
@@ -231,11 +230,9 @@ def electron_renorm_coaction_recursive(x: Element) -> TensorElement:
         got = _ern_rec_cache.get(t)
         if got is None:
             if t is E:
-                got = TensorElement(_ERN_TAGS, {((), (), ()): Fraction(1)})
+                got = tensor_unit(_ERN_TAGS)
             else:
-                terms: dict[tuple[Word, ...], Fraction] = {
-                    ((), (), (t,)): Fraction(1)
-                }
+                terms: dict[tuple[Word, ...], int] = {((), (), (t,)): 1}
                 sub = tree_fn(t.right)
                 for (l1, l2), cl in charge_coproduct_tree(t.left).items():
                     for (w1, w2, w3), cs in sub.terms.items():
@@ -245,13 +242,13 @@ def electron_renorm_coaction_recursive(x: Element) -> TensorElement:
                             Tag.HALPHA, tuple(decompose_over(l2)), w2
                         )
                         key = ((() if left is E else (left,)), mid, w3)
-                        terms[key] = terms.get(key, Fraction(0)) + cl * cs
+                        terms[key] = terms.get(key, 0) + cl * cs
                 got = TensorElement(_ERN_TAGS, terms)
             _ern_rec_cache[t] = got
         return got
 
     def word_fn(word: Word) -> TensorElement:
-        out = TensorElement(_ERN_TAGS, {((), (), ()): Fraction(1)})
+        out = tensor_unit(_ERN_TAGS)
         for t in word:
             out = out * tree_fn(t)
         return out

@@ -1,12 +1,16 @@
 """Linear/tensor element arithmetic, word normalization, and JSON codecs."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from treehopf.trees import E, Y, DEUXUN, DEUXDEUX, TROISQUATRE, all_trees_up_to
+from treehopf import checks
 from treehopf.algebra import (
+    MAP_INPUTS,
+    MAPS,
     Element,
     Tag,
     TensorElement,
@@ -181,3 +185,104 @@ class TestJson:
         data = element_to_json(embed_tree(Tag.HE, Y).scale(Fraction(-1, 2)))
         assert data["tag"] == "He"
         assert data["terms"] == [{"coeff": "-1/2", "word": ["(e v e)"]}]
+
+
+class TestCoefficients:
+    def test_structure_maps_keep_int_coefficients(self):
+        for name, tags in MAP_INPUTS.items():
+            if len(tags) != 1:
+                continue
+            for x in checks.basis_elements(tags[0], 4):
+                out = MAPS[name](x)
+                assert out.terms, (name, x)
+                bad = [c for c in out.terms.values() if type(c) is not int]
+                assert not bad, (name, x, bad)
+
+    def test_integral_results_demote_to_int(self):
+        x = embed_tree(Tag.HE, Y).scale(3) + embed_tree(Tag.HE, DEUXUN)
+        half = x.scale(Fraction(1, 2))
+        assert half.terms[(Y,)] == Fraction(3, 2)
+        back = half.scale(2)
+        assert back == x
+        assert all(type(c) is int for c in back.terms.values())
+        t = tensor([x, x]).scale(Fraction(1, 3)).scale(3)
+        assert all(type(c) is int for c in t.terms.values())
+
+    def test_int_and_fraction_coefficients_agree(self):
+        a = Element(Tag.HE, {(Y,): 2, (DEUXUN,): Fraction(1, 2)})
+        b = Element(Tag.HE, {(Y,): Fraction(4, 2), (DEUXUN,): "1/2"})
+        assert a == b and hash(a) == hash(b)
+        assert type(b.terms[(Y,)]) is int
+        ta = TensorElement((Tag.HE, Tag.HE), {((Y,), ()): 3})
+        tb = TensorElement((Tag.HE, Tag.HE), {((Y,), ()): Fraction(3)})
+        assert ta == tb and hash(ta) == hash(tb)
+
+    def test_zero_coefficients_never_survive(self):
+        x = embed_tree(Tag.HE, Y) + embed_tree(Tag.HE, DEUXUN).scale(Fraction(1, 2))
+        assert (x + x.scale(-1)).terms == {}
+        assert x.scale(0).terms == {}
+        assert Element(Tag.HE, {(Y,): 0, (DEUXUN,): "0", (): Fraction(0)}).terms == {}
+        t = tensor([x, x])
+        assert (t + (-t)).terms == {} and t.scale(0).terms == {}
+        assert all(c != 0 for c in (x + embed_tree(Tag.HE, Y).scale(-1)).terms.values())
+
+    def test_floats_rejected(self):
+        x = embed_tree(Tag.HE, Y)
+        with pytest.raises(TypeError):
+            x.scale(0.5)
+        with pytest.raises(TypeError):
+            x * 0.5
+        with pytest.raises(TypeError):
+            Element(Tag.HE, {(Y,): 0.1})
+        with pytest.raises(TypeError):
+            from_word(Tag.HE, (Y,), 0.1)
+        with pytest.raises(TypeError):
+            tensor([x]).scale(0.5)
+
+
+def _map_slot_oracle(t: TensorElement, i: int, f) -> TensorElement:
+    """The defining sum: each term's image spliced in, the pieces added."""
+    out = None
+    for ws, c in t.terms.items():
+        image = f(ws[i])
+        if isinstance(image, Element):
+            image = TensorElement((image.tag,), {(w,): k for w, k in image.terms.items()})
+        piece = TensorElement(
+            t.tags[:i] + image.tags + t.tags[i + 1 :],
+            {ws[:i] + iws + ws[i + 1 :]: c * ic for iws, ic in image.terms.items()},
+        )
+        out = piece if out is None else out + piece
+    return out
+
+
+class TestMapSlot:
+    def _random_sum(self, rng: random.Random, tag: Tag) -> Element:
+        words = checks.basis_words(tag, 3)
+        out = zero(tag)
+        for w in rng.sample(words, 4):
+            c = rng.choice([1, -2, 3, Fraction(1, 2), Fraction(-5, 3)])
+            out = out + from_word(tag, w, c)
+        return out
+
+    def test_against_oracle(self):
+        maps = {
+            name: MAPS[name]
+            for name in ("antipode-p-e", "delta-p-e", "delta-e-coaction", "delta-e")
+        }
+        for seed in range(6):
+            rng = random.Random(seed)
+            t = tensor([self._random_sum(rng, Tag.HE), self._random_sum(rng, Tag.HE)])
+            for name, fn in maps.items():
+                f = lambda w: fn(from_word(Tag.HE, w))
+                for i in (0, 1):
+                    assert t.map_slot(i, f) == _map_slot_oracle(t, i, f), (seed, name, i)
+
+    def test_image_tag_mismatch_rejected(self):
+        t = tensor([embed_tree(Tag.HE, Y) + embed_tree(Tag.HE, DEUXUN)])
+        f = lambda w: from_word(Tag.HE if w == (Y,) else Tag.HGAMMA, w)
+        with pytest.raises(ValueError):
+            t.map_slot(0, f)
+
+    def test_map_applied_to_zero_rejected(self):
+        with pytest.raises(ValueError):
+            TensorElement((Tag.HE,)).map_slot(0, lambda w: from_word(Tag.HE, w))
