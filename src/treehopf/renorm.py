@@ -14,11 +14,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Optional, Sequence
 
-from .trees import Tree, E, enumerate_trees, all_trees_up_to, render, v_wrap
-from .algebra import Element, Tag, TensorElement, Word, embed_tree, GENERATOR_TAGS
-from .hopf import antipode_p_e
+from .trees import Tree, E, enumerate_trees, all_trees_up_to, render
+from .algebra import MAPS, Element, Tag, TensorElement, Word, embed_tree, GENERATOR_TAGS
+from .hopf import ANTIPODE_NAME, antipode_p_e
 from .qed import electron_renorm_coaction, photon_renorm_coaction
 from .series import (
     Matrix,
@@ -38,24 +39,54 @@ def _commute(a: RingValue, b: RingValue) -> bool:
     return r_eq(r_mul(a, b), r_mul(b, a))
 
 
-@dataclass
+def _is_central(v: RingValue) -> bool:
+    """Whether v commutes with every ring value: a scalar, or a matrix equal
+    to c times the identity."""
+    if not isinstance(v, Matrix):
+        return True
+    return all(
+        a == (v.rows[0][0] if i == j else 0)
+        for i, row in enumerate(v.rows)
+        for j, a in enumerate(row)
+    )
+
+
+def _ring_sum(values: Iterable[RingValue]) -> RingValue:
+    """Sum starting from the first value (no ``0 + v`` identity term); the
+    empty sum is ``Fraction(0)``."""
+    it = iter(values)
+    acc = next(it, Fraction(0))
+    for v in it:
+        acc = r_add(acc, v)
+    return acc
+
+
+@dataclass(frozen=True)
 class Character:
     """Multiplicative ring-valued map on one tagged algebra.
 
     For the free algebras the values are keyed by single trees; for the
     charge algebra (and its lift) by the generator argument u of V(u).
-    The unit word always evaluates to the ring identity.
+    The unit word always evaluates to the ring identity.  The values are
+    copied into a read-only mapping, so the checks made here, and the values
+    ``antipode_value`` memoizes, hold for the character's whole life.
     """
 
     tag: Tag
-    values: dict[Tree, RingValue]
+    values: Mapping[Tree, RingValue]
     ring_one: RingValue = Fraction(1)
+    _antipode_values: dict[Word, RingValue] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
+        object.__setattr__(self, "values", MappingProxyType(dict(self.values)))
         if self.tag not in GENERATOR_TAGS and E in self.values:
             raise ValueError("the root tree is the unit; do not assign it a value")
         if self.tag is Tag.HALPHA:
-            vals = list(self.values.values())
+            # Central values commute with everything, so only the others
+            # need the pairwise test.
+            vals = [v for v in self.values.values() if not _is_central(v)]
             for i, a in enumerate(vals):
                 for b in vals[i + 1 :]:
                     if not _commute(a, b):
@@ -77,10 +108,23 @@ class Character:
             ) from None
 
     def on_word(self, word: Word) -> RingValue:
-        acc = self.ring_one
-        for t in word:
+        """Product of the letter values in written order, folded from the
+        first letter; the empty word gives ``ring_one``."""
+        if not word:
+            return self.ring_one
+        acc = self.letter(word[0])
+        for t in word[1:]:
             acc = r_mul(acc, self.letter(t))
         return acc
+
+    def antipode_value(self, word: Word) -> RingValue:
+        """The character on the antipode of a basis word, memoized per word."""
+        got = self._antipode_values.get(word)
+        if got is None:
+            s = MAPS[ANTIPODE_NAME[self.tag]]
+            got = evaluate(self, s(Element(self.tag, {word: 1})))
+            self._antipode_values[word] = got
+        return got
 
     def __call__(self, x: Element | Tree) -> RingValue:
         if isinstance(x, Tree):
@@ -92,10 +136,7 @@ def evaluate(chi: Character, x: Element) -> RingValue:
     """Linear-multiplicative evaluation of a character on an element."""
     if x.tag is not chi.tag:
         raise ValueError(f"character tag {chi.tag} cannot evaluate {x.tag}")
-    acc: RingValue = Fraction(0)
-    for w, c in x.terms.items():
-        acc = r_add(acc, r_mul(c, chi.on_word(w)))
-    return acc
+    return _ring_sum(_slot_product(c, (chi.on_word(w),)) for w, c in x.terms.items())
 
 
 def pair_evaluate(chis: Sequence[Character], tensor: TensorElement) -> RingValue:
@@ -107,13 +148,21 @@ def pair_evaluate(chis: Sequence[Character], tensor: TensorElement) -> RingValue
     for chi, tag in zip(chis, tensor.tags):
         if chi.tag is not tag:
             raise ValueError("character/slot tag mismatch")
-    acc: RingValue = Fraction(0)
-    for ws, c in tensor.terms.items():
-        term: RingValue = Fraction(c)
-        for chi, w in zip(chis, ws):
-            term = r_mul(term, chi.on_word(w))
-        acc = r_add(acc, term)
-    return acc
+    return _ring_sum(
+        _slot_product(c, [chi.on_word(w) for chi, w in zip(chis, ws)])
+        for ws, c in tensor.terms.items()
+    )
+
+
+def _slot_product(c, values: Sequence[RingValue]) -> RingValue:
+    """c times the slot values, multiplied left-to-right.  Scalar factors
+    equal to 1 are skipped but matrices never are, so a product with a
+    matrix factor is still a matrix."""
+    acc: Optional[RingValue] = None if c == 1 else Fraction(c)
+    for v in values:
+        if isinstance(v, Matrix) or v != 1:
+            acc = v if acc is None else r_mul(acc, v)
+    return Fraction(1) if acc is None else acc
 
 
 # -- toy characters ---------------------------------------------------------
@@ -169,9 +218,7 @@ def z3_series(c_gamma: Character, n: int) -> Series:
         raise ValueError("need a charge-algebra character")
     coeffs: list[RingValue] = [r_one_like(c_gamma.ring_one)]
     for k in range(1, n + 1):
-        acc: RingValue = Fraction(0)
-        for t in enumerate_trees(k - 1):
-            acc = r_add(acc, c_gamma.letter(t))
+        acc = _ring_sum(c_gamma.letter(t) for t in enumerate_trees(k - 1))
         coeffs.append(r_mul(Fraction(-1), acc))
     return Series(coeffs)
 
@@ -184,16 +231,17 @@ def z2_series(c_e: Character, n: int) -> Series:
     Because the antipode pairing inverts the character series, this equals
     the multiplicative inverse of ``1 + sum C^e(t) alpha^|t|`` — it is the
     inverse of the electron renormalization factor, not the factor itself.
-    ``z2_factor`` returns the factor.
+    ``z2_factor`` returns the factor.  The antipode images are evaluated
+    here without ``Character.antipode_value``'s memo, so the two agree by
+    independent routes.
     """
     if c_e.tag is not Tag.HE:
         raise ValueError("need an electron-algebra character")
     coeffs: list[RingValue] = [r_one_like(c_e.ring_one)]
     for k in range(1, n + 1):
-        acc: RingValue = Fraction(0)
-        for t in enumerate_trees(k):
-            acc = r_add(acc, evaluate(c_e, antipode_p_e(embed_tree(Tag.HE, t))))
-        coeffs.append(acc)
+        coeffs.append(_ring_sum(
+            evaluate(c_e, antipode_p_e(embed_tree(Tag.HE, t))) for t in enumerate_trees(k)
+        ))
     return Series(coeffs)
 
 
@@ -204,10 +252,7 @@ def z2_factor(c_e: Character, n: int) -> Series:
         raise ValueError("need an electron-algebra character")
     coeffs: list[RingValue] = [r_one_like(c_e.ring_one)]
     for k in range(1, n + 1):
-        acc: RingValue = Fraction(0)
-        for t in enumerate_trees(k):
-            acc = r_add(acc, c_e.letter(t))
-        coeffs.append(acc)
+        coeffs.append(_ring_sum(c_e.letter(t) for t in enumerate_trees(k)))
     return Series(coeffs)
 
 
@@ -236,26 +281,17 @@ def renormalized_electron(
     electron renormalization coaction, applying the electron antipode to the
     last slot before the counterterm; products are taken left-to-right."""
     spread = electron_renorm_coaction(embed_tree(Tag.HE, t))
-    acc: RingValue = Fraction(0)
-    for (w1, w2, w3), c in spread.terms.items():
-        term: RingValue = Fraction(c)
-        term = r_mul(term, u.on_word(w1))
-        term = r_mul(term, c_gamma.on_word(w2))
-        term = r_mul(
-            term, evaluate(c_e, antipode_p_e(Element(Tag.HE, {w3: Fraction(1)})))
-        )
-        acc = r_add(acc, term)
-    return acc
+    return _ring_sum(
+        _slot_product(c, [u.on_word(w1), c_gamma.on_word(w2), c_e.antipode_value(w3)])
+        for (w1, w2, w3), c in spread.terms.items()
+    )
 
 
 def assemble_series(values_by_tree, n: int, ring_one: RingValue) -> Series:
     """Sum tree coefficients order by order into a truncated series."""
     coeffs: list[RingValue] = [ring_one]
     for k in range(1, n + 1):
-        acc: RingValue = Fraction(0)
-        for t in enumerate_trees(k):
-            acc = r_add(acc, values_by_tree(t))
-        coeffs.append(acc)
+        coeffs.append(_ring_sum(values_by_tree(t) for t in enumerate_trees(k)))
     return Series(coeffs)
 
 

@@ -56,7 +56,6 @@ class Matrix:
         return Matrix(tuple(tuple(-a for a in r) for r in self.rows))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
-        d = self.dim
         cols = list(zip(*other.rows))
         return Matrix(
             tuple(

@@ -1,7 +1,10 @@
 """Characters, renormalization factors, and the order-by-order consistency
 of the bare and renormalized propagator expansions."""
 
+import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -18,6 +21,7 @@ from treehopf import hopf, renorm
 from treehopf.checks import basis_elements
 from treehopf.renorm import (
     Character,
+    _commute,
     assemble_series,
     character_from_json,
     character_to_json,
@@ -33,7 +37,7 @@ from treehopf.renorm import (
     z2_series,
     z3_series,
 )
-from treehopf.series import Matrix, Series, indeterminate, one
+from treehopf.series import Matrix, Series, indeterminate, one, r_add, r_eq, r_mul
 
 
 def zero_character(tag: Tag, max_order=5) -> Character:
@@ -87,6 +91,157 @@ class TestCharacter:
             chi = make_toy_character(Tag.HE, seed=4, kind=kind, d=2, max_order=3)
             back = character_from_json(character_to_json(chi))
             assert back.tag is chi.tag and back.values == chi.values
+            assert character_to_json(back) == character_to_json(chi)
+
+    def test_values_are_frozen(self):
+        source = {Y: Fraction(2)}
+        chi = Character(Tag.HE, source)
+        with pytest.raises(TypeError):
+            chi.values[DEUXUN] = Fraction(3)
+        with pytest.raises(FrozenInstanceError):
+            chi.values = {}
+        # the character keeps its own copy of the values it was built from
+        source[Y] = Fraction(5)
+        assert chi.letter(Y) == 2
+
+    def test_frozen_values_cannot_bypass_commutativity(self):
+        a = Matrix.from_rows([[0, 1], [0, 0]])
+        b = Matrix.from_rows([[0, 0], [1, 0]])
+        chi = Character(Tag.HALPHA, {E: a}, Matrix.identity(2))
+        with pytest.raises(TypeError):
+            chi.values[Y] = b
+
+
+def _old_on_word(chi: Character, word):
+    """The fold from the ring identity that ``on_word`` replaces."""
+    acc = chi.ring_one
+    for t in word:
+        acc = r_mul(acc, chi.letter(t))
+    return acc
+
+
+class TestOnWord:
+    def test_matches_identity_first_fold(self):
+        rng = random.Random(0)
+        trees = [t for t in all_trees_up_to(4) if t is not E]
+        for kind in ("scalar", "matrix"):
+            chi = make_toy_character(Tag.HE, seed=6, kind=kind, d=3, max_order=4)
+            words = [()] + [(t,) for t in trees]
+            words += [tuple(rng.choice(trees) for _ in range(n)) for n in (2, 3) for _ in range(20)]
+            for w in words:
+                got = chi.on_word(w)
+                assert r_eq(got, _old_on_word(chi, w))
+                if kind == "matrix":
+                    assert isinstance(got, Matrix)
+
+    def test_charge_words_match_identity_first_fold(self):
+        chi = make_toy_character(Tag.HALPHA, seed=6, max_order=3)
+        gens = all_trees_up_to(3)
+        for n in range(4):
+            for w in combinations(gens, n):
+                assert chi.on_word(w) == _old_on_word(chi, w)
+
+    def test_matrix_report_residuals_stay_matrices(self):
+        u = make_toy_character(Tag.HE, 2, kind="matrix", d=3, max_order=3)
+        cg = make_toy_character(Tag.HALPHA, 3, max_order=3)
+        ce = make_toy_character(Tag.HE, 4, max_order=3)
+        data = dyson_check_electron(u, cg, ce, 3).to_json()
+        for residual in data["per_order_residuals"].values():
+            assert isinstance(residual, list) and len(residual) == 3
+            assert all(row == ["0", "0", "0"] for row in residual)
+
+
+def _pairwise_oracle(values) -> bool:
+    """The quadratic check: every pair of values commutes."""
+    return all(_commute(a, b) for a, b in combinations(values, 2))
+
+
+def _accepted(values, d) -> bool:
+    trees = all_trees_up_to(4)[: len(values)]
+    try:
+        Character(Tag.HALPHA, dict(zip(trees, values)), Matrix.identity(d))
+    except ValueError:
+        return False
+    return True
+
+
+class TestChargeCommutativity:
+    NIL = Matrix.from_rows([[0, 1], [0, 0]])
+    NIL_T = Matrix.from_rows([[0, 0], [1, 0]])
+
+    def test_nilpotent_pair_among_central_values_rejected(self):
+        central = [Fraction(2), Matrix.identity(2).scale(Fraction(-1, 3)), Fraction(0)]
+        values = central + [self.NIL] + central + [self.NIL_T]
+        assert not _pairwise_oracle(values)
+        assert not _accepted(values, 2)
+
+    def test_one_dense_matrix_among_central_values_accepted(self):
+        dense = Matrix.from_rows([[1, 2], [3, Fraction(4, 5)]])
+        values = [Fraction(3), Matrix.identity(2).scale(7), dense, Matrix.zeros(2), Fraction(-1)]
+        assert _pairwise_oracle(values)
+        assert _accepted(values, 2)
+
+    def test_agrees_with_pairwise_oracle(self):
+        rng = random.Random(2024)
+        verdicts = set()
+        for _ in range(300):
+            d = rng.choice((2, 3))
+
+            def frac():
+                return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+
+            def dense():
+                return Matrix.from_rows([[frac() for _ in range(d)] for _ in range(d)])
+
+            base = dense()
+            pool = [
+                lambda: frac(),
+                lambda: Matrix.identity(d).scale(frac()),
+                lambda: dense(),
+                # polynomials in one matrix commute with each other
+                lambda: base.scale(frac()),
+                lambda: base @ base + Matrix.identity(d).scale(frac()),
+                lambda: Matrix.from_rows(
+                    [[int(i + 1 == j) for j in range(d)] for i in range(d)]
+                ),
+            ]
+            values = [rng.choice(pool)() for _ in range(rng.randint(1, 6))]
+            want = _pairwise_oracle(values)
+            assert _accepted(values, d) == want
+            verdicts.add(want)
+        assert verdicts == {True, False}
+
+
+class TestAntipodeMemo:
+    ORDER = 5
+
+    @pytest.mark.parametrize("kind", ["scalar", "matrix"])
+    def test_memo_sums_match_z2_series(self, kind):
+        n = self.ORDER
+        for seed in range(5):
+            c = make_toy_character(Tag.HE, seed=seed, kind=kind, d=4, max_order=n)
+            z2bar = z2_series(c, n)
+            for k in range(1, n + 1):
+                acc = Fraction(0)
+                for t in enumerate_trees(k):
+                    acc = r_add(acc, c.antipode_value((t,)))
+                assert r_eq(acc, z2bar[k])
+            assert z2bar * z2_factor(c, n) == one(n)
+
+    def test_filled_memo_gives_fresh_values(self):
+        n = 4
+        u = make_toy_character(Tag.HE, 3, kind="matrix", d=2, max_order=n)
+        cg = make_toy_character(Tag.HALPHA, 4, max_order=n)
+        shared = make_toy_character(Tag.HE, 5, max_order=n)
+        trees = all_trees_up_to(n)
+        first = [renormalized_electron(u, cg, shared, t) for t in trees]
+        assert shared._antipode_values
+        again = [renormalized_electron(u, cg, shared, t) for t in trees]
+        fresh = [
+            renormalized_electron(u, cg, make_toy_character(Tag.HE, 5, max_order=n), t)
+            for t in trees
+        ]
+        assert first == again == fresh
 
 
 class TestSquaredSeriesDuality:
