@@ -14,6 +14,8 @@ from .trees import (
     decompose_over,
     decompose_under,
     enumerate_trees,
+    iter_rendered,
+    tree_unrank,
     parse,
     render,
     tree_name,
@@ -34,6 +36,8 @@ __all__ = [
     "decompose_over",
     "decompose_under",
     "enumerate_trees",
+    "iter_rendered",
+    "tree_unrank",
     "parse",
     "render",
     "tree_name",

@@ -17,7 +17,6 @@ from .trees import (
     all_trees_up_to,
     catalan,
     decompose_over,
-    enumerate_trees,
 )
 from .algebra import (
     MAPS,
@@ -30,7 +29,7 @@ from .algebra import (
     unit,
     word_as_tree,
 )
-from . import hopf, qed
+from . import hopf, qed, trees
 from .hopf import ANTIPODE_NAME, COPRODUCT_NAME
 
 
@@ -433,7 +432,7 @@ def check_single_tree_restriction(n: int, maps=None) -> CheckResult:
 
 def check_catalan(n: int, maps=None) -> CheckResult:
     for m in range(n + 1):
-        got = len(enumerate_trees(m))
+        got = sum(1 for _ in trees.iter_rendered(m))
         if got != catalan(m):
             return CheckResult(
                 f"catalan n<={n}", False, f"|Y_{m}| = {got} != {catalan(m)}"

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Optional
+from typing import Iterator, Optional
 
 
 class Tree:
@@ -63,12 +63,13 @@ class Tree:
 
 E = Tree(None, None)
 
-_pool: dict[tuple[int, int], Tree] = {}
+# Keyed by the subtrees themselves: a Tree hashes and compares by identity.
+_pool: dict[tuple[Tree, Tree], Tree] = {}
 
 
 def graft(left: Tree, right: Tree) -> Tree:
     """Join two trees under a new root.  order(l v r) = |l| + |r| + 1."""
-    key = (id(left), id(right))
+    key = (left, right)
     t = _pool.get(key)
     if t is None:
         t = Tree(left, right)
@@ -166,6 +167,38 @@ def enumerate_trees(n: int) -> list[Tree]:
     return list(_level(n))
 
 
+def _joined(texts: list, m: int) -> Iterator[str]:
+    """The texts of order m from those of orders < m, in the order of _level."""
+    return (f"({l} v {r})" for k in range(m) for l in texts[m - 1 - k] for r in texts[k])
+
+
+class _Regenerated:
+    """The texts of order m, generated afresh on every pass instead of held."""
+
+    def __init__(self, texts: list, m: int):
+        self.texts, self.m = texts, m
+
+    def __iter__(self) -> Iterator[str]:
+        return _joined(self.texts, self.m)
+
+
+def iter_rendered(n: int) -> Iterator[str]:
+    """render(t) for every tree t of order n, in canonical order, building no tree.
+
+    Only the texts of orders below n - 2 are held.  Orders n - 1 and n - 2,
+    the two largest below n, meet only orders 0 and 1, one text each, so
+    they are generated again on every pass instead of held; order n is
+    generated.  A transient of the stream therefore stays small (0.7 MB at
+    order 12) next to whatever the caller has already filled.
+    """
+    if n < 0:
+        raise ValueError("order must be non-negative")
+    texts: list = [["e"]]
+    for m in range(1, n):
+        texts.append(list(_joined(texts, m)) if m < n - 2 else _Regenerated(texts, m))
+    return _joined(texts, n) if n else iter(texts[0])
+
+
 def all_trees_up_to(n: int) -> list[Tree]:
     out: list[Tree] = []
     for m in range(n + 1):
@@ -195,6 +228,40 @@ def tree_index(t: Tree) -> tuple[int, int]:
     return t.order, rank + 1
 
 
+def tree_unrank(n: int, k: int) -> Tree:
+    """The k-th tree (1-based) of order n in canonical order: tree_index's inverse.
+
+    Trees of order m with left order a come in one block of C(a) C(m-1-a)
+    ranks, the blocks by descending a; within a block the rank is
+    rank(l) C(m-1-a) + rank(r).  Built bottom-up from an explicit stack.
+    """
+    count = catalan(n) if n >= 0 else 0
+    if not 1 <= k <= count:
+        raise ValueError(f"no tree named Y{n}.{k}: order {n} has {count} trees")
+    cat = [1]
+    for i in range(n):
+        cat.append(cat[-1] * 2 * (2 * i + 1) // (i + 2))
+    built: list[Tree] = []
+    todo: list[Optional[tuple[int, int]]] = [(n, k - 1)]
+    while todo:
+        task = todo.pop()
+        if task is None:
+            right = built.pop()
+            built.append(graft(built.pop(), right))
+            continue
+        m, rank = task
+        if m == 0:
+            built.append(E)
+            continue
+        a = m - 1
+        while rank >= cat[a] * cat[m - 1 - a]:
+            rank -= cat[a] * cat[m - 1 - a]
+            a -= 1
+        left_rank, right_rank = divmod(rank, cat[m - 1 - a])
+        todo += [None, (m - 1 - a, right_rank), (a, left_rank)]
+    return built[0]
+
+
 def tree_name(t: Tree) -> str:
     n, k = tree_index(t)
     return f"Y{n}.{k}"
@@ -216,10 +283,11 @@ def parse(text: str) -> Tree:
     m = _NAME_RE.match(s)
     if m:
         n, k = int(m.group(1)), int(m.group(2))
-        level = _level(n)
-        if not 1 <= k <= len(level):
-            raise ValueError(f"no tree named {s}: order {n} has {len(level)} trees")
-        return level[k - 1]
+        count = catalan(n)
+        if not 1 <= k <= count:
+            # The name as written, e.g. with leading zeros.
+            raise ValueError(f"no tree named {s}: order {n} has {count} trees")
+        return tree_unrank(n, k)
 
     pos = 0
 

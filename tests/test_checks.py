@@ -3,7 +3,7 @@ corrupted, makes some sweep fail with a counterexample message."""
 
 import pytest
 
-from treehopf import checks
+from treehopf import checks, trees
 from treehopf.algebra import MAPS
 
 
@@ -58,3 +58,17 @@ def test_run_all_collects_every_suite(capsys):
     results = checks.run_suite("all", order=2)
     assert len(results) >= 25
     assert all(r.ok for r in results)
+
+
+def test_catalan_check_sees_a_short_level(monkeypatch):
+    # Negative control: the enumerator loses the last text of order 7.
+    stream = trees.iter_rendered
+
+    def short(n):
+        texts = list(stream(n))
+        return iter(texts[:-1] if n == 7 else texts)
+
+    monkeypatch.setattr(trees, "iter_rendered", short)
+    result = checks.check_catalan(9)
+    assert not result.ok
+    assert result.detail == "|Y_7| = 428 != 429"

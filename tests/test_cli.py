@@ -5,7 +5,9 @@ import json
 
 import pytest
 
-from treehopf.cli import main
+from treehopf import cli
+from treehopf.cli import ENUM_MAX_ORDER, main
+from treehopf.trees import enumerate_trees, render
 
 
 def run(capsys, *argv):
@@ -27,6 +29,38 @@ class TestEnum:
         code, out, _ = run(capsys, "enum", "12", "--count-only")
         assert code == 0
         assert out.strip() == "208012"
+
+    def test_count_only_counts_the_enumeration(self, capsys):
+        for n in range(11):
+            code, out, _ = run(capsys, "enum", str(n), "--count-only")
+            assert code == 0
+            assert out == f"{len(enumerate_trees(n))}\n"
+
+    def test_count_only_counts_the_stream(self, capsys, monkeypatch):
+        # Not the closed form: a short stream gives a short count.
+        monkeypatch.setattr(cli, "iter_rendered", lambda n: iter(["e"] * 3))
+        code, out, _ = run(capsys, "enum", "5", "--count-only")
+        assert code == 0
+        assert out == "3\n"
+
+    def test_listing_renders_the_enumeration(self, capsys):
+        code, out, _ = run(capsys, "enum", "6")
+        assert code == 0
+        want = [f"Y6.{k}  {render(t)}" for k, t in enumerate(enumerate_trees(6), start=1)]
+        assert out.splitlines() == want
+
+    @pytest.mark.parametrize("n", [ENUM_MAX_ORDER + 1, -1])
+    def test_order_out_of_bounds(self, capsys, n):
+        for argv in (["enum", str(n)], ["enum", str(n), "--count-only"]):
+            code, out, err = run(capsys, *argv)
+            assert code == 2
+            assert out == ""
+            assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    def test_bound_in_help(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["enum", "--help"])
+        assert f"0 to {ENUM_MAX_ORDER}" in capsys.readouterr().out
 
 
 class TestMap:

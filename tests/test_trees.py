@@ -1,9 +1,16 @@
 """Tree combinatorics: grafting, the two associative products, canonical
 enumeration, naming, and text round-trips."""
 
+import os
+import random
+import subprocess
+import sys
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
+from treehopf import trees
 from treehopf.trees import (
     Tree,
     E,
@@ -23,11 +30,13 @@ from treehopf.trees import (
     decompose_under,
     enumerate_trees,
     graft,
+    iter_rendered,
     over,
     parse,
     render,
     tree_index,
     tree_name,
+    tree_unrank,
     un_graft,
     under,
     v_wrap,
@@ -160,6 +169,10 @@ class TestEnumeration:
             TROISCINQ,
         ]
 
+    def test_pool_is_keyed_by_subtrees(self):
+        all_trees_up_to(5)
+        assert all(key == (t.left, t.right) for key, t in trees._pool.items())
+
     def test_trees_sorted_by_shrinking_left_order(self):
         for n in range(1, 7):
             orders = [t.left.order for t in enumerate_trees(n)]
@@ -181,6 +194,65 @@ class TestEnumeration:
         assert tree_name(TROISTROIS) == "Y3.3"
 
 
+class TestStream:
+    def test_matches_rendered_levels(self):
+        # Second route: the text stream against the interned enumerator.
+        for n in range(10):
+            assert list(iter_rendered(n)) == [render(t) for t in trees._level(n)], n
+
+    def test_order_n_is_a_generator(self):
+        texts = iter_rendered(3)
+        assert iter(texts) is texts
+        assert next(texts) == "(((e v e) v e) v e)"
+
+    def test_negative_order_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            iter_rendered(-1)
+
+    def test_holds_neither_of_the_two_largest_lower_levels(self):
+        # Held, the 58,786 texts of order 11 alone take about 7 MB and those
+        # of order 10 about 2 MB; the whole order-12 stream peaks near 0.7 MB.
+        tracemalloc.start()
+        try:
+            assert sum(1 for _ in iter_rendered(12)) == catalan(12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2**20
+
+
+class TestUnrank:
+    def test_inverts_tree_index(self):
+        for t in all_trees_up_to(9):
+            assert tree_unrank(*tree_index(t)) is t
+
+    def test_seeded_order_twelve_ranks(self):
+        rng = random.Random(12)
+        for k in (rng.randint(1, catalan(12)) for _ in range(2000)):
+            assert tree_index(tree_unrank(12, k)) == (12, k)
+
+    def test_out_of_range(self):
+        for n, k in [(3, 0), (3, 6), (0, 2), (-1, 1)]:
+            with pytest.raises(ValueError, match="no tree named"):
+                tree_unrank(n, k)
+
+    def test_parse_name_builds_no_level(self):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        code = (
+            "from treehopf import trees\n"
+            "t = trees.parse('Y12.5')\n"
+            "print(len(trees._pool), len(trees._enum_cache), *trees.tree_index(t))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        pool, levels, n, k = map(int, out.split())
+        assert pool < 1000 < catalan(12)
+        assert levels == 1  # only order 0, which the module starts with
+        assert (n, k) == (12, 5)
+
+
 class TestText:
     def test_render_examples(self):
         assert render(E) == "e"
@@ -196,6 +268,10 @@ class TestText:
         for bad in ["", "(e v", "e e", "(e u e)", "Y3.9"]:
             with pytest.raises(ValueError):
                 parse(bad)
+
+    def test_bad_name_message(self):
+        with pytest.raises(ValueError, match=r"^no tree named Y3\.09: order 3 has 5 trees$"):
+            parse(" Y3.09 ")
 
     @given(trees_of_order(6))
     def test_roundtrip(self, t):
