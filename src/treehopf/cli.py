@@ -1,13 +1,17 @@
 """Command-line front end: tree enumeration, map evaluation, axiom sweeps
 and the renormalization demo.
 
-Exit codes: 0 on success, 1 on a failed verification, 2 on usage errors.
+Exit codes: 0 on success, 1 on a failed verification, 2 on usage errors,
+and 141 (128 + SIGPIPE, what a shell reports for a program a closed pipe
+stops) when the reader of the output closes the pipe early, as
+``treehopf enum 12 | head -1`` does; nothing is then printed to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -199,14 +203,27 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+EXIT_BROKEN_PIPE = 141
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        # Flushed here, so that a closed pipe is met below and not at exit.
+        sys.stdout.flush()
+        return code
     except (ValueError, KeyError, RecursionError) as exc:
         # RecursionError: a tree nested deeper than the interpreter's stack.
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # Point stdout at devnull, so that the interpreter's final flush of
+        # the unwritten rest prints nothing either.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

@@ -25,7 +25,6 @@ from .series import (
     Matrix,
     RingValue,
     Series,
-    one,
     r_add,
     r_eq,
     r_is_zero,
@@ -44,9 +43,10 @@ def _is_central(v: RingValue) -> bool:
     to c times the identity."""
     if not isinstance(v, Matrix):
         return True
+    num = v.num
     return all(
-        a == (v.rows[0][0] if i == j else 0)
-        for i, row in enumerate(v.rows)
+        a == (num[0][0] if i == j else 0)
+        for i, row in enumerate(num)
         for j, a in enumerate(row)
     )
 

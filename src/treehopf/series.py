@@ -5,71 +5,147 @@ pointwise (Cauchy) product, and series with zero constant term and
 invertible linear term under substitution.  Substitution acts on the first
 group from the right, and a 1-cocycle of the substitution group glues the
 two into the twisted action used by the charge renormalization.
+
+A coefficient is a ``Fraction`` or a square ``Matrix``.  A matrix keeps
+integer numerators over one common positive denominator in lowest terms, so
+its sums and products are integer arithmetic with one ``gcd`` per result;
+``Matrix.rows`` gives the entries as ``Fraction``s.  Floats are refused with
+``TypeError``, as in ``algebra``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from math import gcd, lcm
+from operator import mul
 from typing import Callable, Sequence, Union
 
 
-@dataclass(frozen=True)
-class Matrix:
-    """Dense matrix with exact rational entries."""
+def _fraction(x) -> Fraction:
+    """Exact rational value of a scalar.  Floats are refused, by the rule of
+    ``algebra._coeff``: their binary value is not the decimal the caller
+    wrote."""
+    if isinstance(x, float):
+        raise TypeError(f"ring values must be exact (int, Fraction or str), not {x!r}")
+    return Fraction(x)
 
-    rows: tuple[tuple[Fraction, ...], ...]
+
+class Matrix:
+    """Dense matrix with exact rational entries, stored as integer
+    numerators over one common positive denominator in lowest terms:
+    ``den > 0`` and ``gcd(den, *num) == 1``.  The stored form is canonical,
+    so equal matrices have equal ``(num, den)``."""
+
+    __slots__ = ("num", "den")
+
+    num: tuple[tuple[int, ...], ...]
+    den: int
+
+    def __init__(self, rows: Sequence[Sequence]):
+        """``Matrix(rows)`` is ``Matrix.from_rows(rows)``, so that a
+        ``repr`` evaluates back to an equal matrix."""
+        m = Matrix.from_rows(rows)
+        object.__setattr__(self, "num", m.num)
+        object.__setattr__(self, "den", m.den)
+
+    @classmethod
+    def _new(cls, num: tuple[tuple[int, ...], ...], den: int) -> "Matrix":
+        """Trusted constructor for a form already in lowest terms."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "num", num)
+        object.__setattr__(m, "den", den)
+        return m
+
+    @classmethod
+    def _lowest(cls, num: tuple[tuple[int, ...], ...], den: int) -> "Matrix":
+        """Integer numerators over a positive denominator, divided by their
+        one common factor."""
+        if den != 1:
+            g = gcd(den, *chain.from_iterable(num))
+            if g != 1:
+                num = tuple(tuple(x // g for x in r) for r in num)
+                den //= g
+        return cls._new(num, den)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Matrix is immutable; cannot set {name!r}")
+
+    def __reduce__(self):
+        return (Matrix._new, (self.num, self.den))
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence]) -> "Matrix":
-        return Matrix(tuple(tuple(Fraction(x) for x in r) for r in rows))
+        entries = [[_fraction(x) for x in r] for r in rows]
+        den = lcm(*(x.denominator for r in entries for x in r))
+        return Matrix._lowest(
+            tuple(tuple(x.numerator * (den // x.denominator) for x in r) for r in entries),
+            den,
+        )
 
     @staticmethod
     def identity(d: int) -> "Matrix":
-        return Matrix(
-            tuple(
-                tuple(Fraction(1 if i == j else 0) for j in range(d))
-                for i in range(d)
-            )
+        return Matrix._new(
+            tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d)), 1
         )
 
     @staticmethod
     def zeros(d: int) -> "Matrix":
-        return Matrix(tuple(tuple(Fraction(0) for _ in range(d)) for _ in range(d)))
+        return Matrix._new(tuple((0,) * d for _ in range(d)), 1)
+
+    @property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The entries as ``Fraction``s, row by row."""
+        den = self.den
+        return tuple(tuple(Fraction(x, den) for x in r) for r in self.num)
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.num)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        return self.den == other.den and self.num == other.num
+
+    def __hash__(self):
+        return hash((self.num, self.den))
+
+    def __repr__(self) -> str:
+        return f"Matrix(rows={self.rows!r})"
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        return Matrix(
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            )
+        da, db = self.den, other.den
+        g = gcd(da, db)
+        ma, mb = db // g, da // g
+        num = tuple(
+            tuple(a * ma + b * mb for a, b in zip(ra, rb))
+            for ra, rb in zip(self.num, other.num)
         )
+        return Matrix._lowest(num, da * ma)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self + (-other)
 
     def __neg__(self) -> "Matrix":
-        return Matrix(tuple(tuple(-a for a in r) for r in self.rows))
+        return Matrix._new(tuple(tuple(-a for a in r) for r in self.num), self.den)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
-        cols = list(zip(*other.rows))
-        return Matrix(
-            tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-                for row in self.rows
-            )
+        cols = list(zip(*other.num))
+        num = tuple(
+            tuple(sum(map(mul, row, col)) for col in cols) for row in self.num
         )
+        return Matrix._lowest(num, self.den * other.den)
 
     def scale(self, k) -> "Matrix":
-        k = Fraction(k)
-        return Matrix(tuple(tuple(k * a for a in r) for r in self.rows))
+        if type(k) is not int and type(k) is not Fraction:
+            k = _fraction(k)
+        kn = k.numerator
+        num = tuple(tuple(kn * a for a in r) for r in self.num)
+        return Matrix._lowest(num, self.den * k.denominator)
 
     def is_zero(self) -> bool:
-        return all(a == 0 for r in self.rows for a in r)
+        return not any(chain.from_iterable(self.num))
 
     def inverse(self) -> "Matrix":
         """Gauss-Jordan inverse; raises ValueError on a singular matrix."""
@@ -89,16 +165,25 @@ class Matrix:
                 if r != col and aug[r][col]:
                     f = aug[r][col]
                     aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-        return Matrix(tuple(tuple(row[d:]) for row in aug))
+        return Matrix.from_rows([row[d:] for row in aug])
 
 
 RingValue = Union[Fraction, Matrix]
 
 
 def r_add(a: RingValue, b: RingValue) -> RingValue:
-    if isinstance(a, Matrix) and not isinstance(b, Matrix):
-        b = Matrix.identity(a.dim).scale(b)
-    elif isinstance(b, Matrix) and not isinstance(a, Matrix):
+    """Sum in the ring; a scalar added to a matrix stands for that multiple
+    of the identity, so a scalar 0 leaves the matrix as it is."""
+    if isinstance(a, Matrix):
+        if not isinstance(b, Matrix):
+            b = _fraction(b)
+            if b == 0:
+                return a
+            b = Matrix.identity(a.dim).scale(b)
+    elif isinstance(b, Matrix):
+        a = _fraction(a)
+        if a == 0:
+            return b
         a = Matrix.identity(b.dim).scale(a)
     return a + b
 
@@ -149,7 +234,7 @@ class Series:
         if not coeffs:
             raise ValueError("a truncated series needs at least a constant term")
         self.coeffs = tuple(
-            c if isinstance(c, Matrix) else Fraction(c) for c in coeffs
+            c if isinstance(c, Matrix) else _fraction(c) for c in coeffs
         )
 
     @property

@@ -2,6 +2,9 @@
 exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -61,6 +64,27 @@ class TestEnum:
         with pytest.raises(SystemExit):
             main(["enum", "--help"])
         assert f"0 to {ENUM_MAX_ORDER}" in capsys.readouterr().out
+
+
+class TestClosedPipe:
+    def test_reader_closing_early_leaves_stderr_empty(self):
+        # Order 10 lists about 600 kB, more than a pipe buffers, so the
+        # writer is still writing when the reader closes after one line.
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "treehopf.cli", "enum", "10"],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == cli.EXIT_BROKEN_PIPE
+        assert first == b"Y10.1  " + render(enumerate_trees(10)[0]).encode() + b"\n"
+        assert err == b""
 
 
 class TestMap:

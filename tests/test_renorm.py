@@ -17,11 +17,13 @@ from treehopf.trees import (
     enumerate_trees,
 )
 from treehopf.algebra import Tag, embed_tree, from_word
-from treehopf import hopf, renorm
+from treehopf import hopf, qed, renorm
 from treehopf.checks import basis_elements
 from treehopf.renorm import (
     Character,
     _commute,
+    _ring_sum,
+    _slot_product,
     assemble_series,
     character_from_json,
     character_to_json,
@@ -85,6 +87,15 @@ class TestCharacter:
         a = make_toy_character(Tag.HE, seed=9, max_order=3)
         b = make_toy_character(Tag.HE, seed=9, max_order=3)
         assert a.values == b.values
+
+    def test_json_decodes_decimal_strings_exactly(self):
+        chi = character_from_json(
+            {"tag": "He", "values": {"(e v e)": "0.1", "((e v e) v e)": [["0.5", "1/3"], ["-2", "0"]]}}
+        )
+        assert chi.letter(Y) == Fraction(1, 10)
+        m = chi.letter(DEUXUN)
+        assert m.rows == ((Fraction(1, 2), Fraction(1, 3)), (Fraction(-2), Fraction(0)))
+        assert (m.num, m.den) == (((3, 2), (-12, 0)), 6)
 
     def test_json_roundtrip(self):
         for kind in ("scalar", "matrix"):
@@ -242,6 +253,103 @@ class TestAntipodeMemo:
             for t in trees
         ]
         assert first == again == fresh
+
+
+def _direct_photon(u, cg, t):
+    """The photon coefficient by ``pair_evaluate`` on a freshly built coaction."""
+    return pair_evaluate([u, cg], qed.photon_renorm_coaction(embed_tree(Tag.HGAMMA, t)))
+
+
+def _direct_electron(u, cg, ce, t):
+    """The electron coefficient by ``pair_evaluate`` on a freshly built
+    coaction whose last slot has gone through the electron antipode."""
+    spread = qed.electron_renorm_coaction(embed_tree(Tag.HE, t))
+    spread = spread.map_slot(2, lambda w: hopf.antipode_p_e(from_word(Tag.HE, w)))
+    return pair_evaluate([u, cg, ce], spread)
+
+
+def _fold_electron(u, cg, ce, t):
+    """The three-slot fold of ``renormalized_electron``, written out."""
+    spread = qed.electron_renorm_coaction(embed_tree(Tag.HE, t))
+    return _ring_sum(
+        _slot_product(c, [u.on_word(w1), cg.on_word(w2), ce.antipode_value(w3)])
+        for (w1, w2, w3), c in spread.terms.items()
+    )
+
+
+def _coaction_characters(kind, seed=3, n=5):
+    """Photon and electron characters, the charge counterterm and the
+    electron counterterm; with ``kind='matrix'`` the electron counterterm is
+    matrix-valued too, so that the slot order of a product shows."""
+    return (
+        make_toy_character(Tag.HGAMMA, seed, kind=kind, d=3, max_order=n),
+        make_toy_character(Tag.HE, seed, kind=kind, d=3, max_order=n),
+        make_toy_character(Tag.HALPHA, seed + 1, kind=kind, d=3, max_order=n),
+        make_toy_character(Tag.HE, seed + 2, kind=kind, d=3, max_order=n),
+    )
+
+
+def _drop_one_term(monkeypatch, name, characters, order):
+    """Replace the coaction ``name`` as ``renorm`` sees it by one whose value
+    on one tree of the given order lacks a term, chosen so that the tree's
+    coefficient changes."""
+    clean = getattr(renorm, name)
+    tag = Tag.HGAMMA if name == "photon_renorm_coaction" else Tag.HE
+    value = renorm.renormalized_photon if tag is Tag.HGAMMA else renorm.renormalized_electron
+    for target in enumerate_trees(order):
+        x = embed_tree(tag, target)
+        whole = value(*characters, target)
+        terms = list(clean(x).terms.items())
+        for i in range(len(terms)):
+            spread = clean(x)
+            spread = type(spread)(spread.tags, dict(terms[:i] + terms[i + 1 :]))
+            monkeypatch.setattr(renorm, name, lambda y: spread if y == x else clean(y))
+            if not r_eq(value(*characters, target), whole):
+                return
+            monkeypatch.setattr(renorm, name, clean)
+    raise AssertionError(f"no term of an order-{order} tree changes its coefficient")
+
+
+class TestRenormalizedCoefficients:
+    ORDER = 5
+
+    @pytest.mark.parametrize("kind", ["scalar", "matrix"])
+    def test_match_direct_evaluation(self, kind):
+        trees = all_trees_up_to(self.ORDER)
+        u, ue, cg, ce = _coaction_characters(kind)
+        want_photon = [_direct_photon(u, cg, t) for t in trees]
+        want_electron = [_direct_electron(ue, cg, ce, t) for t in trees]
+        assert want_electron == [_fold_electron(ue, cg, ce, t) for t in trees]
+        for phase in ("first", "again", "fresh"):
+            if phase == "fresh":
+                u, ue, cg, ce = _coaction_characters(kind)
+            assert [renormalized_photon(u, cg, t) for t in trees] == want_photon, phase
+            assert [renormalized_electron(ue, cg, ce, t) for t in trees] == want_electron, phase
+
+    def test_tag_mismatch_refused(self):
+        u, ue, cg, _ = _coaction_characters("scalar", n=2)
+        with pytest.raises(ValueError):
+            renormalized_photon(ue, cg, Y)
+        with pytest.raises(ValueError):
+            renormalized_photon(u, u, Y)
+
+    def test_dropped_photon_term_fails_at_its_order(self, monkeypatch):
+        u, _, cg, _ = _coaction_characters("scalar", n=4)
+        assert dyson_check_photon(u, cg, 4).ok
+        _drop_one_term(monkeypatch, "photon_renorm_coaction", (u, cg), 3)
+        report = dyson_check_photon(u, cg, 4)
+        assert not report.ok and report.first_failure == 3
+        monkeypatch.undo()
+        assert dyson_check_photon(u, cg, 4).ok
+
+    def test_dropped_electron_term_fails_at_its_order(self, monkeypatch):
+        _, ue, cg, ce = _coaction_characters("scalar", n=4)
+        assert dyson_check_electron(ue, cg, ce, 4).ok
+        _drop_one_term(monkeypatch, "electron_renorm_coaction", (ue, cg, ce), 3)
+        report = dyson_check_electron(ue, cg, ce, 4)
+        assert not report.ok and report.first_failure == 3
+        monkeypatch.undo()
+        assert dyson_check_electron(ue, cg, ce, 4).ok
 
 
 class TestSquaredSeriesDuality:

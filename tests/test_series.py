@@ -1,8 +1,10 @@
 """Truncated series groups: pointwise product, substitution, the twisted
 action, and the divide-by-indeterminate cocycle.  All arithmetic is exact."""
 
+import pickle
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +12,8 @@ from hypothesis import given, settings, strategies as st
 from treehopf.series import (
     Matrix,
     Series,
+    r_add,
+    r_mul,
     cocycle_check,
     divide_by_alpha,
     gc,
@@ -75,6 +79,176 @@ class TestMatrix:
     def test_singular_rejected(self):
         with pytest.raises(ValueError):
             Matrix.from_rows([[1, 2], [2, 4]]).inverse()
+
+    def test_floats_refused(self):
+        m = Matrix.identity(2)
+        for build in (
+            lambda: Matrix.from_rows([[0.1]]),
+            lambda: Matrix.from_rows([[1, Fraction(1, 2)], [0, 0.25]]),
+            lambda: m.scale(0.5),
+            lambda: r_mul(m, 0.5),
+            lambda: r_mul(0.5, m),
+            lambda: r_add(m, 0.5),
+            lambda: r_add(0.5, m),
+            lambda: r_add(m, 0.0),
+            lambda: r_add(0.0, m),
+            lambda: Matrix([[0.5]]),
+            lambda: Series([0.5]),
+            lambda: Series([Fraction(1), m, 0.5]),
+            lambda: gp([0.5, Fraction(1)]),
+            lambda: gc([0, 0.5]),
+        ):
+            with pytest.raises(TypeError, match="exact"):
+                build()
+
+    def test_exact_scalars_accepted(self):
+        assert Matrix.from_rows([["1/2", 3]]).rows == ((Fraction(1, 2), Fraction(3)),)
+        assert Matrix.identity(1).scale("-2/4") == Matrix.from_rows([[Fraction(-1, 2)]])
+        assert Series(["0.1", 2]).coeffs == (Fraction(1, 10), Fraction(2))
+
+
+# -- a second route for the integer matrix ------------------------------------
+# Entrywise Fraction arithmetic on row tuples, as Matrix did before it kept
+# integer numerators over one denominator.
+
+
+def ref_add(a, b):
+    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def ref_neg(a):
+    return tuple(tuple(-x for x in r) for r in a)
+
+
+def ref_matmul(a, b):
+    cols = list(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a)
+
+
+def ref_scale(a, k):
+    k = Fraction(k)
+    return tuple(tuple(k * x for x in r) for r in a)
+
+
+def ref_det(a):
+    if len(a) == 1:
+        return a[0][0]
+    return sum(
+        (-1) ** j * a[0][j] * ref_det(tuple(r[:j] + r[j + 1 :] for r in a[1:]))
+        for j in range(len(a))
+    )
+
+
+def ref_inverse(a):
+    """Adjugate over determinant; None for a singular matrix."""
+    d = len(a)
+    det = ref_det(a)
+    if det == 0:
+        return None
+    if d == 1:
+        return ((1 / det,),)
+
+    def minor(i, j):
+        return tuple(r[:j] + r[j + 1 :] for k, r in enumerate(a) if k != i)
+
+    return tuple(
+        tuple((-1) ** (i + j) * ref_det(minor(j, i)) / det for j in range(d)) for i in range(d)
+    )
+
+
+def _rand_matrix(rng, d):
+    shape = rng.choice(("dense", "dense", "dense", "zero", "identity", "negative", "integer"))
+    if shape == "zero":
+        return Matrix.zeros(d)
+    if shape == "identity":
+        return Matrix.identity(d)
+    if shape == "integer":
+        return Matrix.from_rows([[rng.randint(-5, 5) for _ in range(d)] for _ in range(d)])
+    m = Matrix.from_rows(
+        [[Fraction(rng.randint(-6, 6), rng.randint(1, 7)) for _ in range(d)] for _ in range(d)]
+    )
+    return -m if shape == "negative" else m
+
+
+def _assert_canonical(m):
+    assert m.den > 0
+    assert gcd(m.den, *(x for r in m.num for x in r)) == 1
+    assert all(type(x) is int for r in m.num for x in r)
+    again = Matrix.from_rows(m.rows)
+    assert again == m and hash(again) == hash(m)
+    assert (again.num, again.den) == (m.num, m.den)
+
+
+class TestIntegerMatrixAgainstFractions:
+    SCALES = (0, 1, -1, 3, Fraction(-2, 3), Fraction(5, 7), Fraction(0, 4))
+
+    def test_operations_match_entrywise_fractions(self):
+        rng = random.Random(909)
+        singular = 0
+        for _ in range(200):
+            d = rng.randint(1, 4)
+            a, b = _rand_matrix(rng, d), _rand_matrix(rng, d)
+            ra, rb = a.rows, b.rows
+            assert all(type(x) is Fraction for r in ra for x in r)
+            results = [
+                (a + b, ref_add(ra, rb)),
+                (a - b, ref_add(ra, ref_neg(rb))),
+                (-a, ref_neg(ra)),
+                (a @ b, ref_matmul(ra, rb)),
+                (b @ a, ref_matmul(rb, ra)),
+            ]
+            k = rng.choice(self.SCALES + (Fraction(rng.randint(-9, 9), rng.randint(1, 9)),))
+            results.append((a.scale(k), ref_scale(ra, k)))
+            for got, want in results:
+                assert got.rows == want
+                assert got.is_zero() == all(x == 0 for r in want for x in r)
+                _assert_canonical(got)
+            want_inv = ref_inverse(ra)
+            if want_inv is None:
+                singular += 1
+                with pytest.raises(ValueError):
+                    a.inverse()
+            else:
+                assert a.inverse().rows == want_inv
+                _assert_canonical(a.inverse())
+        assert 0 < singular < 200
+
+    def test_equal_values_by_different_routes(self):
+        half = Matrix.from_rows([[Fraction(1, 2)]])
+        pairs = [
+            (half + half, Matrix.identity(1)),
+            (Matrix.zeros(2).scale(Fraction(1, 3)), Matrix.zeros(2)),
+            (Matrix.identity(2).scale(Fraction(1, 3)).scale(3), Matrix.identity(2)),
+            (Matrix.from_rows([[Fraction(2, 4), "3/6"]]), Matrix.from_rows([[Fraction(1, 2)] * 2])),
+            (Matrix.identity(3) - Matrix.identity(3), Matrix.zeros(3)),
+            (Matrix.from_rows([[1, 2], [3, 5]]).inverse().inverse(), Matrix.from_rows([[1, 2], [3, 5]])),
+        ]
+        for x, y in pairs:
+            assert x == y and hash(x) == hash(y)
+            assert (x.num, x.den) == (y.num, y.den)
+            _assert_canonical(x)
+        assert Matrix.identity(2) != Matrix.identity(2).scale(Fraction(1, 2))
+        assert Matrix.identity(1) != Fraction(1)
+
+    def test_scalar_zero_added_returns_the_matrix(self):
+        m = Matrix.from_rows([[1, Fraction(1, 3)], [0, 2]])
+        for zero in (0, Fraction(0)):
+            assert r_add(m, zero) is m
+            assert r_add(zero, m) is m
+        assert r_add(m, 2) == m + Matrix.identity(2).scale(2)
+
+    def test_immutable_and_repr(self):
+        m = Matrix.from_rows([[1, Fraction(1, 2)]])
+        with pytest.raises(AttributeError):
+            m.den = 1
+        assert repr(m) == "Matrix(rows=((Fraction(1, 1), Fraction(1, 2)),))"
+        assert pickle.loads(pickle.dumps(m)) == m
+
+    def test_constructor_takes_rows(self):
+        m = Matrix.from_rows([[1, Fraction(1, 2)], [Fraction(-2, 6), 0]])
+        for built in (Matrix(m.rows), Matrix(rows=m.rows), eval(repr(m))):
+            assert built == m and hash(built) == hash(m)
+            _assert_canonical(built)
 
 
 class TestProductGroup:
