@@ -18,12 +18,14 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from .trees import Tree, E, decompose_over, compose_over, parse, render
 
 Word = tuple[Tree, ...]
 Coeff = int | Fraction
+T = TypeVar("T")
+L = TypeVar("L")
 
 
 class Tag(enum.Enum):
@@ -212,14 +214,18 @@ def from_word(tag: Tag, word: Iterable[Tree], coeff=1) -> Element:
     return Element(tag, {normalize_word(tag, word): coeff})
 
 
-def embed_tree(tag: Tag, t: Tree) -> Element:
-    """Basis element of a single tree: a one-letter word for the free
-    algebras, the generator word of its over-factorization otherwise."""
-    if t is E:
-        return unit(tag)
+def tree_word(tag: Tag, t: Tree) -> Word:
+    """Basis word of a single tree: a one-letter word for the free algebras
+    (the root tree is the empty word), the generator word of its
+    over-factorization otherwise."""
     if tag in GENERATOR_TAGS:
-        return from_word(tag, decompose_over(t))
-    return from_word(tag, (t,))
+        return normalize_word(tag, decompose_over(t))
+    return () if t is E else (t,)
+
+
+def embed_tree(tag: Tag, t: Tree) -> Element:
+    """Basis element of a single tree (see :func:`tree_word`)."""
+    return Element._new(tag, {tree_word(tag, t): 1})
 
 
 def word_as_tree(tag: Tag, word: Word) -> Tree:
@@ -429,6 +435,23 @@ def tensor(xs: Sequence[Element]) -> TensorElement:
 
 def tensor_unit(tags: Sequence[Tag]) -> TensorElement:
     return TensorElement._new(tuple(tags), {tuple(() for _ in tags): 1})
+
+
+def multiplicative(unit: Callable[[], T], letter: Callable[[L], T]) -> Callable[[Sequence[L]], T]:
+    """Extend a map on letters to words: the product of ``letter(t)`` over
+    the letters in written order.  The fold starts from the first letter,
+    so ``unit()`` is built only for the empty word; a one-letter word gives
+    ``letter(t)`` itself, which callers copy before returning."""
+
+    def word_fn(word: Sequence[L]) -> T:
+        if not word:
+            return unit()
+        acc = letter(word[0])
+        for t in word[1:]:
+            acc = acc * letter(t)
+        return acc
+
+    return word_fn
 
 
 def lift_linear(

@@ -24,7 +24,9 @@ from .algebra import (
     TensorElement,
     element_to_json,
     embed_tree,
+    multiplicative,
     tensor_to_json,
+    unit,
 )
 from . import checks, renorm
 
@@ -74,14 +76,8 @@ def parse_element(tag: Tag, text: str) -> Element:
     text = text.strip()
     if text == "-":
         text = sys.stdin.read().strip()
-    if "*" in text:
-        out = None
-        for chunk in text.split("*"):
-            piece = embed_tree(tag, parse(chunk))
-            out = piece if out is None else out * piece
-        assert out is not None
-        return out
-    return embed_tree(tag, parse(text))
+    word = multiplicative(lambda: unit(tag), lambda chunk: embed_tree(tag, parse(chunk)))
+    return word(text.split("*"))
 
 
 # Largest order `enum` accepts.  Listing order n holds the texts of the

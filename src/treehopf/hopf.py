@@ -9,6 +9,8 @@ tree) and then read into the commutative algebra or its noncommutative lift.
 
 from __future__ import annotations
 
+from typing import Callable
+
 from .trees import Tree, E, graft, v_wrap, over, decompose_over, decompose_under, compose_over, compose_under
 from .algebra import (
     MAPS,
@@ -19,10 +21,11 @@ from .algebra import (
     Word,
     from_word,
     lift_linear,
-    multiply_words,
+    multiplicative,
     normalize_word,
     structure_map,
     tensor_unit,
+    tree_word,
     unit,
 )
 
@@ -82,52 +85,55 @@ def charge_coaction_tree(t: Tree) -> TreePairs:
     return got
 
 
-def pruning_pairs_over(t: Tree) -> list[tuple[Tree, Tree]]:
+def pruning_pairs_over(t: Tree) -> TreePairs:
     """All factorizations t = t1 / t2, via the free over-monoid."""
     us = decompose_over(t)
-    return [
-        (compose_over(us[:j]), compose_over(us[j:])) for j in range(len(us) + 1)
-    ]
+    return {(compose_over(us[:j]), compose_over(us[j:])): 1 for j in range(len(us) + 1)}
 
 
-def pruning_pairs_under(t: Tree) -> list[tuple[Tree, Tree]]:
+def pruning_pairs_under(t: Tree) -> TreePairs:
     """All factorizations t = t1 \\ t2, via the free under-monoid."""
     us = decompose_under(t)
-    return [
-        (compose_under(us[:j]), compose_under(us[j:])) for j in range(len(us) + 1)
-    ]
+    return {(compose_under(us[:j]), compose_under(us[j:])): 1 for j in range(len(us) + 1)}
+
+
+# -- reading tree pairs into tensors ----------------------------------------
+
+
+def read_pairs(tags: tuple[Tag, Tag], pairs: TreePairs) -> TensorElement:
+    """A sum of tree pairs as a 2-slot tensor, each tree read as the basis
+    word of its slot's algebra (:func:`tree_word`)."""
+    ta, tb = tags
+    terms: dict[tuple[Word, ...], int] = {}
+    for (a, b), c in pairs.items():
+        key = (tree_word(ta, a), tree_word(tb, b))
+        terms[key] = terms.get(key, 0) + c
+    return TensorElement._new(tags, terms)
+
+
+def pairs_map(tags: tuple[Tag, Tag], pairs_fn: Callable[[Tree], TreePairs]):
+    """The map on the algebra of ``tags[0]`` that sends a letter t to
+    ``pairs_fn(t)`` read into ``tags``, extended multiplicatively to words
+    and linearly to elements."""
+    return lift_linear(
+        tags[0],
+        multiplicative(lambda: tensor_unit(tags), lambda t: read_pairs(tags, pairs_fn(t))),
+    )
 
 
 # -- pruning coproducts -----------------------------------------------------
 
 
-def _pruning_tensor(tag: Tag, word: Word, pairs_fn) -> TensorElement:
-    out = tensor_unit((tag, tag))
-    for t in word:
-        piece = TensorElement(
-            (tag, tag),
-            {
-                (
-                    () if a is E else (a,),
-                    () if b is E else (b,),
-                ): 1
-                for a, b in pairs_fn(t)
-            },
-        )
-        out = out * piece
-    return out
-
-
 @structure_map("delta-p-gamma", Tag.HGAMMA)
 def delta_p_gamma(x: Element) -> TensorElement:
     """Pruning coproduct dual to the over product, on the photon algebra."""
-    return lift_linear(Tag.HGAMMA, lambda w: _pruning_tensor(Tag.HGAMMA, w, pruning_pairs_over))(x)
+    return pairs_map((Tag.HGAMMA, Tag.HGAMMA), pruning_pairs_over)(x)
 
 
 @structure_map("delta-p-e", Tag.HE)
 def delta_p_e(x: Element) -> TensorElement:
     """Pruning coproduct dual to the under product, on the electron algebra."""
-    return lift_linear(Tag.HE, lambda w: _pruning_tensor(Tag.HE, w, pruning_pairs_under))(x)
+    return pairs_map((Tag.HE, Tag.HE), pruning_pairs_under)(x)
 
 
 def _delta_p_gamma_tree_rec(t: Tree) -> TreePairs:
@@ -152,71 +158,39 @@ def _delta_p_e_tree_rec(t: Tree) -> TreePairs:
 
 def delta_p_gamma_recursive(x: Element) -> TensorElement:
     """Structural-recursion implementation, for cross-checking."""
-    return lift_linear(
-        Tag.HGAMMA,
-        lambda w: _pruning_tensor(Tag.HGAMMA, w, lambda t: list(_delta_p_gamma_tree_rec(t))),
-    )(x)
+    return pairs_map((Tag.HGAMMA, Tag.HGAMMA), _delta_p_gamma_tree_rec)(x)
 
 
 def delta_p_e_recursive(x: Element) -> TensorElement:
-    return lift_linear(
-        Tag.HE,
-        lambda w: _pruning_tensor(Tag.HE, w, lambda t: list(_delta_p_e_tree_rec(t))),
-    )(x)
+    return pairs_map((Tag.HE, Tag.HE), _delta_p_e_tree_rec)(x)
 
 
 # -- charge coproduct and coaction ------------------------------------------
-
-
-def _pairs_to_tensor(tag: Tag, pairs: TreePairs) -> TensorElement:
-    terms: dict[tuple[Word, ...], int] = {}
-    for (a, b), c in pairs.items():
-        wa = tuple(decompose_over(a))
-        wb = tuple(decompose_over(b))
-        if tag is Tag.HALPHA:
-            wa = multiply_words(tag, wa, ())
-            wb = multiply_words(tag, wb, ())
-        key = (wa, wb)
-        terms[key] = terms.get(key, 0) + c
-    return TensorElement((tag, tag), terms)
-
-
-def _generator_coproduct(tag: Tag, u: Tree) -> TensorElement:
-    return _pairs_to_tensor(tag, charge_coproduct_tree(v_wrap(u)))
-
-
-def _generator_coaction(tag: Tag, u: Tree) -> TensorElement:
-    return _pairs_to_tensor(tag, charge_coaction_tree(v_wrap(u)))
-
-
-def _multiplicative(tag: Tag, word: Word, gen_fn) -> TensorElement:
-    out = tensor_unit((tag, tag))
-    for u in word:
-        out = out * gen_fn(tag, u)
-    return out
+# A letter u of the charge algebras is the generator V(u); its image is the
+# tree-level coproduct or coaction of V(u), read into generator words.
 
 
 @structure_map("delta-alpha", Tag.HALPHA)
 def delta_alpha(x: Element) -> TensorElement:
     """Charge coproduct on the commutative charge algebra."""
-    return lift_linear(Tag.HALPHA, lambda w: _multiplicative(Tag.HALPHA, w, _generator_coproduct))(x)
+    return pairs_map((Tag.HALPHA, Tag.HALPHA), lambda u: charge_coproduct_tree(v_wrap(u)))(x)
 
 
 @structure_map("delta-small", Tag.HALPHA)
 def delta_small(x: Element) -> TensorElement:
     """Charge coaction on the commutative charge algebra."""
-    return lift_linear(Tag.HALPHA, lambda w: _multiplicative(Tag.HALPHA, w, _generator_coaction))(x)
+    return pairs_map((Tag.HALPHA, Tag.HALPHA), lambda u: charge_coaction_tree(v_wrap(u)))(x)
 
 
 @structure_map("delta-alpha-nc", Tag.HALPHA_NC)
 def delta_alpha_nc(x: Element) -> TensorElement:
     """Charge coproduct on the noncommutative lift."""
-    return lift_linear(Tag.HALPHA_NC, lambda w: _multiplicative(Tag.HALPHA_NC, w, _generator_coproduct))(x)
+    return pairs_map((Tag.HALPHA_NC, Tag.HALPHA_NC), lambda u: charge_coproduct_tree(v_wrap(u)))(x)
 
 
 @structure_map("delta-small-nc", Tag.HALPHA_NC)
 def delta_small_nc(x: Element) -> TensorElement:
-    return lift_linear(Tag.HALPHA_NC, lambda w: _multiplicative(Tag.HALPHA_NC, w, _generator_coaction))(x)
+    return pairs_map((Tag.HALPHA_NC, Tag.HALPHA_NC), lambda u: charge_coaction_tree(v_wrap(u)))(x)
 
 
 # Name in MAPS of each tag's coproduct and antipode.
@@ -253,10 +227,7 @@ _antipode_letter_cache: dict[tuple[Tag, Tree], Element] = {}
 def _antipode_word(tag: Tag, word: Word) -> Element:
     """Antipode of a basis word: the anti-morphism extension of the antipode
     on generators (for a commutative algebra this is also a morphism)."""
-    out = unit(tag)
-    for letter in reversed(word):
-        out = out * _antipode_letter(tag, letter)
-    return out
+    return multiplicative(lambda: unit(tag), lambda t: _antipode_letter(tag, t))(word[::-1])
 
 
 def _antipode_element(tag: Tag, x: Element) -> Element:

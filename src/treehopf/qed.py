@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .trees import Tree, E, decompose_over, graft
+from .trees import Tree, E, decompose_over, graft, over
 from .algebra import (
     Coeff,
     Element,
@@ -19,12 +19,15 @@ from .algebra import (
     Word,
     from_word,
     lift_linear,
+    multiplicative,
     multiply_words,
     normalize_word,
     structure_map,
     tensor_unit,
+    tree_word,
 )
 from .hopf import (
+    TreePairs,
     antipode_alpha,
     antipode_p_e,
     charge_coaction_tree,
@@ -32,57 +35,40 @@ from .hopf import (
     delta_alpha,
     delta_p_e,
     delta_p_gamma,
+    pairs_map,
 )
 
 # -- the coactions of the charge algebra on the propagator algebras ---------
 
 
-def _coaction_tensor(tag: Tag, word: Word) -> TensorElement:
-    out = tensor_unit((tag, Tag.HALPHA))
-    for t in word:
-        terms: dict[tuple[Word, ...], int] = {}
-        for (a, b), c in charge_coaction_tree(t).items():
-            key = (
-                () if a is E else (a,),
-                multiply_words(Tag.HALPHA, tuple(decompose_over(b)), ()),
-            )
-            terms[key] = terms.get(key, 0) + c
-        out = out * TensorElement((tag, Tag.HALPHA), terms)
-    return out
-
-
 @structure_map("delta-gamma-coaction", Tag.HGAMMA)
 def delta_gamma_coaction(x: Element) -> TensorElement:
     """Right coaction of the charge algebra on the photon algebra."""
-    return lift_linear(Tag.HGAMMA, lambda w: _coaction_tensor(Tag.HGAMMA, w))(x)
+    return pairs_map((Tag.HGAMMA, Tag.HALPHA), charge_coaction_tree)(x)
 
 
 @structure_map("delta-e-coaction", Tag.HE)
 def delta_e_coaction(x: Element) -> TensorElement:
     """Right coaction of the charge algebra on the electron algebra."""
-    return lift_linear(Tag.HE, lambda w: _coaction_tensor(Tag.HE, w))(x)
+    return pairs_map((Tag.HE, Tag.HALPHA), charge_coaction_tree)(x)
 
 
-_coaction_rec_cache: dict[Tree, dict[tuple[Tree, Word], int]] = {}
+_coaction_rec_cache: dict[Tree, TreePairs] = {}
 
 
-def _coaction_tree_recursive(t: Tree) -> dict[tuple[Tree, Word], int]:
+def _coaction_tree_recursive(t: Tree) -> TreePairs:
     """Grafting recursion for the coaction on a single tree: for t = l v r,
     sum over the charge coproduct of l and the coaction of r of
     (l1 v r_left) (x) l2 / r_right."""
     got = _coaction_rec_cache.get(t)
     if got is None:
         if t is E:
-            got = {(E, ()): 1}
+            got = {(E, E): 1}
         else:
             got = {}
             for (l1, l2), cl in charge_coproduct_tree(t.left).items():
                 for (re_, ra), cr in _coaction_tree_recursive(t.right).items():
-                    left = graft(l1, re_)
-                    right = multiply_words(
-                        Tag.HALPHA, tuple(decompose_over(l2)), ra
-                    )
-                    key = (left, right)
+                    key = (graft(l1, re_), over(l2, ra))
                     got[key] = got.get(key, 0) + cl * cr
         _coaction_rec_cache[t] = got
     return got
@@ -91,18 +77,7 @@ def _coaction_tree_recursive(t: Tree) -> dict[tuple[Tree, Word], int]:
 def delta_e_coaction_recursive(x: Element) -> TensorElement:
     """Independent implementation of the electron coaction, by the grafting
     recursion instead of the noncommutative-lift identification."""
-
-    def word_fn(word: Word) -> TensorElement:
-        out = tensor_unit((Tag.HE, Tag.HALPHA))
-        for t in word:
-            terms = {
-                ((() if a is E else (a,)), b): c
-                for (a, b), c in _coaction_tree_recursive(t).items()
-            }
-            out = out * TensorElement((Tag.HE, Tag.HALPHA), terms)
-        return out
-
-    return lift_linear(Tag.HE, word_fn)(x)
+    return pairs_map((Tag.HE, Tag.HALPHA), _coaction_tree_recursive)(x)
 
 
 # -- sigma and the photon renormalization coaction --------------------------
@@ -241,16 +216,10 @@ def electron_renorm_coaction_recursive(x: Element) -> TensorElement:
                         mid = multiply_words(
                             Tag.HALPHA, tuple(decompose_over(l2)), w2
                         )
-                        key = ((() if left is E else (left,)), mid, w3)
+                        key = (tree_word(Tag.HE, left), mid, w3)
                         terms[key] = terms.get(key, 0) + cl * cs
                 got = TensorElement(_ERN_TAGS, terms)
             _ern_rec_cache[t] = got
         return got
 
-    def word_fn(word: Word) -> TensorElement:
-        out = tensor_unit(_ERN_TAGS)
-        for t in word:
-            out = out * tree_fn(t)
-        return out
-
-    return lift_linear(Tag.HE, word_fn)(x)
+    return lift_linear(Tag.HE, multiplicative(lambda: tensor_unit(_ERN_TAGS), tree_fn))(x)

@@ -27,6 +27,7 @@ from .series import (
     Series,
     r_add,
     r_eq,
+    r_is_central,
     r_is_zero,
     r_mul,
     r_one_like,
@@ -36,19 +37,6 @@ from .series import (
 
 def _commute(a: RingValue, b: RingValue) -> bool:
     return r_eq(r_mul(a, b), r_mul(b, a))
-
-
-def _is_central(v: RingValue) -> bool:
-    """Whether v commutes with every ring value: a scalar, or a matrix equal
-    to c times the identity."""
-    if not isinstance(v, Matrix):
-        return True
-    num = v.num
-    return all(
-        a == (num[0][0] if i == j else 0)
-        for i, row in enumerate(num)
-        for j, a in enumerate(row)
-    )
 
 
 def _ring_sum(values: Iterable[RingValue]) -> RingValue:
@@ -86,7 +74,7 @@ class Character:
         if self.tag is Tag.HALPHA:
             # Central values commute with everything, so only the others
             # need the pairwise test.
-            vals = [v for v in self.values.values() if not _is_central(v)]
+            vals = [v for v in self.values.values() if not r_is_central(v)]
             for i, a in enumerate(vals):
                 for b in vals[i + 1 :]:
                     if not _commute(a, b):
@@ -136,7 +124,7 @@ def evaluate(chi: Character, x: Element) -> RingValue:
     """Linear-multiplicative evaluation of a character on an element."""
     if x.tag is not chi.tag:
         raise ValueError(f"character tag {chi.tag} cannot evaluate {x.tag}")
-    return _ring_sum(_slot_product(c, (chi.on_word(w),)) for w, c in x.terms.items())
+    return _pair_fold((chi.on_word,), (((w,), c) for w, c in x.terms.items()))
 
 
 def pair_evaluate(chis: Sequence[Character], tensor: TensorElement) -> RingValue:
@@ -148,9 +136,15 @@ def pair_evaluate(chis: Sequence[Character], tensor: TensorElement) -> RingValue
     for chi, tag in zip(chis, tensor.tags):
         if chi.tag is not tag:
             raise ValueError("character/slot tag mismatch")
+    return _pair_fold([chi.on_word for chi in chis], tensor.terms.items())
+
+
+def _pair_fold(slot_fns: Sequence, terms: Iterable) -> RingValue:
+    """Sum over the (words, c) terms of c times the slot values
+    ``slot_fns[i](words[i])``, multiplied left-to-right."""
     return _ring_sum(
-        _slot_product(c, [chi.on_word(w) for chi, w in zip(chis, ws)])
-        for ws, c in tensor.terms.items()
+        _slot_product(c, [value(w) for value, w in zip(slot_fns, ws)])
+        for ws, c in terms
     )
 
 
@@ -281,10 +275,7 @@ def renormalized_electron(
     electron renormalization coaction, applying the electron antipode to the
     last slot before the counterterm; products are taken left-to-right."""
     spread = electron_renorm_coaction(embed_tree(Tag.HE, t))
-    return _ring_sum(
-        _slot_product(c, [u.on_word(w1), c_gamma.on_word(w2), c_e.antipode_value(w3)])
-        for (w1, w2, w3), c in spread.terms.items()
-    )
+    return _pair_fold((u.on_word, c_gamma.on_word, c_e.antipode_value), spread.terms.items())
 
 
 def assemble_series(values_by_tree, n: int, ring_one: RingValue) -> Series:
@@ -318,15 +309,10 @@ class DysonReport:
         return None
 
     def to_json(self) -> dict:
-        def enc(v: RingValue):
-            if isinstance(v, Matrix):
-                return [[str(x) for x in row] for row in v.rows]
-            return str(v)
-
         return {
             "which": self.which,
             "order": self.order,
-            "per_order_residuals": {str(k): enc(r) for k, r in enumerate(self.residuals)},
+            "per_order_residuals": {str(k): _value_to_json(r) for k, r in enumerate(self.residuals)},
             "status": "ok" if self.ok else f"fail@order={self.first_failure}",
         }
 
@@ -375,15 +361,17 @@ def dyson_check_electron(
 # -- character tables as JSON -----------------------------------------------
 
 
-def character_to_json(chi: Character) -> dict:
-    def enc(v: RingValue):
-        if isinstance(v, Matrix):
-            return [[str(x) for x in row] for row in v.rows]
-        return str(v)
+def _value_to_json(v: RingValue):
+    """A ring value as JSON: a string, or a list of rows of strings."""
+    if isinstance(v, Matrix):
+        return [[str(x) for x in row] for row in v.rows]
+    return str(v)
 
+
+def character_to_json(chi: Character) -> dict:
     return {
         "tag": chi.tag.value,
-        "values": {render(t): enc(v) for t, v in sorted(chi.values.items(), key=lambda kv: kv[0].sort_key())},
+        "values": {render(t): _value_to_json(v) for t, v in sorted(chi.values.items(), key=lambda kv: kv[0].sort_key())},
     }
 
 

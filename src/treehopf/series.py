@@ -77,6 +77,8 @@ class Matrix:
     @staticmethod
     def from_rows(rows: Sequence[Sequence]) -> "Matrix":
         entries = [[_fraction(x) for x in r] for r in rows]
+        if len({len(r) for r in entries}) > 1:
+            raise ValueError("matrix rows must have equal lengths")
         den = lcm(*(x.denominator for r in entries for x in r))
         return Matrix._lowest(
             tuple(tuple(x.numerator * (den // x.denominator) for x in r) for r in entries),
@@ -103,6 +105,11 @@ class Matrix:
     def dim(self) -> int:
         return len(self.num)
 
+    @property
+    def shape(self) -> tuple[int, int]:
+        num = self.num
+        return len(num), len(num[0]) if num else 0
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -115,6 +122,8 @@ class Matrix:
         return f"Matrix(rows={self.rows!r})"
 
     def __add__(self, other: "Matrix") -> "Matrix":
+        if self.shape != other.shape:
+            raise ValueError(f"cannot add a {self.shape} and a {other.shape} matrix")
         da, db = self.den, other.den
         g = gcd(da, db)
         ma, mb = db // g, da // g
@@ -131,6 +140,8 @@ class Matrix:
         return Matrix._new(tuple(tuple(-a for a in r) for r in self.num), self.den)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
+        if self.shape[1] != other.dim:
+            raise ValueError(f"cannot multiply a {self.shape} by a {other.shape} matrix")
         cols = list(zip(*other.num))
         num = tuple(
             tuple(sum(map(mul, row, col)) for col in cols) for row in self.num
@@ -205,7 +216,30 @@ def r_is_zero(a: RingValue) -> bool:
 
 
 def r_eq(a: RingValue, b: RingValue) -> bool:
-    return r_is_zero(r_add(a, r_neg(b)))
+    """Equality in the ring, a scalar c standing for c times the identity;
+    matrices of different shapes are unequal."""
+    if isinstance(a, Matrix) == isinstance(b, Matrix):
+        return a == b
+    m, c = (a, b) if isinstance(a, Matrix) else (b, a)
+    return r_is_central(m) and _scalar(m) == c
+
+
+def r_is_central(a: RingValue) -> bool:
+    """Whether a commutes with every ring value: a scalar, or a square
+    matrix equal to c times the identity."""
+    if not isinstance(a, Matrix):
+        return True
+    num = a.num
+    return bool(num) and len(num) == len(num[0]) and all(
+        x == (num[0][0] if i == j else 0)
+        for i, row in enumerate(num)
+        for j, x in enumerate(row)
+    )
+
+
+def _scalar(m: Matrix) -> Fraction:
+    """The c of a central matrix c·I."""
+    return Fraction(m.num[0][0], m.den)
 
 
 def r_inv(a: RingValue) -> RingValue:
@@ -276,7 +310,11 @@ class Series:
         return all(r_eq(a, b) for a, b in zip(self.coeffs, other.coeffs))
 
     def __hash__(self):
-        return hash(self.coeffs)
+        # Consistent with __eq__: a central matrix c·I hashes as the scalar c.
+        return hash(tuple(
+            _scalar(c) if isinstance(c, Matrix) and r_is_central(c) else c
+            for c in self.coeffs
+        ))
 
     def compose(self, inner: "Series") -> "Series":
         """Substitution self(inner); the inner series must have zero constant

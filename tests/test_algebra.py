@@ -18,13 +18,16 @@ from treehopf.algebra import (
     element_to_json,
     embed_tree,
     from_word,
+    multiplicative,
     multiply_words,
     normalize_word,
     tensor,
     tensor_from_json,
     tensor_to_json,
     tensor_unit,
+    tree_word,
     unit,
+    word_as_tree,
     word_degree,
     zero,
 )
@@ -91,6 +94,35 @@ class TestEmbedding:
                 assert embed_tree(Tag.HALPHA, over(a, b)) == embed_tree(
                     Tag.HALPHA, a
                 ) * embed_tree(Tag.HALPHA, b)
+
+
+class TestMultiplicative:
+    def test_folds_letters_in_written_order(self):
+        word_fn = multiplicative(lambda: unit(Tag.HE), lambda t: from_word(Tag.HE, (t, t)))
+        assert word_fn((Y, DEUXUN)) == from_word(Tag.HE, (Y, Y, DEUXUN, DEUXUN))
+        assert word_fn((DEUXUN, Y)) == from_word(Tag.HE, (DEUXUN, DEUXUN, Y, Y))
+
+    def test_unit_only_for_the_empty_word(self):
+        built = []
+
+        def make_unit():
+            built.append(1)
+            return unit(Tag.HE)
+
+        word_fn = multiplicative(make_unit, lambda t: from_word(Tag.HE, (t,)))
+        for w in ((Y,), (Y, DEUXUN), (Y, Y, DEUXDEUX)):
+            assert word_fn(w) == from_word(Tag.HE, w)
+        assert built == []
+        assert word_fn(()) == unit(Tag.HE)
+        assert built == [1]
+
+    def test_tree_word(self):
+        for t in all_trees_up_to(4):
+            letter = () if t is E else (t,)
+            assert tree_word(Tag.HE, t) == tree_word(Tag.HGAMMA, t) == letter
+            lifted = tree_word(Tag.HALPHA_NC, t)
+            assert word_as_tree(Tag.HALPHA_NC, lifted) is t
+            assert tree_word(Tag.HALPHA, t) == tuple(sorted(lifted, key=lambda u: u.sort_key()))
 
 
 class TestElementArithmetic:

@@ -5,7 +5,9 @@ swept over basis ranges and cross-checked against the independent
 factorization-based implementations.
 """
 
+import operator
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, strategies as st
@@ -27,9 +29,9 @@ from treehopf.trees import (
     over,
     under,
 )
-from treehopf.algebra import Element, Tag, embed_tree, from_word, tensor, unit
+from treehopf.algebra import Element, Tag, embed_tree, from_word, tensor, tensor_unit, unit
 from treehopf import hopf
-from treehopf.checks import basis_elements
+from treehopf.checks import basis_elements, basis_words
 
 
 def he(t):
@@ -245,3 +247,56 @@ class TestAbelianize:
     def test_sorts_letters(self):
         x = from_word(Tag.HALPHA_NC, (Y, E))
         assert hopf.abelianize(x) == from_word(Tag.HALPHA, (E, Y))
+
+
+class TestMultiplicativeExtension:
+    """Second route for every map built on ``algebra.multiplicative``: the
+    image of a basis word is the product of the letter images folded from
+    the unit, the old definition; antipodes multiply in reversed order."""
+
+    COPRODUCTS = (
+        (Tag.HGAMMA, hopf.delta_p_gamma),
+        (Tag.HE, hopf.delta_p_e),
+        (Tag.HGAMMA, hopf.delta_p_gamma_recursive),
+        (Tag.HE, hopf.delta_p_e_recursive),
+        (Tag.HALPHA, hopf.delta_alpha),
+        (Tag.HALPHA, hopf.delta_small),
+        (Tag.HALPHA_NC, hopf.delta_alpha_nc),
+        (Tag.HALPHA_NC, hopf.delta_small_nc),
+    )
+    ANTIPODES = (
+        (Tag.HGAMMA, hopf.antipode_p_gamma),
+        (Tag.HE, hopf.antipode_p_e),
+        (Tag.HALPHA, hopf.antipode_alpha),
+        (Tag.HALPHA_NC, hopf.antipode_alpha_nc),
+    )
+
+    def test_coproducts_fold_letter_images_from_the_unit(self):
+        for tag, delta in self.COPRODUCTS:
+            for w in basis_words(tag, 4):
+                letters = [delta(from_word(tag, (t,))) for t in w]
+                expect = reduce(operator.mul, letters, tensor_unit((tag, tag)))
+                assert delta(from_word(tag, w)) == expect, (delta.__name__, w)
+
+    def test_antipodes_fold_reversed_letter_images_from_the_unit(self):
+        for tag, antipode in self.ANTIPODES:
+            for w in basis_words(tag, 4):
+                letters = [antipode(from_word(tag, (t,))) for t in reversed(w)]
+                expect = reduce(operator.mul, letters, unit(tag))
+                assert antipode(from_word(tag, w)) == expect, (antipode.__name__, w)
+
+    def test_antipode_reverses_a_two_letter_word(self):
+        S = hopf.antipode_p_e
+        a, b = he(Y), he(DEUXDEUX)
+        assert S(a * b) == S(b) * S(a)
+        assert S(a * b) != S(a) * S(b)
+
+    def test_antipode_of_a_letter_is_not_the_cached_value(self):
+        for t in (Y, DEUXDEUX, TROISCINQ):
+            first = hopf.antipode_p_e(he(t))
+            assert first is not hopf._antipode_letter_cache[(Tag.HE, t)]
+            assert first.terms is not hopf._antipode_letter_cache[(Tag.HE, t)].terms
+            expect = Element(Tag.HE, dict(first.terms))
+            first.terms.clear()
+            first.terms[(Y, Y, Y, Y)] = 7
+            assert hopf.antipode_p_e(he(t)) == expect

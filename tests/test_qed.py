@@ -4,7 +4,9 @@ The full electron and photon coaction tables for all nine trees of order
 at most three are frozen by hand, coefficients included.
 """
 
+import operator
 from fractions import Fraction
+from functools import reduce
 
 from treehopf.trees import (
     E,
@@ -18,10 +20,11 @@ from treehopf.trees import (
     TROISCINQ,
     all_trees_up_to,
 )
-from treehopf.algebra import Tag, embed_tree, from_word, tensor, unit
+from treehopf.algebra import Tag, TensorElement, embed_tree, from_word, tensor, tensor_unit, unit
 from treehopf import hopf, qed
 from treehopf.checks import (
     basis_elements,
+    basis_words,
     check_coaction_d1,
     check_coaction_d2,
     check_single_tree_restriction,
@@ -200,3 +203,38 @@ class TestSmashProduct:
         # graded dimension of the smash product at low order
         assert len(qed_basis(0)) == 1
         assert len(qed_basis(1)) == 3  # 1, V(e) (x) 1, 1 (x) Y
+
+
+class TestMultiplicativeExtension:
+    """Second route for the coactions built on ``algebra.multiplicative``:
+    the image of a basis word is the product of the letter images folded
+    from the unit, the old definition."""
+
+    MAPS = (
+        (Tag.HGAMMA, (Tag.HGAMMA, Tag.HALPHA), qed.delta_gamma_coaction),
+        (Tag.HE, (Tag.HE, Tag.HALPHA), qed.delta_e_coaction),
+        (Tag.HE, (Tag.HE, Tag.HALPHA), qed.delta_e_coaction_recursive),
+        (Tag.HE, (Tag.HE, Tag.HALPHA, Tag.HE), qed.electron_renorm_coaction_recursive),
+    )
+
+    def test_coactions_fold_letter_images_from_the_unit(self):
+        for tag, out_tags, f in self.MAPS:
+            for w in basis_words(tag, 4):
+                letters = [f(from_word(tag, (t,))) for t in w]
+                expect = reduce(operator.mul, letters, tensor_unit(out_tags))
+                assert f(from_word(tag, w)) == expect, (f.__name__, w)
+
+    def test_recursive_coaction_reads_the_same_letters(self):
+        for t in all_trees_up_to(5):
+            assert qed.delta_e_coaction_recursive(he(t)) == qed.delta_e_coaction(he(t))
+
+    def test_recursive_renorm_coaction_of_a_letter_is_not_the_cached_value(self):
+        for t in (Y, DEUXDEUX, TROISCINQ):
+            first = qed.electron_renorm_coaction_recursive(he(t))
+            assert first is not qed._ern_rec_cache[t]
+            assert first.terms is not qed._ern_rec_cache[t].terms
+            expect = TensorElement(first.tags, dict(first.terms))
+            first.terms.clear()
+            first.terms[((Y,), (), (Y,))] = 7
+            assert qed.electron_renorm_coaction_recursive(he(t)) == expect
+            assert qed.electron_renorm_coaction_recursive(he(t)) == qed.electron_renorm_coaction(he(t))

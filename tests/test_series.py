@@ -373,3 +373,57 @@ class TestTruncation:
     def test_compose_rejects_nonzero_constant(self):
         with pytest.raises(ValueError):
             one(3).compose(one(3))
+
+
+class TestShapesAndSeriesEquality:
+    """Matrix arithmetic refuses mismatched shapes, and ``Series`` equality
+    and hash agree when a scalar c meets the matrix c·I."""
+
+    def test_add_refuses_mismatched_shapes(self):
+        with pytest.raises(ValueError):
+            Matrix.identity(2) + Matrix.identity(3)
+        with pytest.raises(ValueError):
+            Matrix.from_rows([[1, 2]]) + Matrix.from_rows([[1], [2]])
+        with pytest.raises(ValueError):
+            Matrix.identity(2) - Matrix.identity(3)
+
+    def test_matmul_refuses_mismatched_shapes(self):
+        with pytest.raises(ValueError):
+            Matrix.identity(2) @ Matrix.from_rows([[1, 2, 3]])
+        with pytest.raises(ValueError):
+            Matrix.identity(3) @ Matrix.identity(2)
+
+    def test_matmul_of_compatible_rectangles(self):
+        row = Matrix.from_rows([[1, 2, 3]])
+        col = Matrix.from_rows([[1], [Fraction(1, 2)], [0]])
+        assert row @ col == Matrix.from_rows([[2]])
+        assert (col @ row).rows == ((1, 2, 3), (Fraction(1, 2), 1, Fraction(3, 2)), (0, 0, 0))
+
+    def test_ragged_rows_refused(self):
+        with pytest.raises(ValueError):
+            Matrix.from_rows([[1, 2], [3]])
+
+    def test_central_matrix_hashes_as_its_scalar(self):
+        pairs = [
+            (Series([1]), Series([Matrix.identity(2)])),
+            (Series([Fraction(1, 3), 0]), Series([Matrix.identity(3).scale(Fraction(1, 3)), 0])),
+            (Series([0, -2]), Series([Matrix.zeros(2), Matrix.identity(2).scale(-2)])),
+        ]
+        for a, b in pairs:
+            assert a == b and b == a
+            assert hash(a) == hash(b)
+            assert len({a, b}) == 1
+
+    def test_noncentral_matrices_stay_apart(self):
+        m = Matrix.from_rows([[1, 2], [0, 1]])
+        assert Series([m]) != Series([1])
+        assert Series([m]) == Series([Matrix.from_rows([[1, 2], [0, 1]])])
+        assert hash(Series([m])) == hash(Series([Matrix.from_rows([[1, 2], [0, 1]])]))
+
+    def test_equality_of_different_sizes_is_false(self):
+        assert (Series([Matrix.identity(2)]) == Series([Matrix.identity(3)])) is False
+        assert (Series([Matrix.from_rows([[1, 0]])]) == Series([1])) is False
+        for c in (0, 5):
+            assert (Series([Matrix.from_rows([])]) == Series([c])) is False
+        assert Series([Matrix.zeros(2)]) != Series([Matrix.zeros(3)])
+        assert Series([Matrix.identity(2)]) != Series([Matrix.from_rows([[1, 2], [3, 4], [5, 6]])])
