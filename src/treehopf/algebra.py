@@ -1,6 +1,10 @@
 """Sparse exact linear algebra over tree bases.
 
-Four algebras share one element representation, distinguished by a tag:
+One type holds every linear combination: a :class:`TensorElement` maps
+tuples of basis words, one word per slot, to coefficients, and each slot
+carries the tag of its algebra.  An :class:`Element` of one algebra is a
+one-slot tensor: its ``terms`` are keyed by ``(word,)``, and only its
+constructor takes bare words.  Four algebras are tagged:
 
 * ``HGAMMA`` / ``HE`` -- free associative algebras on trees; a basis word is
   an ordered tuple of nonroot trees and the product is concatenation.
@@ -104,140 +108,10 @@ def multiply_words(tag: Tag, a: Word, b: Word) -> Word:
     return a + b
 
 
-class Element:
-    """Finite linear combination of basis words of one tagged algebra."""
-
-    __slots__ = ("tag", "terms")
-
-    def __init__(self, tag: Tag, terms: dict[Word, Coeff] | None = None):
-        self.tag = tag
-        self.terms: dict[Word, Coeff] = (
-            {w: c for w, c0 in terms.items() if (c := _coeff(c0))} if terms else {}
-        )
-
-    @classmethod
-    def _new(cls, tag: Tag, terms: dict[Word, Coeff]) -> "Element":
-        """Trusted constructor for results computed here from exact terms."""
-        x = object.__new__(cls)
-        x.tag = tag
-        x.terms = _exact(terms)
-        return x
-
-    # -- linear structure ---------------------------------------------------
-
-    def __add__(self, other: "Element") -> "Element":
-        self._check(other)
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            terms[w] = terms.get(w, 0) + c
-        return Element._new(self.tag, terms)
-
-    def __sub__(self, other: "Element") -> "Element":
-        return self + (-other)
-
-    def __neg__(self) -> "Element":
-        return Element._new(self.tag, {w: -c for w, c in self.terms.items()})
-
-    def scale(self, k) -> "Element":
-        k = _coeff(k)
-        return Element._new(self.tag, {w: k * c for w, c in self.terms.items()})
-
-    def __rmul__(self, k) -> "Element":
-        return self.scale(k)
-
-    def __mul__(self, other) -> "Element":
-        if not isinstance(other, Element):
-            return self.scale(other)
-        self._check(other)
-        tag = self.tag
-        terms: dict[Word, Coeff] = {}
-        for wa, ca in self.terms.items():
-            for wb, cb in other.terms.items():
-                w = multiply_words(tag, wa, wb)
-                terms[w] = terms.get(w, 0) + ca * cb
-        return Element._new(tag, terms)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Element)
-            and self.tag is other.tag
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.tag, frozenset(self.terms.items())))
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def _check(self, other: "Element"):
-        if self.tag is not other.tag:
-            raise ValueError(f"algebra tag mismatch: {self.tag} vs {other.tag}")
-
-    # -- inspection ---------------------------------------------------------
-
-    def counit(self) -> Coeff:
-        """Coefficient of the empty word."""
-        return self.terms.get((), 0)
-
-    def grade_components(self) -> dict[int, "Element"]:
-        out: dict[int, dict[Word, Coeff]] = {}
-        for w, c in self.terms.items():
-            out.setdefault(word_degree(self.tag, w), {})[w] = c
-        return {d: Element._new(self.tag, t) for d, t in sorted(out.items())}
-
-    def sorted_terms(self) -> list[tuple[Word, Coeff]]:
-        return sorted(
-            self.terms.items(),
-            key=lambda it: (word_degree(self.tag, it[0]), len(it[0]), word_key(it[0])),
-        )
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for w, c in self.sorted_terms():
-            body = "1" if not w else "*".join(render(t) for t in w)
-            parts.append(f"{c}*{body}" if c != 1 else body)
-        return " + ".join(parts).replace("+ -", "- ")
-
-
-def unit(tag: Tag) -> Element:
-    return Element._new(tag, {(): 1})
-
-
-def zero(tag: Tag) -> Element:
-    return Element._new(tag, {})
-
-
-def from_word(tag: Tag, word: Iterable[Tree], coeff=1) -> Element:
-    return Element(tag, {normalize_word(tag, word): coeff})
-
-
-def tree_word(tag: Tag, t: Tree) -> Word:
-    """Basis word of a single tree: a one-letter word for the free algebras
-    (the root tree is the empty word), the generator word of its
-    over-factorization otherwise."""
-    if tag in GENERATOR_TAGS:
-        return normalize_word(tag, decompose_over(t))
-    return () if t is E else (t,)
-
-
-def embed_tree(tag: Tag, t: Tree) -> Element:
-    """Basis element of a single tree (see :func:`tree_word`)."""
-    return Element._new(tag, {tree_word(tag, t): 1})
-
-
-def word_as_tree(tag: Tag, word: Word) -> Tree:
-    """Inverse of :func:`embed_tree` on generator words (the vector-space
-    identification of the noncommutative lift with single trees)."""
-    if tag not in GENERATOR_TAGS:
-        raise ValueError("only generator words correspond to single trees")
-    return compose_over(list(word))
-
-
 class TensorElement:
-    """Linear combination of tuples of basis words with per-slot algebra tags."""
+    """Linear combination of tuples of basis words with per-slot algebra
+    tags: ``terms`` maps a tuple of words, one per slot, to its coefficient.
+    A one-slot result of any operation is an :class:`Element`."""
 
     __slots__ = ("tags", "terms")
 
@@ -251,12 +125,11 @@ class TensorElement:
             {ws: c for ws, c0 in terms.items() if (c := _coeff(c0))} if terms else {}
         )
 
-    @classmethod
-    def _new(
-        cls, tags: tuple[Tag, ...], terms: dict[tuple[Word, ...], Coeff]
-    ) -> "TensorElement":
-        """Trusted constructor for results computed here from exact terms."""
-        x = object.__new__(cls)
+    @staticmethod
+    def _new(tags: tuple[Tag, ...], terms: dict[tuple[Word, ...], Coeff]) -> "TensorElement":
+        """Trusted constructor for results computed here from exact terms;
+        a one-slot result is an :class:`Element`."""
+        x = object.__new__(Element if len(tags) == 1 else TensorElement)
         x.tags = tags
         x.terms = _exact(terms)
         return x
@@ -285,8 +158,11 @@ class TensorElement:
     def __rmul__(self, k) -> "TensorElement":
         return self.scale(k)
 
-    def __mul__(self, other: "TensorElement") -> "TensorElement":
-        """Componentwise product, slot by slot in each slot's algebra."""
+    def __mul__(self, other) -> "TensorElement":
+        """Componentwise product, slot by slot in each slot's algebra; a
+        coefficient scales."""
+        if not isinstance(other, TensorElement):
+            return self.scale(other)
         self._check(other)
         tags = self.tags
         terms: dict[tuple[Word, ...], Coeff] = {}
@@ -349,13 +225,11 @@ class TensorElement:
             tags, {tuple(ws[k] for k in perm): c for ws, c in self.terms.items()}
         )
 
-    def map_slot(
-        self, i: int, f: Callable[[Word], "TensorElement | Element"]
-    ) -> "TensorElement":
+    def map_slot(self, i: int, f: Callable[[Word], "TensorElement"]) -> "TensorElement":
         """Splice ``f(word at slot i)`` into slot i, extending linearly.
 
-        ``f`` may return an :class:`Element` (slot count preserved) or a
-        :class:`TensorElement` (slot i expands into the image's slots).
+        Slot i expands into the image's slots, so an :class:`Element` image
+        (a one-slot tensor) keeps the slot count.
         """
         return self._splice(i, 1, lambda ws: f(ws[0]))
 
@@ -363,7 +237,7 @@ class TensorElement:
         self,
         i: int,
         width: int,
-        f: Callable[[tuple[Word, ...]], "TensorElement | Element"],
+        f: Callable[[tuple[Word, ...]], "TensorElement"],
     ) -> "TensorElement":
         """Replace the ``width`` slots from i by ``f`` of their words, extending
         linearly; every image is accumulated into one dict."""
@@ -372,29 +246,17 @@ class TensorElement:
         image_tags = None
         for ws, c in self.terms.items():
             image = f(ws[i:j])
-            if isinstance(image, Element):
-                tags = (image.tag,)
-                items = [((w,), k) for w, k in image.terms.items()]
-            else:
-                tags = image.tags
-                items = image.terms.items()
             if image_tags is None:
-                image_tags = tags
-            elif tags != image_tags:
-                raise ValueError(f"image tag mismatch: {image_tags} vs {tags}")
+                image_tags = image.tags
+            elif image.tags != image_tags:
+                raise ValueError(f"image tag mismatch: {image_tags} vs {image.tags}")
             head, tail = ws[:i], ws[j:]
-            for iws, ic in items:
+            for iws, ic in image.terms.items():
                 key = head + iws + tail
                 terms[key] = terms.get(key, 0) + c * ic
         if image_tags is None:
             raise ValueError("cannot infer output tags of a map applied to 0")
         return TensorElement._new(self.tags[:i] + image_tags + self.tags[j:], terms)
-
-    def slot_element(self) -> Element:
-        """View a 1-slot tensor as a plain element."""
-        if self.nslots != 1:
-            raise ValueError("not a 1-slot tensor")
-        return Element._new(self.tags[0], {ws[0]: c for ws, c in self.terms.items()})
 
     def sorted_terms(self) -> list[tuple[tuple[Word, ...], Coeff]]:
         return sorted(
@@ -406,31 +268,84 @@ class TensorElement:
         )
 
     def __repr__(self) -> str:
+        """Terms joined with ``+``; the slots of a term are joined with
+        ``(x)`` and bracketed, except in an element's one slot."""
         if not self.terms:
             return "0"
         parts = []
         for ws, c in self.sorted_terms():
-            slots = " (x) ".join(
-                "1" if not w else "*".join(render(t) for t in w) for w in ws
-            )
-            parts.append(f"{c}*[{slots}]" if c != 1 else f"[{slots}]")
+            body = " (x) ".join("1" if not w else "*".join(render(t) for t in w) for w in ws)
+            if len(ws) != 1:
+                body = f"[{body}]"
+            parts.append(f"{c}*{body}" if c != 1 else body)
         return " + ".join(parts).replace("+ -", "- ")
 
 
-def tensor(xs: Sequence[Element]) -> TensorElement:
-    """Outer tensor product of elements, one per slot."""
-    tags = tuple(x.tag for x in xs)
-    terms: dict[tuple[Word, ...], Coeff] = {}
+class Element(TensorElement):
+    """Finite linear combination of basis words of one tagged algebra: a
+    one-slot tensor, whose ``terms`` are keyed by one-slot tuples ``(word,)``.
+    The constructor takes words: ``Element(tag, {word: c})``."""
 
-    def rec(i: int, ws: tuple[Word, ...], c: Coeff):
-        if i == len(xs):
-            terms[ws] = c
-            return
-        for w, k in xs[i].terms.items():
-            rec(i + 1, ws + (w,), c * k)
+    __slots__ = ()
 
-    rec(0, (), 1)
-    return TensorElement._new(tags, terms)
+    def __init__(self, tag: Tag, terms: dict[Word, Coeff] | None = None):
+        super().__init__((tag,), {(w,): c for w, c in terms.items()} if terms else None)
+
+    @property
+    def tag(self) -> Tag:
+        return self.tags[0]
+
+    def counit(self) -> Coeff:
+        """Coefficient of the empty word."""
+        return self.terms.get(((),), 0)
+
+    def grade_components(self) -> dict[int, "Element"]:
+        out: dict[int, dict[tuple[Word], Coeff]] = {}
+        for ws, c in self.terms.items():
+            out.setdefault(word_degree(self.tag, ws[0]), {})[ws] = c
+        return {d: TensorElement._new(self.tags, t) for d, t in sorted(out.items())}
+
+
+def unit(tag: Tag) -> Element:
+    return tensor_unit((tag,))
+
+
+def zero(tag: Tag) -> Element:
+    return TensorElement._new((tag,), {})
+
+
+def from_word(tag: Tag, word: Iterable[Tree], coeff=1) -> Element:
+    return TensorElement._new((tag,), {(normalize_word(tag, word),): _coeff(coeff)})
+
+
+def tree_word(tag: Tag, t: Tree) -> Word:
+    """Basis word of a single tree: a one-letter word for the free algebras
+    (the root tree is the empty word), the generator word of its
+    over-factorization otherwise."""
+    if tag in GENERATOR_TAGS:
+        return normalize_word(tag, decompose_over(t))
+    return () if t is E else (t,)
+
+
+def embed_tree(tag: Tag, t: Tree) -> Element:
+    """Basis element of a single tree (see :func:`tree_word`)."""
+    return TensorElement._new((tag,), {(tree_word(tag, t),): 1})
+
+
+def word_as_tree(tag: Tag, word: Word) -> Tree:
+    """Inverse of :func:`embed_tree` on generator words (the vector-space
+    identification of the noncommutative lift with single trees)."""
+    if tag not in GENERATOR_TAGS:
+        raise ValueError("only generator words correspond to single trees")
+    return compose_over(list(word))
+
+
+def tensor(xs: Sequence[TensorElement]) -> TensorElement:
+    """Outer tensor product: the slots of each factor in turn."""
+    terms: dict[tuple[Word, ...], Coeff] = {(): 1}
+    for x in xs:
+        terms = {ws + xws: c * k for ws, c in terms.items() for xws, k in x.terms.items()}
+    return TensorElement._new(tuple(tag for x in xs for tag in x.tags), terms)
 
 
 def tensor_unit(tags: Sequence[Tag]) -> TensorElement:
@@ -455,14 +370,14 @@ def multiplicative(unit: Callable[[], T], letter: Callable[[L], T]) -> Callable[
 
 
 def lift_linear(
-    tag: Tag, word_fn: Callable[[Word], "TensorElement | Element"]
+    tag: Tag, word_fn: Callable[[Word], TensorElement]
 ) -> Callable[[Element], TensorElement]:
     """Extend a per-word map linearly to whole elements."""
 
     def apply(x: Element) -> TensorElement:
-        if x.tag is not tag:
-            raise ValueError(f"expected a {tag} element, got {x.tag}")
-        return tensor([x]).map_slot(0, word_fn)
+        if x.tags != (tag,):
+            raise ValueError(f"expected a {tag} element, got {x.tags}")
+        return x.map_slot(0, word_fn)
 
     return apply
 
@@ -475,18 +390,18 @@ def element_to_json(x: Element) -> dict:
         "tag": x.tag.value,
         "terms": [
             {"coeff": str(c), "word": [render(t) for t in w]}
-            for w, c in x.sorted_terms()
+            for (w,), c in x.sorted_terms()
         ],
     }
 
 
 def element_from_json(data: dict) -> Element:
     tag = Tag(data["tag"])
-    terms: dict[Word, Coeff] = {}
+    terms: dict[tuple[Word], Coeff] = {}
     for term in data["terms"]:
-        w = normalize_word(tag, [parse(s) for s in term["word"]])
-        terms[w] = terms.get(w, 0) + _coeff(term["coeff"])
-    return Element._new(tag, terms)
+        ws = (normalize_word(tag, [parse(s) for s in term["word"]]),)
+        terms[ws] = terms.get(ws, 0) + _coeff(term["coeff"])
+    return TensorElement._new((tag,), terms)
 
 
 def tensor_to_json(x: TensorElement) -> dict:

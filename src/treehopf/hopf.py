@@ -14,7 +14,6 @@ from typing import Callable
 from .trees import Tree, E, graft, v_wrap, over, decompose_over, decompose_under, compose_over, compose_under
 from .algebra import (
     MAPS,
-    Coeff,
     Element,
     Tag,
     TensorElement,
@@ -22,7 +21,6 @@ from .algebra import (
     from_word,
     lift_linear,
     multiplicative,
-    normalize_word,
     structure_map,
     tensor_unit,
     tree_word,
@@ -210,13 +208,9 @@ ANTIPODE_NAME = {
 
 def abelianize(x: Element) -> Element:
     """Project the noncommutative lift onto the commutative charge algebra."""
-    if x.tag is not Tag.HALPHA_NC:
+    if x.tags != (Tag.HALPHA_NC,):
         raise ValueError("abelianize expects a noncommutative-lift element")
-    terms: dict[Word, Coeff] = {}
-    for w, c in x.terms.items():
-        v = normalize_word(Tag.HALPHA, w)
-        terms[v] = terms.get(v, 0) + c
-    return Element._new(Tag.HALPHA, terms)
+    return x.map_slot(0, lambda w: from_word(Tag.HALPHA, w))
 
 
 # -- antipodes --------------------------------------------------------------
@@ -231,11 +225,7 @@ def _antipode_word(tag: Tag, word: Word) -> Element:
 
 
 def _antipode_element(tag: Tag, x: Element) -> Element:
-    terms: dict[Word, Coeff] = {}
-    for w, c in x.terms.items():
-        for v, k in _antipode_word(tag, w).terms.items():
-            terms[v] = terms.get(v, 0) + c * k
-    return Element._new(tag, terms)
+    return x.map_slot(0, lambda w: _antipode_word(tag, w))
 
 
 def _antipode_letter(tag: Tag, t: Tree) -> Element:

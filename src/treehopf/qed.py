@@ -21,10 +21,11 @@ from .algebra import (
     lift_linear,
     multiplicative,
     multiply_words,
-    normalize_word,
     structure_map,
+    tensor,
     tensor_unit,
     tree_word,
+    unit,
 )
 from .hopf import (
     TreePairs,
@@ -87,14 +88,10 @@ def delta_e_coaction_recursive(x: Element) -> TensorElement:
 def sigma(x: Element) -> Element:
     """Algebra morphism from the photon algebra onto the charge algebra that
     multiplies the letters of a word with the over product."""
-    if x.tag is not Tag.HGAMMA:
+    if x.tags != (Tag.HGAMMA,):
         raise ValueError("sigma is defined on the photon algebra")
-    terms: dict[Word, Coeff] = {}
-    for w, c in x.terms.items():
-        # The charge image of a tree is its over-factorization, one word.
-        v = normalize_word(Tag.HALPHA, [u for t in w for u in decompose_over(t)])
-        terms[v] = terms.get(v, 0) + c
-    return Element._new(Tag.HALPHA, terms)
+    # The charge image of a tree is its over-factorization, one word.
+    return x.map_slot(0, lambda w: from_word(Tag.HALPHA, [u for t in w for u in decompose_over(t)]))
 
 
 def delta_sigma(
@@ -162,18 +159,16 @@ def qed_antipode(ab: TensorElement) -> TensorElement:
     antipode of b through the coaction and the charge antipode."""
     if ab.tags != (Tag.HALPHA, Tag.HE):
         raise ValueError("expected a (Halpha, He) element")
-    terms: dict[tuple[Word, ...], Coeff] = {}
-    for (wa, wb), c in ab.terms.items():
+
+    def pair_fn(pair: tuple[Word, Word]) -> TensorElement:
+        wa, wb = pair
         sa = antipode_alpha(from_word(Tag.HALPHA, wa))
         sb = delta_e_coaction(antipode_p_e(from_word(Tag.HE, wb)))  # (He, Halpha)
         sb = sb.map_slot(1, lambda w: antipode_alpha(from_word(Tag.HALPHA, w)))
         sb = sb.swap_slots(0, 1)  # (Halpha, He)
-        piece = TensorElement._new(
-            (Tag.HALPHA, Tag.HE), {(w, ()): k for w, k in sa.terms.items()}
-        ) * sb
-        for ws, k in piece.terms.items():
-            terms[ws] = terms.get(ws, 0) + c * k
-    return TensorElement._new((Tag.HALPHA, Tag.HE), terms)
+        return tensor([sa, unit(Tag.HE)]) * sb
+
+    return ab._splice(0, 2, pair_fn)
 
 
 def qed_unit() -> TensorElement:

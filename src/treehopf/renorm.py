@@ -124,7 +124,7 @@ def evaluate(chi: Character, x: Element) -> RingValue:
     """Linear-multiplicative evaluation of a character on an element."""
     if x.tag is not chi.tag:
         raise ValueError(f"character tag {chi.tag} cannot evaluate {x.tag}")
-    return _pair_fold((chi.on_word,), (((w,), c) for w, c in x.terms.items()))
+    return _pair_fold((chi.on_word,), x.terms.items())
 
 
 def pair_evaluate(chis: Sequence[Character], tensor: TensorElement) -> RingValue:

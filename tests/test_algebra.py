@@ -164,6 +164,56 @@ class TestElementArithmetic:
             embed_tree(Tag.HE, Y) + embed_tree(Tag.HGAMMA, Y)
 
 
+class TestOneSlot:
+    """An element is a one-slot tensor, and every one-slot result is one."""
+
+    def test_element_defines_only_its_word_constructor_tag_counit_and_grades(self):
+        own = set(vars(Element)) - {"__module__", "__qualname__", "__doc__", "__slots__"}
+        assert own == {"__init__", "tag", "counit", "grade_components"}
+        assert issubclass(Element, TensorElement)
+
+    def test_word_keyed_constructor_equals_the_one_slot_tensor(self):
+        for w, c in (((Y,), 3), ((), Fraction(1, 2)), ((Y, DEUXUN), -1)):
+            x = Element(Tag.HE, {w: c})
+            t = TensorElement((Tag.HE,), {(w,): c})
+            assert x.terms == {(w,): c}
+            assert x == t and t == x and hash(x) == hash(t)
+        assert Element(Tag.HE, {(Y,): 1}) != TensorElement((Tag.HGAMMA,), {((Y,),): 1})
+
+    def test_one_slot_results_are_elements(self):
+        x = embed_tree(Tag.HE, Y) + embed_tree(Tag.HE, DEUXUN).scale(2)
+        two = tensor([x, x])
+        d = MAPS["delta-p-e"](x)
+        results = {
+            "contract_counit": d.contract_counit(0),
+            "slot_multiply": two.slot_multiply(0, 1, 0),
+            "map_slot": x.map_slot(0, lambda w: from_word(Tag.HE, w + w)),
+            "map_slot to one slot": two.map_slot(1, lambda w: tensor_unit(())),
+            "antipode": MAPS["antipode-p-e"](x),
+            "sigma": MAPS["sigma"](embed_tree(Tag.HGAMMA, DEUXUN)),
+            "sum": x + x,
+            "product": x * x,
+            "scale": x.scale(Fraction(1, 3)),
+            "negation": -x,
+            "tensor of one": tensor([x]),
+            "grade component": x.grade_components()[1],
+            "json": element_from_json(element_to_json(x)),
+            "unit": unit(Tag.HE),
+            "zero": zero(Tag.HE),
+            "from_word": from_word(Tag.HE, (Y,)),
+        }
+        for name, out in results.items():
+            assert type(out) is Element, name
+            assert out.tag is Tag.HE or name == "sigma", name
+        assert type(d) is TensorElement and type(two) is TensorElement
+
+    def test_repr_brackets_only_tensors(self):
+        x = embed_tree(Tag.HE, Y) - unit(Tag.HE).scale(2)
+        assert repr(x) == "-2*1 + (e v e)"
+        assert repr(tensor([x])) == repr(x)
+        assert repr(tensor([x, unit(Tag.HE)])) == "-2*[1 (x) 1] + [(e v e) (x) 1]"
+
+
 class TestTensor:
     def x(self, t):
         return embed_tree(Tag.HE, t)
@@ -233,7 +283,7 @@ class TestCoefficients:
     def test_integral_results_demote_to_int(self):
         x = embed_tree(Tag.HE, Y).scale(3) + embed_tree(Tag.HE, DEUXUN)
         half = x.scale(Fraction(1, 2))
-        assert half.terms[(Y,)] == Fraction(3, 2)
+        assert half.terms[((Y,),)] == Fraction(3, 2)
         back = half.scale(2)
         assert back == x
         assert all(type(c) is int for c in back.terms.values())
@@ -244,7 +294,7 @@ class TestCoefficients:
         a = Element(Tag.HE, {(Y,): 2, (DEUXUN,): Fraction(1, 2)})
         b = Element(Tag.HE, {(Y,): Fraction(4, 2), (DEUXUN,): "1/2"})
         assert a == b and hash(a) == hash(b)
-        assert type(b.terms[(Y,)]) is int
+        assert type(b.terms[((Y,),)]) is int
         ta = TensorElement((Tag.HE, Tag.HE), {((Y,), ()): 3})
         tb = TensorElement((Tag.HE, Tag.HE), {((Y,), ()): Fraction(3)})
         assert ta == tb and hash(ta) == hash(tb)
@@ -277,8 +327,6 @@ def _map_slot_oracle(t: TensorElement, i: int, f) -> TensorElement:
     out = None
     for ws, c in t.terms.items():
         image = f(ws[i])
-        if isinstance(image, Element):
-            image = TensorElement((image.tag,), {(w,): k for w, k in image.terms.items()})
         piece = TensorElement(
             t.tags[:i] + image.tags + t.tags[i + 1 :],
             {ws[:i] + iws + ws[i + 1 :]: c * ic for iws, ic in image.terms.items()},

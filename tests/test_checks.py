@@ -1,6 +1,9 @@
 """Sweep machinery and negative controls: every structure map, when
 corrupted, makes some sweep fail with a counterexample message."""
 
+import ast
+import re
+
 import pytest
 
 from treehopf import checks, trees
@@ -27,6 +30,47 @@ DETECTORS = {
     "qed-coproduct": "qed",
     "qed-antipode": "qed",
 }
+
+
+# suite -> a map whose dropped term that suite must notice (the inverse of
+# DETECTORS: every suite of `check all` can fail)
+SUITE_CONTROLS = {
+    "coassoc": "delta-p-gamma",
+    "counit": "delta-p-e",
+    "antipode": "antipode-p-e",
+    "hopf-alpha-trees": "antipode-alpha",
+    "coaction": "delta-small",
+    "compat": "delta-gamma-coaction",
+    "qed": "qed-coproduct",
+    "intertwine": "sigma",
+    "photon": "delta-gamma",
+    "primitive": "delta-alpha",
+    "counts": "delta-p-gamma",
+    "crosscheck": "delta-e-coaction",
+}
+
+
+def _suite_names() -> set[str]:
+    with pytest.raises(KeyError) as exc:
+        checks.run_suite("no-such-suite")
+    return set(ast.literal_eval(re.search(r"choose from (\[.*?\])", exc.value.args[0]).group(1)))
+
+
+def test_controls_cover_every_suite():
+    assert set(SUITE_CONTROLS) == _suite_names()
+
+
+@pytest.mark.parametrize("suite", sorted(SUITE_CONTROLS))
+def test_every_suite_can_fail(suite):
+    maps = checks.corrupt_map(MAPS, SUITE_CONTROLS[suite])
+    results = checks.run_suite(suite, order=3, maps=maps)
+    assert any(not r.ok for r in results), f"{suite} ignores a corrupted {SUITE_CONTROLS[suite]}"
+
+
+@pytest.mark.parametrize("name", ["delta-p-gamma", "delta-p-e", "delta-e-coaction", "delta-e"])
+def test_crosscheck_reads_its_direct_routes_from_the_maps(name):
+    (result,) = checks.run_suite("crosscheck", order=3, maps=checks.corrupt_map(MAPS, name))
+    assert not result.ok and "mismatch" in result.detail
 
 
 def test_detectors_cover_every_map():

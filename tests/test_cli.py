@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from treehopf import cli
-from treehopf.cli import ENUM_MAX_ORDER, main
+from treehopf.cli import ENUM_MAX_ORDER, RENORM_MAX_ORDER, main
 from treehopf.trees import enumerate_trees, render
 
 
@@ -128,6 +128,13 @@ class TestMap:
         code, _, err = run(capsys, "map", "delta-p-e", "(e v")
         assert code == 2
 
+    @pytest.mark.parametrize("text", ["Y1.1*", "*", "Y1.1**Y2.1", "* Y1.1"])
+    def test_empty_factor(self, capsys, text):
+        code, out, err = run(capsys, "map", "delta-p-e", text)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: the product {text.strip()!r} has an empty factor\n"
+
     def test_tensor_input_map_rejected(self, capsys):
         code, out, err = run(capsys, "map", "qed-coproduct", "e")
         assert code == 2
@@ -188,3 +195,23 @@ class TestRenorm:
         )
         assert code == 0
         assert "photon: PASS" in out and "electron: PASS" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--order", str(RENORM_MAX_ORDER + 1)],
+            ["--order", "12", "--ring", "matrix"],
+            ["--ring", "matrix", "--d", "0"],
+            ["--ring", "matrix", "--d", "-1", "--format", "ascii"],
+        ],
+    )
+    def test_out_of_bounds_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, "renorm", *argv)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    def test_bound_in_help(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["renorm", "--help"])
+        assert f"1 to {RENORM_MAX_ORDER}" in capsys.readouterr().out
