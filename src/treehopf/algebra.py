@@ -387,7 +387,7 @@ def lift_linear(
 
 def element_to_json(x: Element) -> dict:
     return {
-        "tag": x.tag.value,
+        "tag": x.tags[0].value,
         "terms": [
             {"coeff": str(c), "word": [render(t) for t in w]}
             for (w,), c in x.sorted_terms()

@@ -133,10 +133,10 @@ def cmd_check(args) -> int:
     return 0 if ok else 1
 
 
-# Largest order `renorm` accepts.  Each order costs about five times the one
-# before: order 8 takes about 2 s (scalar ring) or 3 s (4x4 matrices) and
-# 23 MB on a 2-CPU x86-64 VM with Python 3.11, so order 12 would run for
-# hours.
+# Largest order `renorm` accepts.  Each order costs three to four times the
+# one before: order 8 takes about 0.8 s (scalar ring) or 1.7 s (4x4 matrices)
+# and 24 MB on a 2-CPU x86-64 VM with Python 3.11, so order 12 would run for
+# minutes.
 RENORM_MAX_ORDER = 8
 
 

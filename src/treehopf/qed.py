@@ -106,7 +106,7 @@ def delta_sigma(
     spread = delta_p(x)  # (p, p)
     spread = spread.map_slot(0, lambda w: coaction(from_word(spread.tags[0], w)))
     # (p, c, p) -> (p, c, c) -> multiply slots 1,2 into final charge slot
-    spread = spread.map_slot(2, lambda w: sigma_map(from_word(x.tag, w)))
+    spread = spread.map_slot(2, lambda w: sigma_map(from_word(x.tags[0], w)))
     return spread.slot_multiply(1, 2, 1)
 
 

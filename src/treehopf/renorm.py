@@ -7,6 +7,8 @@ multiplicatively in written order.  The pipeline assembles the bare series
 from a character, the renormalized series from the renormalization
 coactions, the two renormalization factors, the charge substitution, and
 compares both sides of the propagator relation coefficient by coefficient.
+A renormalized coefficient is read from the tree tables of ``hopf``, with no
+tensor built per tree; the tests hold it to the tensor coactions of ``qed``.
 """
 
 from __future__ import annotations
@@ -15,12 +17,12 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .trees import Tree, E, enumerate_trees, all_trees_up_to, render
-from .algebra import MAPS, Element, Tag, TensorElement, Word, embed_tree, GENERATOR_TAGS
-from .hopf import ANTIPODE_NAME, antipode_p_e
-from .qed import electron_renorm_coaction, photon_renorm_coaction
+from .trees import Tree, E, enumerate_trees, all_trees_up_to, over, render
+from .algebra import MAPS, Element, Tag, TensorElement, Word, embed_tree, tree_word, GENERATOR_TAGS
+from .hopf import ANTIPODE_NAME, TreePairs, antipode_p_e, charge_coaction_tree
+from .hopf import pruning_pairs_over, pruning_pairs_under
 from .series import (
     Matrix,
     RingValue,
@@ -121,10 +123,15 @@ class Character:
 
 
 def evaluate(chi: Character, x: Element) -> RingValue:
-    """Linear-multiplicative evaluation of a character on an element."""
-    if x.tag is not chi.tag:
-        raise ValueError(f"character tag {chi.tag} cannot evaluate {x.tag}")
+    """Linear-multiplicative evaluation of a character on a one-slot tensor."""
+    if x.tags != (chi.tag,):
+        raise ValueError(f"character tag {chi.tag} cannot evaluate {x.tags}")
     return _pair_fold((chi.on_word,), x.terms.items())
+
+
+def _check_tags(chis: Sequence[Character], tags: Sequence[Tag]) -> None:
+    if any(chi.tag is not tag for chi, tag in zip(chis, tags)):
+        raise ValueError("character/slot tag mismatch")
 
 
 def pair_evaluate(chis: Sequence[Character], tensor: TensorElement) -> RingValue:
@@ -133,9 +140,7 @@ def pair_evaluate(chis: Sequence[Character], tensor: TensorElement) -> RingValue
     values need not commute."""
     if len(chis) != tensor.nslots:
         raise ValueError("need one character per slot")
-    for chi, tag in zip(chis, tensor.tags):
-        if chi.tag is not tag:
-            raise ValueError("character/slot tag mismatch")
+    _check_tags(chis, tensor.tags)
     return _pair_fold([chi.on_word for chi in chis], tensor.terms.items())
 
 
@@ -261,21 +266,37 @@ def ward_alpha0(z3: Series, n: Optional[int] = None) -> Series:
 # -- renormalized coefficients ----------------------------------------------
 
 
+def _renorm_terms(pruning_pairs: Callable[[Tree], TreePairs], t: Tree):
+    """The terms (a1, a2, b, c) of a renormalization coaction on the tree t:
+    prune t into (a, b), then coact on the left piece, a -> a1 (x) a2."""
+    for (a, b), c in pruning_pairs(t).items():
+        for (a1, a2), k in charge_coaction_tree(a).items():
+            yield a1, a2, b, c * k
+
+
 def renormalized_photon(u: Character, c_gamma: Character, t: Tree) -> RingValue:
-    """Renormalized photon coefficient: pair the bare character and the
-    counterterm character with the photon renormalization coaction."""
-    spread = photon_renorm_coaction(embed_tree(Tag.HGAMMA, t))
-    return pair_evaluate([u, c_gamma], spread)
+    """Renormalized photon coefficient: pair the bare and counterterm
+    characters with the photon coaction of t, sum of a1 (x) a2 sigma(b)."""
+    _check_tags((u, c_gamma), (Tag.HGAMMA, Tag.HALPHA))
+    return _ring_sum(
+        _slot_product(c, [u.letter(a1), c_gamma.on_word(tree_word(Tag.HALPHA, over(a2, b)))])
+        for a1, a2, b, c in _renorm_terms(pruning_pairs_over, t)
+    )
 
 
 def renormalized_electron(
     u: Character, c_gamma: Character, c_e: Character, t: Tree
 ) -> RingValue:
     """Renormalized electron coefficient: three-slot pairing with the
-    electron renormalization coaction, applying the electron antipode to the
-    last slot before the counterterm; products are taken left-to-right."""
-    spread = electron_renorm_coaction(embed_tree(Tag.HE, t))
-    return _pair_fold((u.on_word, c_gamma.on_word, c_e.antipode_value), spread.terms.items())
+    electron renormalization coaction of t, the sum of a1 (x) a2 (x) b over
+    the under-pruning terms, applying the electron antipode to b before the
+    counterterm; products are taken left-to-right."""
+    _check_tags((u, c_gamma, c_e), (Tag.HE, Tag.HALPHA, Tag.HE))
+    return _ring_sum(
+        _slot_product(c, [u.letter(a1), c_gamma.on_word(tree_word(Tag.HALPHA, a2)),
+                          c_e.antipode_value(tree_word(Tag.HE, b))])
+        for a1, a2, b, c in _renorm_terms(pruning_pairs_under, t)
+    )
 
 
 def assemble_series(values_by_tree, n: int, ring_one: RingValue) -> Series:

@@ -207,6 +207,20 @@ class TestOneSlot:
             assert out.tag is Tag.HE or name == "sigma", name
         assert type(d) is TensorElement and type(two) is TensorElement
 
+    def test_maps_accept_a_one_slot_tensor(self):
+        # The public constructor gives a TensorElement, not an Element; every
+        # one-slot map reads its tags, not the Element-only ``tag``.
+        one_slot = [name for name, tags in MAP_INPUTS.items() if len(tags) == 1]
+        assert len(one_slot) == 15
+        for name in one_slot:
+            tag = MAP_INPUTS[name][0]
+            for w in checks.basis_words(tag, 3):
+                raw = TensorElement((tag,), {(w,): 2})
+                assert type(raw) is TensorElement
+                assert MAPS[name](raw) == MAPS[name](from_word(tag, w, 2)), (name, w)
+        raw = TensorElement((Tag.HE,), {((Y,),): 1})
+        assert element_to_json(raw) == element_to_json(from_word(Tag.HE, (Y,)))
+
     def test_repr_brackets_only_tensors(self):
         x = embed_tree(Tag.HE, Y) - unit(Tag.HE).scale(2)
         assert repr(x) == "-2*1 + (e v e)"

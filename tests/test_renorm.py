@@ -16,9 +16,9 @@ from treehopf.trees import (
     all_trees_up_to,
     enumerate_trees,
 )
-from treehopf.algebra import Tag, embed_tree, from_word
+from treehopf.algebra import Tag, TensorElement, embed_tree, from_word
 from treehopf import hopf, qed, renorm
-from treehopf.checks import basis_elements
+from treehopf.checks import basis_elements, basis_words
 from treehopf.renorm import (
     Character,
     _commute,
@@ -60,6 +60,15 @@ class TestCharacter:
                     assert evaluate(chi, x * y) == evaluate(chi, x) * evaluate(
                         chi, y
                     )
+
+    def test_evaluates_a_one_slot_tensor(self):
+        chi = make_toy_character(Tag.HE, seed=5, max_order=3)
+        for w in basis_words(Tag.HE, 3):
+            raw = TensorElement((Tag.HE,), {(w,): 3})
+            want = evaluate(chi, from_word(Tag.HE, w, 3))
+            assert evaluate(chi, raw) == chi(raw) == want
+        with pytest.raises(ValueError):
+            evaluate(chi, TensorElement((Tag.HGAMMA,), {((Y,),): 1}))
 
     def test_charge_character_values_root_generator(self):
         chi = make_toy_character(Tag.HALPHA, seed=3)
@@ -269,7 +278,8 @@ def _direct_electron(u, cg, ce, t):
 
 
 def _fold_electron(u, cg, ce, t):
-    """The three-slot fold of ``renormalized_electron``, written out."""
+    """The three-slot fold over the tensor coaction, with the memoized
+    antipode values in the last slot."""
     spread = qed.electron_renorm_coaction(embed_tree(Tag.HE, t))
     return _ring_sum(
         _slot_product(c, [u.on_word(w1), cg.on_word(w2), ce.antipode_value(w3)])
@@ -289,28 +299,35 @@ def _coaction_characters(kind, seed=3, n=5):
     )
 
 
-def _drop_one_term(monkeypatch, name, characters, order):
-    """Replace the coaction ``name`` as ``renorm`` sees it by one whose value
-    on one tree of the given order lacks a term, chosen so that the tree's
-    coefficient changes."""
-    clean = getattr(renorm, name)
-    tag = Tag.HGAMMA if name == "photon_renorm_coaction" else Tag.HE
-    value = renorm.renormalized_photon if tag is Tag.HGAMMA else renorm.renormalized_electron
+def _drop_one_term(monkeypatch, which, characters, order):
+    """Replace the coaction terms ``renorm`` reads (``renorm._renorm_terms``)
+    by ones that, on one tree of the given order, lack a term, chosen so
+    that the tree's coefficient changes."""
+    clean = renorm._renorm_terms
+    pruning, value = {
+        "photon": (hopf.pruning_pairs_over, renorm.renormalized_photon),
+        "electron": (hopf.pruning_pairs_under, renorm.renormalized_electron),
+    }[which]
     for target in enumerate_trees(order):
-        x = embed_tree(tag, target)
         whole = value(*characters, target)
-        terms = list(clean(x).terms.items())
+        terms = list(clean(pruning, target))
         for i in range(len(terms)):
-            spread = clean(x)
-            spread = type(spread)(spread.tags, dict(terms[:i] + terms[i + 1 :]))
-            monkeypatch.setattr(renorm, name, lambda y: spread if y == x else clean(y))
+            kept = terms[:i] + terms[i + 1 :]
+            monkeypatch.setattr(
+                renorm,
+                "_renorm_terms",
+                lambda p, t: iter(kept) if p is pruning and t is target else clean(p, t),
+            )
             if not r_eq(value(*characters, target), whole):
                 return
-            monkeypatch.setattr(renorm, name, clean)
+            monkeypatch.setattr(renorm, "_renorm_terms", clean)
     raise AssertionError(f"no term of an order-{order} tree changes its coefficient")
 
 
-class TestRenormalizedCoefficients:
+class TestTreeRouteMatchesCoactions:
+    """The coefficients from the tree tables against ``pair_evaluate`` on
+    the registered tensor coactions, the oracle."""
+
     ORDER = 5
 
     @pytest.mark.parametrize("kind", ["scalar", "matrix"])
@@ -326,6 +343,21 @@ class TestRenormalizedCoefficients:
             assert [renormalized_photon(u, cg, t) for t in trees] == want_photon, phase
             assert [renormalized_electron(ue, cg, ce, t) for t in trees] == want_electron, phase
 
+    def test_no_tensor_is_built_per_tree(self, monkeypatch):
+        trees = all_trees_up_to(4)
+        u, ue, cg, ce = _coaction_characters("scalar", n=4)
+        want = [renormalized_electron(ue, cg, ce, t) for t in trees]
+
+        def refuse(*args):
+            raise AssertionError("a tensor was built")
+
+        monkeypatch.setattr(TensorElement, "_new", refuse)
+        monkeypatch.setattr(TensorElement, "__init__", refuse)
+        # the electron antipode values are memoized by the first pass
+        assert [renormalized_electron(ue, cg, ce, t) for t in trees] == want
+        for t in trees:
+            renormalized_photon(u, cg, t)
+
     def test_tag_mismatch_refused(self):
         u, ue, cg, _ = _coaction_characters("scalar", n=2)
         with pytest.raises(ValueError):
@@ -333,10 +365,20 @@ class TestRenormalizedCoefficients:
         with pytest.raises(ValueError):
             renormalized_photon(u, u, Y)
 
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    def test_electron_tag_mismatch_refused(self, slot):
+        u, ue, cg, ce = _coaction_characters("scalar", n=2)
+        good = [ue, cg, ce]
+        assert renormalized_electron(*good, Y) == ue.letter(Y) - ce.letter(Y)
+        chars = list(good)
+        chars[slot] = (u, ce, cg)[slot]
+        with pytest.raises(ValueError):
+            renormalized_electron(*chars, Y)
+
     def test_dropped_photon_term_fails_at_its_order(self, monkeypatch):
         u, _, cg, _ = _coaction_characters("scalar", n=4)
         assert dyson_check_photon(u, cg, 4).ok
-        _drop_one_term(monkeypatch, "photon_renorm_coaction", (u, cg), 3)
+        _drop_one_term(monkeypatch, "photon", (u, cg), 3)
         report = dyson_check_photon(u, cg, 4)
         assert not report.ok and report.first_failure == 3
         monkeypatch.undo()
@@ -345,7 +387,7 @@ class TestRenormalizedCoefficients:
     def test_dropped_electron_term_fails_at_its_order(self, monkeypatch):
         _, ue, cg, ce = _coaction_characters("scalar", n=4)
         assert dyson_check_electron(ue, cg, ce, 4).ok
-        _drop_one_term(monkeypatch, "electron_renorm_coaction", (ue, cg, ce), 3)
+        _drop_one_term(monkeypatch, "electron", (ue, cg, ce), 3)
         report = dyson_check_electron(ue, cg, ce, 4)
         assert not report.ok and report.first_failure == 3
         monkeypatch.undo()
