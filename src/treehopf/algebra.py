@@ -4,7 +4,10 @@ One type holds every linear combination: a :class:`TensorElement` maps
 tuples of basis words, one word per slot, to coefficients, and each slot
 carries the tag of its algebra.  An :class:`Element` of one algebra is a
 one-slot tensor: its ``terms`` are keyed by ``(word,)``, and only its
-constructor takes bare words.  Four algebras are tagged:
+constructor takes bare words.  A map acts on a slot as a linear map:
+:meth:`TensorElement.map_slot` hands it each word of the slot as a basis
+element of the slot's algebra, and :func:`lift_linear` is the one place a
+function of words becomes such a map.  Four algebras are tagged:
 
 * ``HGAMMA`` / ``HE`` -- free associative algebras on trees; a basis word is
   an ordered tuple of nonroot trees and the product is concatenation.
@@ -225,13 +228,16 @@ class TensorElement:
             tags, {tuple(ws[k] for k in perm): c for ws, c in self.terms.items()}
         )
 
-    def map_slot(self, i: int, f: Callable[[Word], "TensorElement"]) -> "TensorElement":
-        """Splice ``f(word at slot i)`` into slot i, extending linearly.
+    def map_slot(self, i: int, f: Callable[["Element"], "TensorElement"]) -> "TensorElement":
+        """Apply the linear map ``f`` to slot i: each word there is handed to
+        ``f`` as a basis element of the slot's algebra, and the image is
+        spliced in, extending linearly.
 
         Slot i expands into the image's slots, so an :class:`Element` image
         (a one-slot tensor) keeps the slot count.
         """
-        return self._splice(i, 1, lambda ws: f(ws[0]))
+        tags = self.tags[i : i + 1]
+        return self._splice(i, 1, lambda ws: f(TensorElement._new(tags, {ws: 1})))
 
     def _splice(
         self,
@@ -298,12 +304,6 @@ class Element(TensorElement):
     def counit(self) -> Coeff:
         """Coefficient of the empty word."""
         return self.terms.get(((),), 0)
-
-    def grade_components(self) -> dict[int, "Element"]:
-        out: dict[int, dict[tuple[Word], Coeff]] = {}
-        for ws, c in self.terms.items():
-            out.setdefault(word_degree(self.tag, ws[0]), {})[ws] = c
-        return {d: TensorElement._new(self.tags, t) for d, t in sorted(out.items())}
 
 
 def unit(tag: Tag) -> Element:
@@ -372,12 +372,13 @@ def multiplicative(unit: Callable[[], T], letter: Callable[[L], T]) -> Callable[
 def lift_linear(
     tag: Tag, word_fn: Callable[[Word], TensorElement]
 ) -> Callable[[Element], TensorElement]:
-    """Extend a per-word map linearly to whole elements."""
+    """Extend a per-word map linearly to whole elements of the algebra of
+    ``tag``: the one place a function of words becomes a linear map."""
 
     def apply(x: Element) -> TensorElement:
         if x.tags != (tag,):
             raise ValueError(f"expected a {tag} element, got {x.tags}")
-        return x.map_slot(0, word_fn)
+        return x._splice(0, 1, lambda ws: word_fn(ws[0]))
 
     return apply
 

@@ -28,6 +28,7 @@ from .algebra import (
     from_word,
     unit,
     word_as_tree,
+    word_degree,
 )
 from . import hopf, qed, trees
 from .hopf import ANTIPODE_NAME, COPRODUCT_NAME
@@ -102,7 +103,7 @@ def basis_elements(tag: Tag, n: int) -> list[Element]:
 def qed_basis(n: int) -> list[TensorElement]:
     out = []
     for wa in basis_words(Tag.HALPHA, n):
-        da = sum(u.order + 1 for u in wa)
+        da = word_degree(Tag.HALPHA, wa)
         for wb in basis_words(Tag.HE, n - da):
             out.append(TensorElement((Tag.HALPHA, Tag.HE), {(wa, wb): 1}))
     return out
@@ -129,8 +130,8 @@ def check_coassoc(tag: Tag, n: int, maps=None) -> CheckResult:
 
     def law(x: Element) -> Optional[str]:
         d = delta(x)
-        lhs = d.map_slot(0, lambda w: delta(from_word(tag, w)))
-        rhs = d.map_slot(1, lambda w: delta(from_word(tag, w)))
+        lhs = d.map_slot(0, delta)
+        rhs = d.map_slot(1, delta)
         if lhs != rhs:
             return f"coassociativity fails on {x!r}: {lhs - rhs!r}"
         return None
@@ -161,8 +162,8 @@ def check_antipode(tag: Tag, n: int, maps=None) -> CheckResult:
     def law(x: Element) -> Optional[str]:
         d = delta(x)
         target = unit(tag).scale(x.counit())
-        left = d.map_slot(0, lambda w: antipode(from_word(tag, w))).slot_multiply(0, 1, 0)
-        right = d.map_slot(1, lambda w: antipode(from_word(tag, w))).slot_multiply(0, 1, 0)
+        left = d.map_slot(0, antipode).slot_multiply(0, 1, 0)
+        right = d.map_slot(1, antipode).slot_multiply(0, 1, 0)
         if left != target or right != target:
             return f"antipode axiom fails on {x!r}"
         return None
@@ -180,13 +181,13 @@ def check_alpha_trees(n: int, maps=None) -> CheckResult:
     def law(t: Tree) -> Optional[str]:
         x = embed_tree(Tag.HALPHA, t)
         d = delta(x)
-        lhs = d.map_slot(0, lambda w: delta(from_word(Tag.HALPHA, w)))
-        rhs = d.map_slot(1, lambda w: delta(from_word(Tag.HALPHA, w)))
+        lhs = d.map_slot(0, delta)
+        rhs = d.map_slot(1, delta)
         if lhs != rhs:
             return f"coassociativity fails on tree {t}"
         if d.contract_counit(0) != x:
             return f"counit fails on tree {t}"
-        axiom = d.map_slot(0, lambda w: antipode(from_word(Tag.HALPHA, w))).slot_multiply(0, 1, 0)
+        axiom = d.map_slot(0, antipode).slot_multiply(0, 1, 0)
         if axiom != unit(Tag.HALPHA).scale(x.counit()):
             return f"antipode fails on tree {t}"
         return None
@@ -224,12 +225,11 @@ def check_coaction_d1(which: str, n: int, maps=None) -> CheckResult:
         "alpha-nc": (Tag.HALPHA_NC, maps["delta-small-nc"]),
     }[which]
     delta_alpha = maps["delta-alpha-nc" if which == "alpha-nc" else "delta-alpha"]
-    charge_tag = Tag.HALPHA_NC if which == "alpha-nc" else Tag.HALPHA
 
     def law(x: Element) -> Optional[str]:
         d = coact(x)
-        lhs = d.map_slot(0, lambda w: coact(from_word(tag, w)))
-        rhs = d.map_slot(1, lambda w: delta_alpha(from_word(charge_tag, w)))
+        lhs = d.map_slot(0, coact)
+        rhs = d.map_slot(1, delta_alpha)
         if lhs != rhs:
             return f"(D1) fails on {x!r}"
         return None
@@ -246,11 +246,11 @@ def check_coaction_d2(which: str, n: int, maps=None) -> CheckResult:
     }[which]
 
     def law(x: Element) -> Optional[str]:
-        lhs = coact(x).map_slot(0, lambda w: pruning(from_word(tag, w)))
+        lhs = coact(x).map_slot(0, pruning)
         rhs = (
             pruning(x)
-            .map_slot(0, lambda w: coact(from_word(tag, w)))
-            .map_slot(2, lambda w: coact(from_word(tag, w)))
+            .map_slot(0, coact)
+            .map_slot(2, coact)
             .slot_multiply(1, 3, 2)
         )
         if lhs != rhs:
@@ -303,7 +303,7 @@ def check_electron_coaction_law(n: int, maps=None) -> CheckResult:
 
     def law(x: Element) -> Optional[str]:
         d = de(x)
-        lhs = d.map_slot(0, lambda w: de(from_word(Tag.HE, w)))
+        lhs = d.map_slot(0, de)
         rhs = _apply_qed_pair(d, 1, dqed)
         if lhs != rhs:
             return f"electron coaction law fails on {x!r}"
@@ -326,18 +326,12 @@ def check_electron_coaction_morphism(n: int, maps=None) -> CheckResult:
             return f"morphism fails on {x!r}, {y!r}"
         return None
 
-    words = basis_elements(Tag.HE, n)
     pairs = [
-        (x, y)
-        for x, y in itertools.product(words, repeat=2)
-        if _degree(x) + _degree(y) <= n
+        (from_word(Tag.HE, a), from_word(Tag.HE, b))
+        for a, b in itertools.product(basis_words(Tag.HE, n), repeat=2)
+        if word_degree(Tag.HE, a) + word_degree(Tag.HE, b) <= n
     ]
     return _sweep(f"morphism[delta-e] order<={n}", pairs, law)
-
-
-def _degree(x: Element) -> int:
-    comps = x.grade_components()
-    return max(comps) if comps else 0
 
 
 def check_intertwine(n: int, maps=None) -> CheckResult:
@@ -350,7 +344,7 @@ def check_intertwine(n: int, maps=None) -> CheckResult:
 
     def law(x: Element) -> Optional[str]:
         lhs = dalpha(sig(x))
-        rhs = dgamma(x).map_slot(0, lambda w: sig(from_word(Tag.HGAMMA, w)))
+        rhs = dgamma(x).map_slot(0, sig)
         if lhs != rhs:
             return f"intertwining fails on {x!r}"
         return None
@@ -365,8 +359,8 @@ def check_photon_coassoc(n: int, maps=None) -> CheckResult:
 
     def law(x: Element) -> Optional[str]:
         d = dgamma(x)
-        lhs = d.map_slot(0, lambda w: dgamma(from_word(Tag.HGAMMA, w)))
-        rhs = d.map_slot(1, lambda w: dalpha(from_word(Tag.HALPHA, w)))
+        lhs = d.map_slot(0, dgamma)
+        rhs = d.map_slot(1, dalpha)
         if lhs != rhs:
             return f"photon coaction coassociativity fails on {x!r}"
         return None

@@ -208,9 +208,7 @@ ANTIPODE_NAME = {
 
 def abelianize(x: Element) -> Element:
     """Project the noncommutative lift onto the commutative charge algebra."""
-    if x.tags != (Tag.HALPHA_NC,):
-        raise ValueError("abelianize expects a noncommutative-lift element")
-    return x.map_slot(0, lambda w: from_word(Tag.HALPHA, w))
+    return lift_linear(Tag.HALPHA_NC, lambda w: from_word(Tag.HALPHA, w))(x)
 
 
 # -- antipodes --------------------------------------------------------------
@@ -225,7 +223,7 @@ def _antipode_word(tag: Tag, word: Word) -> Element:
 
 
 def _antipode_element(tag: Tag, x: Element) -> Element:
-    return x.map_slot(0, lambda w: _antipode_word(tag, w))
+    return lift_linear(tag, lambda w: _antipode_word(tag, w))(x)
 
 
 def _antipode_letter(tag: Tag, t: Tree) -> Element:

@@ -22,10 +22,8 @@ from .algebra import (
     multiplicative,
     multiply_words,
     structure_map,
-    tensor,
     tensor_unit,
     tree_word,
-    unit,
 )
 from .hopf import (
     TreePairs,
@@ -88,10 +86,10 @@ def delta_e_coaction_recursive(x: Element) -> TensorElement:
 def sigma(x: Element) -> Element:
     """Algebra morphism from the photon algebra onto the charge algebra that
     multiplies the letters of a word with the over product."""
-    if x.tags != (Tag.HGAMMA,):
-        raise ValueError("sigma is defined on the photon algebra")
     # The charge image of a tree is its over-factorization, one word.
-    return x.map_slot(0, lambda w: from_word(Tag.HALPHA, [u for t in w for u in decompose_over(t)]))
+    return lift_linear(
+        Tag.HGAMMA, lambda w: from_word(Tag.HALPHA, [u for t in w for u in decompose_over(t)])
+    )(x)
 
 
 def delta_sigma(
@@ -103,11 +101,8 @@ def delta_sigma(
     """Generic twisted coaction: apply the pruning coproduct, coact on the
     first leg, push the second leg through sigma, and multiply the two
     charge-algebra slots together."""
-    spread = delta_p(x)  # (p, p)
-    spread = spread.map_slot(0, lambda w: coaction(from_word(spread.tags[0], w)))
-    # (p, c, p) -> (p, c, c) -> multiply slots 1,2 into final charge slot
-    spread = spread.map_slot(2, lambda w: sigma_map(from_word(x.tags[0], w)))
-    return spread.slot_multiply(1, 2, 1)
+    # (p, p) -> (p, c, p) -> (p, c, c) -> multiply slots 1,2 into the charge slot
+    return delta_p(x).map_slot(0, coaction).map_slot(2, sigma_map).slot_multiply(1, 2, 1)
 
 
 @structure_map("delta-gamma", Tag.HGAMMA)
@@ -129,14 +124,10 @@ def semidirect_coproduct_generic(
     has four slots grouped pairwise: (c, p) (x) (c, p)."""
     if ab.nslots != 2:
         raise ValueError("expected a 2-slot element of the smash algebra")
-    tag_c, tag_p = ab.tags
     # a1 (x) a2 (x) b -> a1 (x) a2 (x) b_e (x) b_alpha (x) b2
-    out = ab.map_slot(0, lambda w: delta_c(from_word(tag_c, w)))
-    out = out.map_slot(2, lambda w: delta_p(from_word(tag_p, w)))
-    out = out.map_slot(2, lambda w: coaction(from_word(tag_p, w)))
+    out = ab.map_slot(0, delta_c).map_slot(2, delta_p).map_slot(2, coaction)
     # slots: a1, a2, b_e, b_alpha, b2 -> (a1, b_e, a2*b_alpha, b2)
-    out = out.slot_multiply(1, 3, 2)
-    return out
+    return out.slot_multiply(1, 3, 2)
 
 
 @structure_map("qed-coproduct", Tag.HALPHA, Tag.HE)
@@ -159,16 +150,14 @@ def qed_antipode(ab: TensorElement) -> TensorElement:
     antipode of b through the coaction and the charge antipode."""
     if ab.tags != (Tag.HALPHA, Tag.HE):
         raise ValueError("expected a (Halpha, He) element")
-
-    def pair_fn(pair: tuple[Word, Word]) -> TensorElement:
-        wa, wb = pair
-        sa = antipode_alpha(from_word(Tag.HALPHA, wa))
-        sb = delta_e_coaction(antipode_p_e(from_word(Tag.HE, wb)))  # (He, Halpha)
-        sb = sb.map_slot(1, lambda w: antipode_alpha(from_word(Tag.HALPHA, w)))
-        sb = sb.swap_slots(0, 1)  # (Halpha, He)
-        return tensor([sa, unit(Tag.HE)]) * sb
-
-    return ab._splice(0, 2, pair_fn)
+    # a (x) b -> S(a) (x) S(b)_e (x) S(S(b)_alpha) -> S(a) S(S(b)_alpha) (x) S(b)_e
+    return (
+        ab.map_slot(0, antipode_alpha)
+        .map_slot(1, antipode_p_e)
+        .map_slot(1, delta_e_coaction)
+        .map_slot(2, antipode_alpha)
+        .slot_multiply(0, 2, 0)
+    )
 
 
 def qed_unit() -> TensorElement:
@@ -183,8 +172,7 @@ def electron_renorm_coaction(x: Element) -> TensorElement:
     """Electron renormalization coaction: coact with the charge algebra on
     the left leg of the under-pruning coproduct.  Three slots out:
     (electron, charge, electron)."""
-    out = delta_p_e(x)
-    return out.map_slot(0, lambda w: delta_e_coaction(from_word(Tag.HE, w)))
+    return delta_p_e(x).map_slot(0, delta_e_coaction)
 
 
 _ern_rec_cache: dict[Tree, TensorElement] = {}

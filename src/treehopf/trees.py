@@ -25,10 +25,6 @@ class Tree:
         self.order = 0 if left is None else left.order + right.order + 1
         self._key = None
 
-    @property
-    def is_root(self) -> bool:
-        return self.left is None
-
     def sort_key(self):
         """Canonical comparison key.
 
@@ -37,7 +33,7 @@ class Tree:
         orders, smaller order comes first and ``e`` is the minimum.
         """
         if self._key is None:
-            if self.left is None:
+            if self is E:
                 self._key = (0,)
             else:
                 self._key = (
@@ -79,7 +75,7 @@ def graft(left: Tree, right: Tree) -> Tree:
 
 def un_graft(t: Tree) -> tuple[Tree, Tree]:
     """Split a nonroot tree into its unique pair of grafted subtrees."""
-    if t.is_root:
+    if t is E:
         raise ValueError("the root tree e does not decompose")
     return t.left, t.right
 
@@ -91,14 +87,14 @@ def v_wrap(t: Tree) -> Tree:
 
 def over(t: Tree, s: Tree) -> Tree:
     """t / s: graft t onto the leftmost branch of s."""
-    if s.is_root:
+    if s is E:
         return t
     return graft(over(t, s.left), s.right)
 
 
 def under(t: Tree, s: Tree) -> Tree:
     """t \\ s: graft s onto the rightmost branch of t."""
-    if t.is_root:
+    if t is E:
         return s
     return graft(t.left, under(t.right, s))
 
@@ -106,7 +102,7 @@ def under(t: Tree, s: Tree) -> Tree:
 def decompose_over(t: Tree) -> list[Tree]:
     """Arguments (u_1, ..., u_k) of the unique factorization t = V(u_1)/.../V(u_k)."""
     out: list[Tree] = []
-    while not t.is_root:
+    while t is not E:
         out.append(t.right)
         t = t.left
     out.reverse()
@@ -116,7 +112,7 @@ def decompose_over(t: Tree) -> list[Tree]:
 def decompose_under(t: Tree) -> list[Tree]:
     """Arguments (u_1, ..., u_k) of the unique factorization t = (u_1 v e)\\...\\(u_k v e)."""
     out: list[Tree] = []
-    while not t.is_root:
+    while t is not E:
         out.append(t.left)
         t = t.right
     return out
@@ -219,7 +215,7 @@ def tree_index(t: Tree) -> tuple[int, int]:
     stack = [(t, 1)]
     while stack:
         s, scale = stack.pop()
-        if s.is_root:
+        if s is E:
             continue
         m, a = s.order, s.left.order
         rank += scale * sum(catalan(k) * catalan(m - 1 - k) for k in range(a + 1, m))
@@ -269,7 +265,7 @@ def tree_name(t: Tree) -> str:
 
 def render(t: Tree) -> str:
     """Canonical text: ``e`` or ``(l v r)`` with single spaces."""
-    if t.is_root:
+    if t is E:
         return "e"
     return f"({render(t.left)} v {render(t.right)})"
 

@@ -29,7 +29,7 @@ from treehopf.trees import (
     over,
     under,
 )
-from treehopf.algebra import Element, Tag, embed_tree, from_word, tensor, tensor_unit, unit
+from treehopf.algebra import MAPS, Element, Tag, embed_tree, from_word, tensor, tensor_unit, unit
 from treehopf import hopf
 from treehopf.checks import basis_elements, basis_words
 
@@ -184,9 +184,7 @@ class TestChargeCoproduct:
     def test_abelianization_intertwines_lift(self):
         for t in all_trees_up_to(4):
             lifted = hopf.delta_alpha_nc(embed_tree(Tag.HALPHA_NC, t))
-            dropped = lifted.map_slot(
-                0, lambda w: from_word(Tag.HALPHA, w)
-            ).map_slot(1, lambda w: from_word(Tag.HALPHA, w))
+            dropped = lifted.map_slot(0, hopf.abelianize).map_slot(1, hopf.abelianize)
             assert dropped == hopf.delta_alpha(ha(t))
 
 
@@ -213,7 +211,7 @@ class TestAntipodes:
         ):
             for x in basis_elements(tag, 3):
                 d = delta(x)
-                conv = d.map_slot(0, lambda w: antipode(from_word(tag, w))).slot_multiply(0, 1, 0)
+                conv = d.map_slot(0, antipode).slot_multiply(0, 1, 0)
                 assert conv == unit(tag).scale(x.counit())
 
     def test_under_antipode_not_involutive(self):
@@ -238,11 +236,24 @@ class TestAntipodes:
             s = hopf.antipode_alpha(g)
             assert s.terms.get(((u,),)) == Fraction(-1)
 
+    @pytest.mark.parametrize("tag", list(Tag), ids=lambda tag: hopf.ANTIPODE_NAME[tag])
+    def test_refuses_elements_of_another_algebra(self, tag):
+        antipode = MAPS[hopf.ANTIPODE_NAME[tag]]
+        for other in Tag:
+            if other is not tag:
+                with pytest.raises(ValueError, match=f"expected a {tag} element"):
+                    antipode(from_word(other, (Y,)))
+
 
 class TestAbelianize:
     def test_sorts_letters(self):
         x = from_word(Tag.HALPHA_NC, (Y, E))
         assert hopf.abelianize(x) == from_word(Tag.HALPHA, (E, Y))
+
+    def test_refuses_elements_of_another_algebra(self):
+        for other in (Tag.HGAMMA, Tag.HE, Tag.HALPHA):
+            with pytest.raises(ValueError, match="expected a Tag.HALPHA_NC element"):
+                hopf.abelianize(from_word(other, (Y,)))
 
 
 class TestMultiplicativeExtension:

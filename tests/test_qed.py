@@ -8,6 +8,8 @@ import operator
 from fractions import Fraction
 from functools import reduce
 
+import pytest
+
 from treehopf.trees import (
     E,
     Y,
@@ -165,6 +167,11 @@ class TestSigma:
 
     def test_intertwines_coaction_with_charge_coproduct(self):
         assert check_intertwine(4).ok
+
+    def test_refuses_elements_of_another_algebra(self):
+        for other in (Tag.HE, Tag.HALPHA, Tag.HALPHA_NC):
+            with pytest.raises(ValueError, match="expected a Tag.HGAMMA element"):
+                qed.sigma(from_word(other, (Y,)))
 
 
 class TestCoactionConditions:

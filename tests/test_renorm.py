@@ -273,7 +273,7 @@ def _direct_electron(u, cg, ce, t):
     """The electron coefficient by ``pair_evaluate`` on a freshly built
     coaction whose last slot has gone through the electron antipode."""
     spread = qed.electron_renorm_coaction(embed_tree(Tag.HE, t))
-    spread = spread.map_slot(2, lambda w: hopf.antipode_p_e(from_word(Tag.HE, w)))
+    spread = spread.map_slot(2, hopf.antipode_p_e)
     return pair_evaluate([u, cg, ce], spread)
 
 
