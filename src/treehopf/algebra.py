@@ -4,10 +4,11 @@ One type holds every linear combination: a :class:`TensorElement` maps
 tuples of basis words, one word per slot, to coefficients, and each slot
 carries the tag of its algebra.  An :class:`Element` of one algebra is a
 one-slot tensor: its ``terms`` are keyed by ``(word,)``, and only its
-constructor takes bare words.  A map acts on a slot as a linear map:
-:meth:`TensorElement.map_slot` hands it each word of the slot as a basis
-element of the slot's algebra, and :func:`lift_linear` is the one place a
-function of words becomes such a map.  Four algebras are tagged:
+constructor takes bare words.  :func:`lift_linear` turns a function of
+words into a linear map, a *word map*; every one-slot structure map is one,
+built once.  :meth:`TensorElement.map_slot` hands a word map of the slot's
+tag each word of the slot directly, and any other linear map each word as a
+one-term element of the slot's algebra.  Four algebras are tagged:
 
 * ``HGAMMA`` / ``HE`` -- free associative algebras on trees; a basis word is
   an ordered tuple of nonroot trees and the product is concatenation.
@@ -24,6 +25,7 @@ results stay in ``int`` arithmetic.
 from __future__ import annotations
 
 import enum
+import functools
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence, TypeVar
 
@@ -220,38 +222,27 @@ class TensorElement:
             terms[key] = terms.get(key, 0) + c
         return TensorElement._new(tags, terms)
 
-    def swap_slots(self, i: int, j: int) -> "TensorElement":
-        perm = list(range(self.nslots))
-        perm[i], perm[j] = perm[j], perm[i]
-        tags = tuple(self.tags[k] for k in perm)
-        return TensorElement._new(
-            tags, {tuple(ws[k] for k in perm): c for ws, c in self.terms.items()}
-        )
-
     def map_slot(self, i: int, f: Callable[["Element"], "TensorElement"]) -> "TensorElement":
-        """Apply the linear map ``f`` to slot i: each word there is handed to
-        ``f`` as a basis element of the slot's algebra, and the image is
-        spliced in, extending linearly.
+        """Apply the linear map ``f`` to slot i, extending linearly: a word
+        map (:func:`lift_linear`) of the slot's tag is handed each word there
+        directly, any other map each word as a one-term element of the slot's
+        algebra (so a word map of another tag refuses it).
 
         Slot i expands into the image's slots, so an :class:`Element` image
         (a one-slot tensor) keeps the slot count.
         """
         tags = self.tags[i : i + 1]
-        return self._splice(i, 1, lambda ws: f(TensorElement._new(tags, {ws: 1})))
+        adapt = lambda w: f(TensorElement._new(tags, {(w,): 1}))
+        return self._splice(i, 1, f.word if getattr(f, "tag", None) is tags[0] else adapt)
 
-    def _splice(
-        self,
-        i: int,
-        width: int,
-        f: Callable[[tuple[Word, ...]], "TensorElement"],
-    ) -> "TensorElement":
-        """Replace the ``width`` slots from i by ``f`` of their words, extending
+    def _splice(self, i: int, width: int, f: Callable[..., "TensorElement"]) -> "TensorElement":
+        """Replace the ``width`` slots from i by ``f(*words)``, extending
         linearly; every image is accumulated into one dict."""
         j = i + width
         terms: dict[tuple[Word, ...], Coeff] = {}
         image_tags = None
         for ws, c in self.terms.items():
-            image = f(ws[i:j])
+            image = f(*ws[i:j])
             if image_tags is None:
                 image_tags = image.tags
             elif image.tags != image_tags:
@@ -356,7 +347,7 @@ def multiplicative(unit: Callable[[], T], letter: Callable[[L], T]) -> Callable[
     """Extend a map on letters to words: the product of ``letter(t)`` over
     the letters in written order.  The fold starts from the first letter,
     so ``unit()`` is built only for the empty word; a one-letter word gives
-    ``letter(t)`` itself, which callers copy before returning."""
+    ``letter(t)`` itself, which callers only read (a splice copies it)."""
 
     def word_fn(word: Sequence[L]) -> T:
         if not word:
@@ -369,18 +360,27 @@ def multiplicative(unit: Callable[[], T], letter: Callable[[L], T]) -> Callable[
     return word_fn
 
 
-def lift_linear(
-    tag: Tag, word_fn: Callable[[Word], TensorElement]
-) -> Callable[[Element], TensorElement]:
+def lift_linear(tag: Tag, word_fn: Callable[[Word], TensorElement]) -> Callable[[Element], TensorElement]:
     """Extend a per-word map linearly to whole elements of the algebra of
-    ``tag``: the one place a function of words becomes a linear map."""
+    ``tag``: the one place a function of words becomes a linear map, a *word
+    map*, which keeps ``tag`` and ``word_fn`` as its ``tag`` and ``word``.
+    :meth:`TensorElement.map_slot` hands a word map each word of a slot of its
+    tag directly, any other linear map each word as a one-term element."""
 
     def apply(x: Element) -> TensorElement:
         if x.tags != (tag,):
             raise ValueError(f"expected a {tag} element, got {x.tags}")
-        return x._splice(0, 1, lambda ws: word_fn(ws[0]))
+        return x._splice(0, 1, word_fn)
 
+    apply.tag = tag
+    apply.word = word_fn
     return apply
+
+
+def word_map(tag: Tag):
+    """Decorator: :func:`lift_linear` of the decorated function of words,
+    with the function's name and docstring."""
+    return lambda word_fn: functools.wraps(word_fn)(lift_linear(tag, word_fn))
 
 
 # -- JSON encoding ----------------------------------------------------------

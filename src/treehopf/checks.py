@@ -49,7 +49,8 @@ class CheckResult:
 def corrupt_map(maps: dict[str, Callable], name: str) -> dict[str, Callable]:
     """Replace one structure map by a damaged variant: multi-term outputs
     silently lose their last term, single nonunit terms are squared (wrong
-    degree).  Negative control for the axiom sweeps."""
+    degree).  Negative control for the axiom sweeps.  The variant has no
+    ``word`` (``functools.wraps`` would copy it), so ``map_slot`` calls it."""
     if name not in maps:
         raise KeyError(f"unknown map {name!r}")
     inner = maps[name]
@@ -265,7 +266,7 @@ def check_coaction_d2(which: str, n: int, maps=None) -> CheckResult:
 
 def _apply_qed_pair(t: TensorElement, i: int, f) -> TensorElement:
     """Apply a map on 2-slot (charge, electron) elements to slots (i, i+1)."""
-    return t._splice(i, 2, lambda pair: f(TensorElement((Tag.HALPHA, Tag.HE), {pair: 1})))
+    return t._splice(i, 2, lambda a, b: f(TensorElement._new((Tag.HALPHA, Tag.HE), {(a, b): 1})))
 
 
 def check_qed_hopf(n: int, maps=None) -> CheckResult:

@@ -9,6 +9,7 @@ tree) and then read into the commutative algebra or its noncommutative lift.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable
 
 from .trees import Tree, E, graft, v_wrap, over, decompose_over, decompose_under, compose_over, compose_under
@@ -25,6 +26,7 @@ from .algebra import (
     tensor_unit,
     tree_word,
     unit,
+    word_map,
 )
 
 TreePairs = dict[tuple[Tree, Tree], int]
@@ -109,29 +111,33 @@ def read_pairs(tags: tuple[Tag, Tag], pairs: TreePairs) -> TensorElement:
     return TensorElement._new(tags, terms)
 
 
-def pairs_map(tags: tuple[Tag, Tag], pairs_fn: Callable[[Tree], TreePairs]):
-    """The map on the algebra of ``tags[0]`` that sends a letter t to
-    ``pairs_fn(t)`` read into ``tags``, extended multiplicatively to words
-    and linearly to elements."""
-    return lift_linear(
-        tags[0],
-        multiplicative(lambda: tensor_unit(tags), lambda t: read_pairs(tags, pairs_fn(t))),
-    )
+def pairs_map(*tags: Tag):
+    """Decorator: the word map on the algebra of ``tags[0]`` that sends a
+    letter t to the decorated function's tree pairs of t read into ``tags``,
+    multiplicatively on words; it keeps the function's name and docstring."""
+
+    def lift(pairs_fn: Callable[[Tree], TreePairs]):
+        word = multiplicative(lambda: tensor_unit(tags), lambda t: read_pairs(tags, pairs_fn(t)))
+        return functools.wraps(pairs_fn)(lift_linear(tags[0], word))
+
+    return lift
 
 
 # -- pruning coproducts -----------------------------------------------------
 
 
 @structure_map("delta-p-gamma", Tag.HGAMMA)
-def delta_p_gamma(x: Element) -> TensorElement:
+@pairs_map(Tag.HGAMMA, Tag.HGAMMA)
+def delta_p_gamma(t: Tree) -> TreePairs:
     """Pruning coproduct dual to the over product, on the photon algebra."""
-    return pairs_map((Tag.HGAMMA, Tag.HGAMMA), pruning_pairs_over)(x)
+    return pruning_pairs_over(t)
 
 
 @structure_map("delta-p-e", Tag.HE)
-def delta_p_e(x: Element) -> TensorElement:
+@pairs_map(Tag.HE, Tag.HE)
+def delta_p_e(t: Tree) -> TreePairs:
     """Pruning coproduct dual to the under product, on the electron algebra."""
-    return pairs_map((Tag.HE, Tag.HE), pruning_pairs_under)(x)
+    return pruning_pairs_under(t)
 
 
 def _delta_p_gamma_tree_rec(t: Tree) -> TreePairs:
@@ -154,13 +160,15 @@ def _delta_p_e_tree_rec(t: Tree) -> TreePairs:
     return out
 
 
-def delta_p_gamma_recursive(x: Element) -> TensorElement:
+@pairs_map(Tag.HGAMMA, Tag.HGAMMA)
+def delta_p_gamma_recursive(t: Tree) -> TreePairs:
     """Structural-recursion implementation, for cross-checking."""
-    return pairs_map((Tag.HGAMMA, Tag.HGAMMA), _delta_p_gamma_tree_rec)(x)
+    return _delta_p_gamma_tree_rec(t)
 
 
-def delta_p_e_recursive(x: Element) -> TensorElement:
-    return pairs_map((Tag.HE, Tag.HE), _delta_p_e_tree_rec)(x)
+@pairs_map(Tag.HE, Tag.HE)
+def delta_p_e_recursive(t: Tree) -> TreePairs:
+    return _delta_p_e_tree_rec(t)
 
 
 # -- charge coproduct and coaction ------------------------------------------
@@ -169,26 +177,31 @@ def delta_p_e_recursive(x: Element) -> TensorElement:
 
 
 @structure_map("delta-alpha", Tag.HALPHA)
-def delta_alpha(x: Element) -> TensorElement:
+@pairs_map(Tag.HALPHA, Tag.HALPHA)
+def delta_alpha(u: Tree) -> TreePairs:
     """Charge coproduct on the commutative charge algebra."""
-    return pairs_map((Tag.HALPHA, Tag.HALPHA), lambda u: charge_coproduct_tree(v_wrap(u)))(x)
+    return charge_coproduct_tree(v_wrap(u))
 
 
 @structure_map("delta-small", Tag.HALPHA)
-def delta_small(x: Element) -> TensorElement:
+@pairs_map(Tag.HALPHA, Tag.HALPHA)
+def delta_small(u: Tree) -> TreePairs:
     """Charge coaction on the commutative charge algebra."""
-    return pairs_map((Tag.HALPHA, Tag.HALPHA), lambda u: charge_coaction_tree(v_wrap(u)))(x)
+    return charge_coaction_tree(v_wrap(u))
 
 
 @structure_map("delta-alpha-nc", Tag.HALPHA_NC)
-def delta_alpha_nc(x: Element) -> TensorElement:
+@pairs_map(Tag.HALPHA_NC, Tag.HALPHA_NC)
+def delta_alpha_nc(u: Tree) -> TreePairs:
     """Charge coproduct on the noncommutative lift."""
-    return pairs_map((Tag.HALPHA_NC, Tag.HALPHA_NC), lambda u: charge_coproduct_tree(v_wrap(u)))(x)
+    return charge_coproduct_tree(v_wrap(u))
 
 
 @structure_map("delta-small-nc", Tag.HALPHA_NC)
-def delta_small_nc(x: Element) -> TensorElement:
-    return pairs_map((Tag.HALPHA_NC, Tag.HALPHA_NC), lambda u: charge_coaction_tree(v_wrap(u)))(x)
+@pairs_map(Tag.HALPHA_NC, Tag.HALPHA_NC)
+def delta_small_nc(u: Tree) -> TreePairs:
+    """Charge coaction on the noncommutative lift."""
+    return charge_coaction_tree(v_wrap(u))
 
 
 # Name in MAPS of each tag's coproduct and antipode.
@@ -206,9 +219,10 @@ ANTIPODE_NAME = {
 }
 
 
-def abelianize(x: Element) -> Element:
+@word_map(Tag.HALPHA_NC)
+def abelianize(word: Word) -> Element:
     """Project the noncommutative lift onto the commutative charge algebra."""
-    return lift_linear(Tag.HALPHA_NC, lambda w: from_word(Tag.HALPHA, w))(x)
+    return from_word(Tag.HALPHA, word)
 
 
 # -- antipodes --------------------------------------------------------------
@@ -216,14 +230,14 @@ def abelianize(x: Element) -> Element:
 _antipode_letter_cache: dict[tuple[Tag, Tree], Element] = {}
 
 
-def _antipode_word(tag: Tag, word: Word) -> Element:
-    """Antipode of a basis word: the anti-morphism extension of the antipode
-    on generators (for a commutative algebra this is also a morphism)."""
-    return multiplicative(lambda: unit(tag), lambda t: _antipode_letter(tag, t))(word[::-1])
+def _antipode_on_words(tag: Tag) -> Callable[[Word], Element]:
+    """Antipode on the basis words of ``tag``: the anti-morphism extension of
+    the antipode on generators (for a commutative algebra also a morphism)."""
+    letters = multiplicative(lambda: unit(tag), lambda t: _antipode_letter(tag, t))
+    return lambda word: letters(word[::-1])
 
 
-def _antipode_element(tag: Tag, x: Element) -> Element:
-    return lift_linear(tag, lambda w: _antipode_word(tag, w))(x)
+_ANTIPODE_WORD = {tag: _antipode_on_words(tag) for tag in Tag}
 
 
 def _antipode_letter(tag: Tag, t: Tree) -> Element:
@@ -240,30 +254,34 @@ def _antipode_letter(tag: Tag, t: Tree) -> Element:
         for (w1, w2), c in full.terms.items():
             if not w1 or not w2:
                 continue
-            got = got - _antipode_word(tag, w1).scale(c) * from_word(tag, w2)
+            got = got - _ANTIPODE_WORD[tag](w1).scale(c) * from_word(tag, w2)
         _antipode_letter_cache[key] = got
     return got
 
 
 @structure_map("antipode-p-e", Tag.HE)
-def antipode_p_e(x: Element) -> Element:
+@word_map(Tag.HE)
+def antipode_p_e(word: Word) -> Element:
     """Antipode of the electron propagator Hopf algebra."""
-    return _antipode_element(Tag.HE, x)
+    return _ANTIPODE_WORD[Tag.HE](word)
 
 
 @structure_map("antipode-p-gamma", Tag.HGAMMA)
-def antipode_p_gamma(x: Element) -> Element:
+@word_map(Tag.HGAMMA)
+def antipode_p_gamma(word: Word) -> Element:
     """Antipode of the photon propagator Hopf algebra."""
-    return _antipode_element(Tag.HGAMMA, x)
+    return _ANTIPODE_WORD[Tag.HGAMMA](word)
 
 
 @structure_map("antipode-alpha", Tag.HALPHA)
-def antipode_alpha(x: Element) -> Element:
+@word_map(Tag.HALPHA)
+def antipode_alpha(word: Word) -> Element:
     """Antipode of the charge Hopf algebra."""
-    return _antipode_element(Tag.HALPHA, x)
+    return _ANTIPODE_WORD[Tag.HALPHA](word)
 
 
 @structure_map("antipode-alpha-nc", Tag.HALPHA_NC)
-def antipode_alpha_nc(x: Element) -> Element:
+@word_map(Tag.HALPHA_NC)
+def antipode_alpha_nc(word: Word) -> Element:
     """Antipode of the noncommutative lift, from the same recursion."""
-    return _antipode_element(Tag.HALPHA_NC, x)
+    return _ANTIPODE_WORD[Tag.HALPHA_NC](word)

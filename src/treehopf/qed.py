@@ -8,8 +8,6 @@ algebra is the three-slot electron renormalization coaction.
 
 from __future__ import annotations
 
-from typing import Callable
-
 from .trees import Tree, E, decompose_over, graft, over
 from .algebra import (
     Coeff,
@@ -24,6 +22,7 @@ from .algebra import (
     structure_map,
     tensor_unit,
     tree_word,
+    word_map,
 )
 from .hopf import (
     TreePairs,
@@ -41,15 +40,17 @@ from .hopf import (
 
 
 @structure_map("delta-gamma-coaction", Tag.HGAMMA)
-def delta_gamma_coaction(x: Element) -> TensorElement:
+@pairs_map(Tag.HGAMMA, Tag.HALPHA)
+def delta_gamma_coaction(t: Tree) -> TreePairs:
     """Right coaction of the charge algebra on the photon algebra."""
-    return pairs_map((Tag.HGAMMA, Tag.HALPHA), charge_coaction_tree)(x)
+    return charge_coaction_tree(t)
 
 
 @structure_map("delta-e-coaction", Tag.HE)
-def delta_e_coaction(x: Element) -> TensorElement:
+@pairs_map(Tag.HE, Tag.HALPHA)
+def delta_e_coaction(t: Tree) -> TreePairs:
     """Right coaction of the charge algebra on the electron algebra."""
-    return pairs_map((Tag.HE, Tag.HALPHA), charge_coaction_tree)(x)
+    return charge_coaction_tree(t)
 
 
 _coaction_rec_cache: dict[Tree, TreePairs] = {}
@@ -73,69 +74,47 @@ def _coaction_tree_recursive(t: Tree) -> TreePairs:
     return got
 
 
-def delta_e_coaction_recursive(x: Element) -> TensorElement:
+@pairs_map(Tag.HE, Tag.HALPHA)
+def delta_e_coaction_recursive(t: Tree) -> TreePairs:
     """Independent implementation of the electron coaction, by the grafting
     recursion instead of the noncommutative-lift identification."""
-    return pairs_map((Tag.HE, Tag.HALPHA), _coaction_tree_recursive)(x)
+    return _coaction_tree_recursive(t)
 
 
 # -- sigma and the photon renormalization coaction --------------------------
 
 
 @structure_map("sigma", Tag.HGAMMA)
-def sigma(x: Element) -> Element:
+@word_map(Tag.HGAMMA)
+def sigma(word: Word) -> Element:
     """Algebra morphism from the photon algebra onto the charge algebra that
     multiplies the letters of a word with the over product."""
     # The charge image of a tree is its over-factorization, one word.
-    return lift_linear(
-        Tag.HGAMMA, lambda w: from_word(Tag.HALPHA, [u for t in w for u in decompose_over(t)])
-    )(x)
-
-
-def delta_sigma(
-    x: Element,
-    coaction: Callable[[Element], TensorElement],
-    sigma_map: Callable[[Element], Element],
-    delta_p: Callable[[Element], TensorElement],
-) -> TensorElement:
-    """Generic twisted coaction: apply the pruning coproduct, coact on the
-    first leg, push the second leg through sigma, and multiply the two
-    charge-algebra slots together."""
-    # (p, p) -> (p, c, p) -> (p, c, c) -> multiply slots 1,2 into the charge slot
-    return delta_p(x).map_slot(0, coaction).map_slot(2, sigma_map).slot_multiply(1, 2, 1)
+    return from_word(Tag.HALPHA, [u for t in word for u in decompose_over(t)])
 
 
 @structure_map("delta-gamma", Tag.HGAMMA)
-def photon_renorm_coaction(x: Element) -> TensorElement:
-    """Photon renormalization coaction on the photon algebra."""
-    return delta_sigma(x, delta_gamma_coaction, sigma, delta_p_gamma)
+@word_map(Tag.HGAMMA)
+def photon_renorm_coaction(word: Word) -> TensorElement:
+    """Photon renormalization coaction: coact on the first leg of the pruning
+    coproduct, push the second through sigma, and multiply the charge slots."""
+    # (p, p) -> (p, c, p) -> (p, c, c) -> multiply slots 1,2 into the charge slot
+    out = delta_p_gamma.word(word).map_slot(0, delta_gamma_coaction).map_slot(2, sigma)
+    return out.slot_multiply(1, 2, 1)
 
 
 # -- the smash coproduct ----------------------------------------------------
 
 
-def semidirect_coproduct_generic(
-    ab: TensorElement,
-    delta_c: Callable[[Element], TensorElement],
-    delta_p: Callable[[Element], TensorElement],
-    coaction: Callable[[Element], TensorElement],
-) -> TensorElement:
-    """Smash coproduct of a 2-slot (charge, propagator) element; the output
-    has four slots grouped pairwise: (c, p) (x) (c, p)."""
-    if ab.nslots != 2:
-        raise ValueError("expected a 2-slot element of the smash algebra")
-    # a1 (x) a2 (x) b -> a1 (x) a2 (x) b_e (x) b_alpha (x) b2
-    out = ab.map_slot(0, delta_c).map_slot(2, delta_p).map_slot(2, coaction)
-    # slots: a1, a2, b_e, b_alpha, b2 -> (a1, b_e, a2*b_alpha, b2)
-    return out.slot_multiply(1, 3, 2)
-
-
 @structure_map("qed-coproduct", Tag.HALPHA, Tag.HE)
 def qed_coproduct(ab: TensorElement) -> TensorElement:
-    """Coproduct of the QED Hopf algebra (charge x electron), 4 slots out."""
+    """Coproduct of the QED Hopf algebra (charge x electron), the smash
+    coproduct; four slots out, grouped pairwise: (c, p) (x) (c, p)."""
     if ab.tags != (Tag.HALPHA, Tag.HE):
         raise ValueError("expected a (Halpha, He) element")
-    return semidirect_coproduct_generic(ab, delta_alpha, delta_p_e, delta_e_coaction)
+    # a (x) b -> a1 (x) a2 (x) b_e (x) b_alpha (x) b2 -> (a1, b_e, a2*b_alpha, b2)
+    out = ab.map_slot(0, delta_alpha).map_slot(2, delta_p_e).map_slot(2, delta_e_coaction)
+    return out.slot_multiply(1, 3, 2)
 
 
 def qed_counit(ab: TensorElement) -> Coeff:
@@ -168,11 +147,12 @@ def qed_unit() -> TensorElement:
 
 
 @structure_map("delta-e", Tag.HE)
-def electron_renorm_coaction(x: Element) -> TensorElement:
+@word_map(Tag.HE)
+def electron_renorm_coaction(word: Word) -> TensorElement:
     """Electron renormalization coaction: coact with the charge algebra on
     the left leg of the under-pruning coproduct.  Three slots out:
     (electron, charge, electron)."""
-    return delta_p_e(x).map_slot(0, delta_e_coaction)
+    return delta_p_e.word(word).map_slot(0, delta_e_coaction)
 
 
 _ern_rec_cache: dict[Tree, TensorElement] = {}

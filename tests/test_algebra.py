@@ -1,5 +1,6 @@
 """Linear/tensor element arithmetic, word normalization, and JSON codecs."""
 
+import importlib
 import random
 from fractions import Fraction
 
@@ -242,10 +243,6 @@ class TestTensor:
         )
         assert t.contract_counit(0) == tensor([self.x(DEUXUN)])
 
-    def test_swap_slots(self):
-        t = tensor([self.x(Y), self.x(DEUXUN)])
-        assert t.swap_slots(0, 1) == tensor([self.x(DEUXUN), self.x(Y)])
-
     def test_map_slot_identity(self):
         t = tensor([self.x(Y), self.x(DEUXDEUX)])
         assert t.map_slot(0, lambda y: y) == t
@@ -374,3 +371,30 @@ class TestMapSlot:
     def test_map_applied_to_zero_rejected(self):
         with pytest.raises(ValueError):
             TensorElement((Tag.HE,)).map_slot(0, lambda y: y)
+
+    def test_one_slot_maps_are_word_maps(self):
+        one_slot = {name: tags[0] for name, tags in MAP_INPUTS.items() if len(tags) == 1}
+        assert len(one_slot) == 15
+        for name, tag in one_slot.items():
+            f = MAPS[name]
+            assert f.tag is tag and callable(f.word), name
+            # Built once and kept under its own name, with its docstring.
+            module = importlib.import_module(f.__module__)
+            assert getattr(module, f.__name__) is f and f.__doc__, name
+
+    def test_word_map_of_another_tag_refuses_the_slot(self):
+        t = tensor([embed_tree(Tag.HE, Y) + embed_tree(Tag.HE, DEUXUN)])
+        with pytest.raises(ValueError, match="expected a Tag.HALPHA element"):
+            t.map_slot(0, MAPS["antipode-alpha"])
+
+    def test_damaged_map_is_not_bypassed(self):
+        # corrupt_map's variant has no ``word``, so map_slot hands it one-term
+        # elements.  A functools.wraps wrapper would copy ``word`` and ``tag``
+        # from the clean map and be bypassed by map_slot, so corrupt_map must
+        # not use wraps.
+        damaged = checks.corrupt_map(MAPS, "delta-alpha")["delta-alpha"]
+        x = embed_tree(Tag.HALPHA, DEUXUN) - embed_tree(Tag.HALPHA, TROISQUATRE).scale(2)
+        t = tensor([x, embed_tree(Tag.HE, Y)])
+        got = t.map_slot(0, damaged)
+        assert got != t.map_slot(0, MAPS["delta-alpha"])
+        assert got == _map_slot_oracle(t, 0, damaged)
