@@ -29,7 +29,7 @@ import functools
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence, TypeVar
 
-from .trees import Tree, E, decompose_over, compose_over, parse, render
+from .trees import Tree, E, decompose_over, compose_over, render
 
 Word = tuple[Tree, ...]
 Coeff = int | Fraction
@@ -265,17 +265,7 @@ class TensorElement:
         )
 
     def __repr__(self) -> str:
-        """Terms joined with ``+``; the slots of a term are joined with
-        ``(x)`` and bracketed, except in an element's one slot."""
-        if not self.terms:
-            return "0"
-        parts = []
-        for ws, c in self.sorted_terms():
-            body = " (x) ".join("1" if not w else "*".join(render(t) for t in w) for w in ws)
-            if len(ws) != 1:
-                body = f"[{body}]"
-            parts.append(f"{c}*{body}" if c != 1 else body)
-        return " + ".join(parts).replace("+ -", "- ")
+        return format_terms(self, "repr")
 
 
 class Element(TensorElement):
@@ -383,6 +373,43 @@ def word_map(tag: Tag):
     return lambda word_fn: functools.wraps(word_fn)(lift_linear(tag, word_fn))
 
 
+# -- text -------------------------------------------------------------------
+
+
+def format_terms(x: TensorElement, style: str) -> str:
+    """The terms in sorted order, joined with `` + `` (`` - `` before a
+    negative coefficient); the empty word prints as ``1``.  ``style`` is one
+    of
+
+    * ``repr``: slots joined with ``(x)`` and letters with ``*``; a term of
+      several slots is bracketed, and a coefficient of -1 written ``-1*``;
+    * ``ascii``: the same with no brackets, and -1 written ``-``;
+    * ``latex``: ``ascii`` with ``\\otimes``, ``\\cdot`` and coefficients
+      such as ``\\frac{1}{2}`` set before the term with a space.
+    """
+    if not x.terms:
+        return "0"
+    latex = style == "latex"
+    otimes, dot = (" \\otimes ", " \\cdot ") if latex else (" (x) ", "*")
+    parts = []
+    for ws, c in x.sorted_terms():
+        body = otimes.join(dot.join(render(t) for t in w) if w else "1" for w in ws)
+        if style == "repr" and len(ws) != 1:
+            body = f"[{body}]"
+        if c == 1:
+            parts.append(body)
+        elif c == -1 and style != "repr":
+            parts.append(f"-{body}")
+        elif not latex:
+            parts.append(f"{c}*{body}")
+        elif c.denominator == 1:
+            parts.append(f"{c} {body}")
+        else:
+            sign = "-" if c < 0 else ""
+            parts.append(f"{sign}\\frac{{{abs(c.numerator)}}}{{{c.denominator}}} {body}")
+    return " + ".join(parts).replace("+ -", "- ")
+
+
 # -- JSON encoding ----------------------------------------------------------
 
 
@@ -396,15 +423,6 @@ def element_to_json(x: Element) -> dict:
     }
 
 
-def element_from_json(data: dict) -> Element:
-    tag = Tag(data["tag"])
-    terms: dict[tuple[Word], Coeff] = {}
-    for term in data["terms"]:
-        ws = (normalize_word(tag, [parse(s) for s in term["word"]]),)
-        terms[ws] = terms.get(ws, 0) + _coeff(term["coeff"])
-    return TensorElement._new((tag,), terms)
-
-
 def tensor_to_json(x: TensorElement) -> dict:
     return {
         "tags": [t.value for t in x.tags],
@@ -413,15 +431,3 @@ def tensor_to_json(x: TensorElement) -> dict:
             for ws, c in x.sorted_terms()
         ],
     }
-
-
-def tensor_from_json(data: dict) -> TensorElement:
-    tags = tuple(Tag(t) for t in data["tags"])
-    terms: dict[tuple[Word, ...], Coeff] = {}
-    for term in data["terms"]:
-        ws = tuple(
-            normalize_word(tag, [parse(s) for s in slot])
-            for tag, slot in zip(tags, term["slots"])
-        )
-        terms[ws] = terms.get(ws, 0) + _coeff(term["coeff"])
-    return TensorElement._new(tags, terms)

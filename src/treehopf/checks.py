@@ -125,8 +125,7 @@ def _sweep(
 # -- coalgebra laws ---------------------------------------------------------
 
 
-def check_coassoc(tag: Tag, n: int, maps=None) -> CheckResult:
-    maps = maps or MAPS
+def check_coassoc(tag: Tag, n: int, maps=MAPS) -> CheckResult:
     delta = maps[COPRODUCT_NAME[tag]]
 
     def law(x: Element) -> Optional[str]:
@@ -140,8 +139,7 @@ def check_coassoc(tag: Tag, n: int, maps=None) -> CheckResult:
     return _sweep(f"coassoc[{tag.value}] order<={n}", basis_elements(tag, n), law)
 
 
-def check_counit(tag: Tag, n: int, maps=None) -> CheckResult:
-    maps = maps or MAPS
+def check_counit(tag: Tag, n: int, maps=MAPS) -> CheckResult:
     delta = maps[COPRODUCT_NAME[tag]]
 
     def law(x: Element) -> Optional[str]:
@@ -155,8 +153,7 @@ def check_counit(tag: Tag, n: int, maps=None) -> CheckResult:
     return _sweep(f"counit[{tag.value}] order<={n}", basis_elements(tag, n), law)
 
 
-def check_antipode(tag: Tag, n: int, maps=None) -> CheckResult:
-    maps = maps or MAPS
+def check_antipode(tag: Tag, n: int, maps=MAPS) -> CheckResult:
     delta = maps[COPRODUCT_NAME[tag]]
     antipode = maps[ANTIPODE_NAME[tag]]
 
@@ -172,10 +169,9 @@ def check_antipode(tag: Tag, n: int, maps=None) -> CheckResult:
     return _sweep(f"antipode[{tag.value}] order<={n}", basis_elements(tag, n), law)
 
 
-def check_alpha_trees(n: int, maps=None) -> CheckResult:
+def check_alpha_trees(n: int, maps=MAPS) -> CheckResult:
     """Coassociativity, counit and antipode on the charge algebra over the
     images of all single trees (not just low-degree monomials)."""
-    maps = maps or MAPS
     delta = maps["delta-alpha"]
     antipode = maps["antipode-alpha"]
 
@@ -196,9 +192,8 @@ def check_alpha_trees(n: int, maps=None) -> CheckResult:
     return _sweep(f"hopf[Halpha] single trees order<={n}", all_trees_up_to(n), law)
 
 
-def check_primitive_pairing(n: int, maps=None) -> CheckResult:
+def check_primitive_pairing(n: int, maps=MAPS) -> CheckResult:
     """The charge coproduct of a tree contains t (x) 1 and 1 (x) t exactly once."""
-    maps = maps or MAPS
     delta = maps["delta-alpha"]
 
     def law(t: Tree) -> Optional[str]:
@@ -216,9 +211,8 @@ def check_primitive_pairing(n: int, maps=None) -> CheckResult:
 # -- coactions --------------------------------------------------------------
 
 
-def check_coaction_d1(which: str, n: int, maps=None) -> CheckResult:
+def check_coaction_d1(which: str, n: int, maps=MAPS) -> CheckResult:
     """(coact (x) Id) coact == (Id (x) charge coproduct) coact."""
-    maps = maps or MAPS
     tag, coact = {
         "gamma": (Tag.HGAMMA, maps["delta-gamma-coaction"]),
         "e": (Tag.HE, maps["delta-e-coaction"]),
@@ -238,9 +232,8 @@ def check_coaction_d1(which: str, n: int, maps=None) -> CheckResult:
     return _sweep(f"(D1)[{which}] order<={n}", basis_elements(tag, n), law)
 
 
-def check_coaction_d2(which: str, n: int, maps=None) -> CheckResult:
+def check_coaction_d2(which: str, n: int, maps=MAPS) -> CheckResult:
     """(pruning (x) Id) coact == merge-middle of (coact (x) coact) pruning."""
-    maps = maps or MAPS
     tag, coact, pruning = {
         "gamma": (Tag.HGAMMA, maps["delta-gamma-coaction"], maps["delta-p-gamma"]),
         "e": (Tag.HE, maps["delta-e-coaction"], maps["delta-p-e"]),
@@ -269,8 +262,7 @@ def _apply_qed_pair(t: TensorElement, i: int, f) -> TensorElement:
     return t._splice(i, 2, lambda a, b: f(TensorElement._new((Tag.HALPHA, Tag.HE), {(a, b): 1})))
 
 
-def check_qed_hopf(n: int, maps=None) -> CheckResult:
-    maps = maps or MAPS
+def check_qed_hopf(n: int, maps=MAPS) -> CheckResult:
     coproduct = maps["qed-coproduct"]
     antipode = maps["qed-antipode"]
 
@@ -295,10 +287,9 @@ def check_qed_hopf(n: int, maps=None) -> CheckResult:
     return _sweep(f"hopf[Hqed] order<={n}", qed_basis(n), law)
 
 
-def check_electron_coaction_law(n: int, maps=None) -> CheckResult:
+def check_electron_coaction_law(n: int, maps=MAPS) -> CheckResult:
     """Coassociativity of the electron renormalization coaction with respect
     to the QED coproduct, after regrouping the last two slots."""
-    maps = maps or MAPS
     de = maps["delta-e"]
     dqed = maps["qed-coproduct"]
 
@@ -317,8 +308,7 @@ def check_electron_coaction_law(n: int, maps=None) -> CheckResult:
     )
 
 
-def check_electron_coaction_morphism(n: int, maps=None) -> CheckResult:
-    maps = maps or MAPS
+def check_electron_coaction_morphism(n: int, maps=MAPS) -> CheckResult:
     de = maps["delta-e"]
 
     def law(pair) -> Optional[str]:
@@ -335,10 +325,9 @@ def check_electron_coaction_morphism(n: int, maps=None) -> CheckResult:
     return _sweep(f"morphism[delta-e] order<={n}", pairs, law)
 
 
-def check_intertwine(n: int, maps=None) -> CheckResult:
+def check_intertwine(n: int, maps=MAPS) -> CheckResult:
     """The over-multiplication morphism intertwines the photon coaction and
     the charge coproduct."""
-    maps = maps or MAPS
     sig = maps["sigma"]
     dgamma = maps["delta-gamma"]
     dalpha = maps["delta-alpha"]
@@ -353,8 +342,7 @@ def check_intertwine(n: int, maps=None) -> CheckResult:
     return _sweep(f"intertwine order<={n}", basis_elements(Tag.HGAMMA, n), law)
 
 
-def check_photon_coassoc(n: int, maps=None) -> CheckResult:
-    maps = maps or MAPS
+def check_photon_coassoc(n: int, maps=MAPS) -> CheckResult:
     dgamma = maps["delta-gamma"]
     dalpha = maps["delta-alpha"]
 
@@ -371,10 +359,9 @@ def check_photon_coassoc(n: int, maps=None) -> CheckResult:
     )
 
 
-def check_single_tree_restriction(n: int, maps=None) -> CheckResult:
+def check_single_tree_restriction(n: int, maps=MAPS) -> CheckResult:
     """On single trees the photon coaction equals the noncommutative charge
     coproduct read through the word/tree identification."""
-    maps = maps or MAPS
     dgamma = maps["delta-gamma"]
     dnc = maps["delta-alpha-nc"]
 
@@ -403,7 +390,7 @@ def check_single_tree_restriction(n: int, maps=None) -> CheckResult:
 # -- combinatorial counts ---------------------------------------------------
 
 
-def check_catalan(n: int, maps=None) -> CheckResult:
+def check_catalan(n: int) -> CheckResult:
     for m in range(n + 1):
         got = sum(1 for _ in trees.iter_rendered(m))
         if got != catalan(m):
@@ -413,8 +400,7 @@ def check_catalan(n: int, maps=None) -> CheckResult:
     return CheckResult(f"catalan n<={n}", True)
 
 
-def check_term_counts(n: int, maps=None) -> CheckResult:
-    maps = maps or MAPS
+def check_term_counts(n: int, maps=MAPS) -> CheckResult:
     dpg = maps["delta-p-gamma"]
 
     def law(t: Tree) -> Optional[str]:
@@ -427,11 +413,10 @@ def check_term_counts(n: int, maps=None) -> CheckResult:
     return _sweep(f"term-count order<={n}", all_trees_up_to(n), law)
 
 
-def check_cross(n: int, maps=None) -> CheckResult:
+def check_cross(n: int, maps=MAPS) -> CheckResult:
     """Recursive vs factorization implementations agree.  The direct routes
     come from ``maps``; the recursive ones are the reference and are called
     directly."""
-    maps = maps or MAPS
 
     def law(t: Tree) -> Optional[str]:
         xg = embed_tree(Tag.HGAMMA, t)
@@ -452,8 +437,7 @@ def check_cross(n: int, maps=None) -> CheckResult:
 # -- suites -----------------------------------------------------------------
 
 
-def run_suite(suite: str, order: int | None = None, maps=None) -> list[CheckResult]:
-    maps = maps or MAPS
+def run_suite(suite: str, order: int | None = None, maps=MAPS) -> list[CheckResult]:
     n = order
 
     def d(default: int) -> int:
@@ -495,7 +479,7 @@ def run_suite(suite: str, order: int | None = None, maps=None) -> list[CheckResu
         ],
         "primitive": lambda: [check_primitive_pairing(d(6), maps)],
         "counts": lambda: [
-            check_catalan(d(12), maps),
+            check_catalan(d(12)),
             check_term_counts(d(8), maps),
         ],
         "crosscheck": lambda: [check_cross(d(8), maps)],

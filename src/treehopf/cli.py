@@ -13,9 +13,8 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
-from .trees import iter_rendered, parse, render
+from .trees import iter_rendered, parse
 from .algebra import (
     MAPS,
     MAP_INPUTS,
@@ -24,6 +23,7 @@ from .algebra import (
     TensorElement,
     element_to_json,
     embed_tree,
+    format_terms,
     multiplicative,
     tensor_to_json,
     unit,
@@ -31,41 +31,13 @@ from .algebra import (
 from . import checks, renorm
 
 
-def _fmt_coeff(c: Fraction, latex: bool) -> str:
-    if latex and c.denominator != 1:
-        sign = "-" if c < 0 else ""
-        return f"{sign}\\frac{{{abs(c.numerator)}}}{{{c.denominator}}}"
-    return str(c)
-
-
-def _fmt_word(w, latex: bool) -> str:
-    if not w:
-        return "1"
-    sep = " \\cdot " if latex else "*"
-    return sep.join(render(t) for t in w)
-
-
 def format_output(x: TensorElement, fmt: str) -> str:
-    """Render a map's output; an element is a one-slot tensor, whose JSON
-    names its tag and words."""
+    """Render a map's output: JSON, in which an element names its tag and
+    words, or text in the ``ascii`` or ``latex`` style of ``format_terms``."""
     if fmt == "json":
         data = element_to_json(x) if x.nslots == 1 else tensor_to_json(x)
         return json.dumps(data, indent=2)
-    latex = fmt == "latex"
-    otimes = " \\otimes " if latex else " (x) "
-    if not x.terms:
-        return "0"
-    parts = []
-    for ws, c in x.sorted_terms():
-        body = otimes.join(_fmt_word(w, latex) for w in ws)
-        if c == 1:
-            parts.append(body)
-        elif c == -1:
-            parts.append(f"-{body}")
-        else:
-            parts.append(f"{_fmt_coeff(c, latex)} {body}" if latex else f"{_fmt_coeff(c, latex)}*{body}")
-    joined = " + ".join(parts)
-    return joined.replace("+ -", "- ")
+    return format_terms(x, fmt)
 
 
 def parse_element(tag: Tag, text: str) -> Element:

@@ -219,12 +219,6 @@ ANTIPODE_NAME = {
 }
 
 
-@word_map(Tag.HALPHA_NC)
-def abelianize(word: Word) -> Element:
-    """Project the noncommutative lift onto the commutative charge algebra."""
-    return from_word(Tag.HALPHA, word)
-
-
 # -- antipodes --------------------------------------------------------------
 
 _antipode_letter_cache: dict[tuple[Tag, Tree], Element] = {}

@@ -16,7 +16,6 @@ from .algebra import (
     TensorElement,
     Word,
     from_word,
-    lift_linear,
     multiplicative,
     multiply_words,
     structure_map,
@@ -160,29 +159,33 @@ _ern_rec_cache: dict[Tree, TensorElement] = {}
 _ERN_TAGS = (Tag.HE, Tag.HALPHA, Tag.HE)
 
 
-def electron_renorm_coaction_recursive(x: Element) -> TensorElement:
+def _ern_tree_recursive(t: Tree) -> TensorElement:
+    """The electron renormalization coaction of a single tree by the
+    grafting recursion on t = l v r, memoized per tree."""
+    got = _ern_rec_cache.get(t)
+    if got is None:
+        if t is E:
+            got = tensor_unit(_ERN_TAGS)
+        else:
+            terms: dict[tuple[Word, ...], int] = {((), (), (t,)): 1}
+            sub = _ern_tree_recursive(t.right)
+            for (l1, l2), cl in charge_coproduct_tree(t.left).items():
+                for (w1, w2, w3), cs in sub.terms.items():
+                    s1 = E if not w1 else w1[0]
+                    left = graft(l1, s1)
+                    mid = multiply_words(Tag.HALPHA, tuple(decompose_over(l2)), w2)
+                    key = (tree_word(Tag.HE, left), mid, w3)
+                    terms[key] = terms.get(key, 0) + cl * cs
+            got = TensorElement(_ERN_TAGS, terms)
+        _ern_rec_cache[t] = got
+    return got
+
+
+_ern_word_recursive = multiplicative(lambda: tensor_unit(_ERN_TAGS), _ern_tree_recursive)
+
+
+@word_map(Tag.HE)
+def electron_renorm_coaction_recursive(word: Word) -> TensorElement:
     """Independent grafting recursion for the electron renormalization
     coaction, cross-checked against the direct composite."""
-
-    def tree_fn(t: Tree) -> TensorElement:
-        got = _ern_rec_cache.get(t)
-        if got is None:
-            if t is E:
-                got = tensor_unit(_ERN_TAGS)
-            else:
-                terms: dict[tuple[Word, ...], int] = {((), (), (t,)): 1}
-                sub = tree_fn(t.right)
-                for (l1, l2), cl in charge_coproduct_tree(t.left).items():
-                    for (w1, w2, w3), cs in sub.terms.items():
-                        s1 = E if not w1 else w1[0]
-                        left = graft(l1, s1)
-                        mid = multiply_words(
-                            Tag.HALPHA, tuple(decompose_over(l2)), w2
-                        )
-                        key = (tree_word(Tag.HE, left), mid, w3)
-                        terms[key] = terms.get(key, 0) + cl * cs
-                got = TensorElement(_ERN_TAGS, terms)
-            _ern_rec_cache[t] = got
-        return got
-
-    return lift_linear(Tag.HE, multiplicative(lambda: tensor_unit(_ERN_TAGS), tree_fn))(x)
+    return _ern_word_recursive(word)

@@ -210,6 +210,14 @@ def make_toy_character(
 # -- renormalization factors and series -------------------------------------
 
 
+def assemble_series(values_by_tree, n: int, ring_one: RingValue) -> Series:
+    """Sum tree coefficients order by order into a truncated series."""
+    coeffs: list[RingValue] = [ring_one]
+    for k in range(1, n + 1):
+        coeffs.append(_ring_sum(values_by_tree(t) for t in enumerate_trees(k)))
+    return Series(coeffs)
+
+
 def z3_series(c_gamma: Character, n: int) -> Series:
     """Photon renormalization factor: 1 minus the sum of the counterterms of
     all charge generators, graded by generator degree."""
@@ -236,12 +244,9 @@ def z2_series(c_e: Character, n: int) -> Series:
     """
     if c_e.tag is not Tag.HE:
         raise ValueError("need an electron-algebra character")
-    coeffs: list[RingValue] = [r_one_like(c_e.ring_one)]
-    for k in range(1, n + 1):
-        coeffs.append(_ring_sum(
-            evaluate(c_e, antipode_p_e(embed_tree(Tag.HE, t))) for t in enumerate_trees(k)
-        ))
-    return Series(coeffs)
+    return assemble_series(
+        lambda t: evaluate(c_e, antipode_p_e(embed_tree(Tag.HE, t))), n, r_one_like(c_e.ring_one)
+    )
 
 
 def z2_factor(c_e: Character, n: int) -> Series:
@@ -249,10 +254,7 @@ def z2_factor(c_e: Character, n: int) -> Series:
     single nonroot trees, graded by order.  Inverse of ``z2_series``."""
     if c_e.tag is not Tag.HE:
         raise ValueError("need an electron-algebra character")
-    coeffs: list[RingValue] = [r_one_like(c_e.ring_one)]
-    for k in range(1, n + 1):
-        coeffs.append(_ring_sum(c_e.letter(t) for t in enumerate_trees(k)))
-    return Series(coeffs)
+    return assemble_series(c_e.letter, n, r_one_like(c_e.ring_one))
 
 
 def ward_alpha0(z3: Series, n: Optional[int] = None) -> Series:
@@ -297,14 +299,6 @@ def renormalized_electron(
                           c_e.antipode_value(tree_word(Tag.HE, b))])
         for a1, a2, b, c in _renorm_terms(pruning_pairs_under, t)
     )
-
-
-def assemble_series(values_by_tree, n: int, ring_one: RingValue) -> Series:
-    """Sum tree coefficients order by order into a truncated series."""
-    coeffs: list[RingValue] = [ring_one]
-    for k in range(1, n + 1):
-        coeffs.append(_ring_sum(values_by_tree(t) for t in enumerate_trees(k)))
-    return Series(coeffs)
 
 
 # -- order-by-order consistency reports -------------------------------------
@@ -379,7 +373,7 @@ def dyson_check_electron(
     return report
 
 
-# -- character tables as JSON -----------------------------------------------
+# -- JSON -------------------------------------------------------------------
 
 
 def _value_to_json(v: RingValue):
@@ -387,27 +381,3 @@ def _value_to_json(v: RingValue):
     if isinstance(v, Matrix):
         return [[str(x) for x in row] for row in v.rows]
     return str(v)
-
-
-def character_to_json(chi: Character) -> dict:
-    return {
-        "tag": chi.tag.value,
-        "values": {render(t): _value_to_json(v) for t, v in sorted(chi.values.items(), key=lambda kv: kv[0].sort_key())},
-    }
-
-
-def character_from_json(data: dict) -> Character:
-    from .trees import parse
-
-    def dec(v):
-        if isinstance(v, list):
-            return Matrix.from_rows([[Fraction(x) for x in row] for row in v])
-        return Fraction(v)
-
-    values = {parse(k): dec(v) for k, v in data["values"].items()}
-    ring_one: RingValue = Fraction(1)
-    for v in values.values():
-        if isinstance(v, Matrix):
-            ring_one = Matrix.identity(v.dim)
-            break
-    return Character(Tag(data["tag"]), values, ring_one)

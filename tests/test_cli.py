@@ -5,12 +5,14 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from treehopf import cli
-from treehopf.cli import ENUM_MAX_ORDER, RENORM_MAX_ORDER, main
-from treehopf.trees import enumerate_trees, render
+from treehopf.algebra import Element, Tag, TensorElement
+from treehopf.cli import ENUM_MAX_ORDER, RENORM_MAX_ORDER, format_output, main
+from treehopf.trees import DEUXDEUX, DEUXUN, Y, enumerate_trees, render
 
 
 def run(capsys, *argv):
@@ -85,6 +87,64 @@ class TestClosedPipe:
         assert proc.wait(timeout=60) == cli.EXIT_BROKEN_PIPE
         assert first == b"Y10.1  " + render(enumerate_trees(10)[0]).encode() + b"\n"
         assert err == b""
+
+
+HALF = Fraction(1, 2)
+
+
+class TestFormatOutput:
+    """Golden renderings of ``repr`` and the ``ascii``/``latex`` formats, on
+    hand-built combinations with coefficients 1, -1, 2, -2, 1/2 and -1/2:
+    structure maps have integer coefficients, so only these reach the
+    ``\\frac`` branch."""
+
+    ELEMENT = Element(
+        Tag.HE,
+        {(): HALF, (Y,): 1, (DEUXUN,): -1, (DEUXDEUX,): 2, (Y, Y): -2, (Y, DEUXUN): -HALF},
+    )
+    TENSOR = TensorElement(
+        (Tag.HE, Tag.HALPHA),
+        {
+            ((), ()): -HALF,
+            ((Y,), ()): 1,
+            ((), (Y,)): -1,
+            ((Y,), (Y,)): HALF,
+            ((DEUXUN,), (Y,)): 2,
+            ((Y, Y), (Y, Y)): -2,
+        },
+    )
+    CASES = [
+        (
+            ELEMENT,
+            "1/2*1 + (e v e) - 1*((e v e) v e) + 2*(e v (e v e)) - 2*(e v e)*(e v e)"
+            " - 1/2*(e v e)*((e v e) v e)",
+            "1/2*1 + (e v e) - ((e v e) v e) + 2*(e v (e v e)) - 2*(e v e)*(e v e)"
+            " - 1/2*(e v e)*((e v e) v e)",
+            "\\frac{1}{2} 1 + (e v e) - ((e v e) v e) + 2 (e v (e v e))"
+            " - 2 (e v e) \\cdot (e v e) - \\frac{1}{2} (e v e) \\cdot ((e v e) v e)",
+        ),
+        (
+            TENSOR,
+            "-1/2*[1 (x) 1] - 1*[1 (x) (e v e)] + [(e v e) (x) 1] + 1/2*[(e v e) (x) (e v e)]"
+            " + 2*[((e v e) v e) (x) (e v e)] - 2*[(e v e)*(e v e) (x) (e v e)*(e v e)]",
+            "-1/2*1 (x) 1 - 1 (x) (e v e) + (e v e) (x) 1 + 1/2*(e v e) (x) (e v e)"
+            " + 2*((e v e) v e) (x) (e v e) - 2*(e v e)*(e v e) (x) (e v e)*(e v e)",
+            "-\\frac{1}{2} 1 \\otimes 1 - 1 \\otimes (e v e) + (e v e) \\otimes 1"
+            " + \\frac{1}{2} (e v e) \\otimes (e v e) + 2 ((e v e) v e) \\otimes (e v e)"
+            " - 2 (e v e) \\cdot (e v e) \\otimes (e v e) \\cdot (e v e)",
+        ),
+        (Element(Tag.HE, {(Y,): -1}), "-1*(e v e)", "-(e v e)", "-(e v e)"),
+        (Element(Tag.HE, {(Y,): -HALF}), "-1/2*(e v e)", "-1/2*(e v e)", "-\\frac{1}{2} (e v e)"),
+        (Element(Tag.HE, {(): 1}), "1", "1", "1"),
+        (Element(Tag.HE), "0", "0", "0"),
+        (TensorElement((Tag.HE, Tag.HE)), "0", "0", "0"),
+    ]
+
+    @pytest.mark.parametrize("x, want_repr, want_ascii, want_latex", CASES)
+    def test_golden(self, x, want_repr, want_ascii, want_latex):
+        assert repr(x) == want_repr
+        assert format_output(x, "ascii") == want_ascii
+        assert format_output(x, "latex") == want_latex
 
 
 class TestMap:

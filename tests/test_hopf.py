@@ -29,7 +29,7 @@ from treehopf.trees import (
     over,
     under,
 )
-from treehopf.algebra import MAPS, Element, Tag, TensorElement, embed_tree, from_word, tensor, tensor_unit, unit
+from treehopf.algebra import MAPS, Element, Tag, TensorElement, Word, embed_tree, from_word, tensor, tensor_unit, unit, word_map
 from treehopf import hopf
 from treehopf.checks import basis_elements, basis_words
 
@@ -187,9 +187,14 @@ class TestChargeCoproduct:
         assert nc
 
     def test_abelianization_intertwines_lift(self):
+        @word_map(Tag.HALPHA_NC)
+        def abelianize(word: Word) -> Element:
+            # Project the noncommutative lift onto the commutative algebra.
+            return from_word(Tag.HALPHA, word)
+
         for t in all_trees_up_to(4):
             lifted = hopf.delta_alpha_nc(embed_tree(Tag.HALPHA_NC, t))
-            dropped = lifted.map_slot(0, hopf.abelianize).map_slot(1, hopf.abelianize)
+            dropped = lifted.map_slot(0, abelianize).map_slot(1, abelianize)
             assert dropped == hopf.delta_alpha(ha(t))
 
 
@@ -248,17 +253,6 @@ class TestAntipodes:
             if other is not tag:
                 with pytest.raises(ValueError, match=f"expected a {tag} element"):
                     antipode(from_word(other, (Y,)))
-
-
-class TestAbelianize:
-    def test_sorts_letters(self):
-        x = from_word(Tag.HALPHA_NC, (Y, E))
-        assert hopf.abelianize(x) == from_word(Tag.HALPHA, (E, Y))
-
-    def test_refuses_elements_of_another_algebra(self):
-        for other in (Tag.HGAMMA, Tag.HE, Tag.HALPHA):
-            with pytest.raises(ValueError, match="expected a Tag.HALPHA_NC element"):
-                hopf.abelianize(from_word(other, (Y,)))
 
 
 class TestMultiplicativeExtension:

@@ -235,6 +235,14 @@ class TestMultiplicativeExtension:
         for t in all_trees_up_to(5):
             assert qed.delta_e_coaction_recursive(he(t)) == qed.delta_e_coaction(he(t))
 
+    def test_recursive_coactions_are_word_maps(self):
+        # Built once at import, like every registered map, and refusing
+        # elements of another algebra through the lift's tag check.
+        for f in (qed.delta_e_coaction_recursive, qed.electron_renorm_coaction_recursive):
+            assert f.tag is Tag.HE and callable(f.word), f.__name__
+            with pytest.raises(ValueError, match="expected a Tag.HE element"):
+                f(from_word(Tag.HGAMMA, (Y,)))
+
     def test_recursive_renorm_coaction_of_a_letter_is_not_the_cached_value(self):
         for t in (Y, DEUXDEUX, TROISCINQ):
             first = qed.electron_renorm_coaction_recursive(he(t))

@@ -25,8 +25,6 @@ from treehopf.renorm import (
     _ring_sum,
     _slot_product,
     assemble_series,
-    character_from_json,
-    character_to_json,
     dyson_check_electron,
     dyson_check_photon,
     evaluate,
@@ -96,22 +94,6 @@ class TestCharacter:
         a = make_toy_character(Tag.HE, seed=9, max_order=3)
         b = make_toy_character(Tag.HE, seed=9, max_order=3)
         assert a.values == b.values
-
-    def test_json_decodes_decimal_strings_exactly(self):
-        chi = character_from_json(
-            {"tag": "He", "values": {"(e v e)": "0.1", "((e v e) v e)": [["0.5", "1/3"], ["-2", "0"]]}}
-        )
-        assert chi.letter(Y) == Fraction(1, 10)
-        m = chi.letter(DEUXUN)
-        assert m.rows == ((Fraction(1, 2), Fraction(1, 3)), (Fraction(-2), Fraction(0)))
-        assert (m.num, m.den) == (((3, 2), (-12, 0)), 6)
-
-    def test_json_roundtrip(self):
-        for kind in ("scalar", "matrix"):
-            chi = make_toy_character(Tag.HE, seed=4, kind=kind, d=2, max_order=3)
-            back = character_from_json(character_to_json(chi))
-            assert back.tag is chi.tag and back.values == chi.values
-            assert character_to_json(back) == character_to_json(chi)
 
     def test_values_are_frozen(self):
         source = {Y: Fraction(2)}
