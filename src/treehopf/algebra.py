@@ -5,10 +5,10 @@ tuples of basis words, one word per slot, to coefficients, and each slot
 carries the tag of its algebra.  An :class:`Element` of one algebra is a
 one-slot tensor: its ``terms`` are keyed by ``(word,)``, and only its
 constructor takes bare words.  :func:`lift_linear` turns a function of
-words into a linear map, a *word map*; every one-slot structure map is one,
-built once.  :meth:`TensorElement.map_slot` hands a word map of the slot's
-tag each word of the slot directly, and any other linear map each word as a
-one-term element of the slot's algebra.  Four algebras are tagged:
+one word per slot into a linear map, a *word map*, which carries the tags
+of its input slots as ``tags``; every structure map is one, built once.
+:meth:`TensorElement.map_slot` hands a word map the words of the slots
+that carry its tags.  Four algebras are tagged:
 
 * ``HGAMMA`` / ``HE`` -- free associative algebras on trees; a basis word is
   an ordered tuple of nonroot trees and the product is concatenation.
@@ -47,19 +47,16 @@ class Tag(enum.Enum):
 GENERATOR_TAGS = frozenset({Tag.HALPHA, Tag.HALPHA_NC})
 
 # The named structure maps, filled by :func:`structure_map` when ``hopf`` and
-# ``qed`` are imported.  Both are plain dicts keyed by map name: the callable
-# itself, and the tags of its input slots (one tag for an element, several
-# for a tensor).
+# ``qed`` are imported: word maps keyed by map name, each carrying the tags of
+# its input slots (one tag for an element, several for a tensor).
 MAPS: dict[str, Callable] = {}
-MAP_INPUTS: dict[str, tuple[Tag, ...]] = {}
 
 
-def structure_map(name: str, *input_tags: Tag):
-    """Register the decorated function in :data:`MAPS` under ``name``."""
+def structure_map(name: str):
+    """Register the decorated word map in :data:`MAPS` under ``name``."""
 
     def register(fn: Callable) -> Callable:
         MAPS[name] = fn
-        MAP_INPUTS[name] = input_tags
         return fn
 
     return register
@@ -222,18 +219,16 @@ class TensorElement:
             terms[key] = terms.get(key, 0) + c
         return TensorElement._new(tags, terms)
 
-    def map_slot(self, i: int, f: Callable[["Element"], "TensorElement"]) -> "TensorElement":
-        """Apply the linear map ``f`` to slot i, extending linearly: a word
-        map (:func:`lift_linear`) of the slot's tag is handed each word there
-        directly, any other map each word as a one-term element of the slot's
-        algebra (so a word map of another tag refuses it).
-
-        Slot i expands into the image's slots, so an :class:`Element` image
-        (a one-slot tensor) keeps the slot count.
-        """
-        tags = self.tags[i : i + 1]
-        adapt = lambda w: f(TensorElement._new(tags, {(w,): 1}))
-        return self._splice(i, 1, f.word if getattr(f, "tag", None) is tags[0] else adapt)
+    def map_slot(self, i: int, f: Callable[..., "TensorElement"]) -> "TensorElement":
+        """Apply the word map ``f`` (:func:`lift_linear`) to the slots from i
+        that carry its tags, extending linearly: ``f.word`` is handed their
+        words, and they expand into the image's slots.  Slots of other tags
+        are refused."""
+        j = i + len(f.tags)
+        if self.tags[i:j] != f.tags:
+            want = " (x) ".join(map(str, f.tags))
+            raise ValueError(f"expected a {want} element, got {self.tags[i:j]}")
+        return self._splice(i, len(f.tags), f.word)
 
     def _splice(self, i: int, width: int, f: Callable[..., "TensorElement"]) -> "TensorElement":
         """Replace the ``width`` slots from i by ``f(*words)``, extending
@@ -350,27 +345,29 @@ def multiplicative(unit: Callable[[], T], letter: Callable[[L], T]) -> Callable[
     return word_fn
 
 
-def lift_linear(tag: Tag, word_fn: Callable[[Word], TensorElement]) -> Callable[[Element], TensorElement]:
-    """Extend a per-word map linearly to whole elements of the algebra of
-    ``tag``: the one place a function of words becomes a linear map, a *word
-    map*, which keeps ``tag`` and ``word_fn`` as its ``tag`` and ``word``.
-    :meth:`TensorElement.map_slot` hands a word map each word of a slot of its
-    tag directly, any other linear map each word as a one-term element."""
+def lift_linear(
+    tags: tuple[Tag, ...], word_fn: Callable[..., TensorElement]
+) -> Callable[[TensorElement], TensorElement]:
+    """Extend a function of one word per slot linearly to whole elements of
+    the tensor algebra of ``tags``: the one place a function of words becomes
+    a linear map, a *word map*, which keeps ``tags`` and ``word_fn`` as its
+    ``tags`` and ``word``.  A call is :meth:`TensorElement.map_slot` on an
+    element with exactly those slots."""
 
-    def apply(x: Element) -> TensorElement:
-        if x.tags != (tag,):
-            raise ValueError(f"expected a {tag} element, got {x.tags}")
-        return x._splice(0, 1, word_fn)
+    def apply(x: TensorElement) -> TensorElement:
+        if x.nslots != len(tags):
+            raise ValueError(f"expected a {len(tags)}-slot element, got {x.tags}")
+        return x.map_slot(0, apply)
 
-    apply.tag = tag
+    apply.tags = tags
     apply.word = word_fn
     return apply
 
 
-def word_map(tag: Tag):
+def word_map(*tags: Tag):
     """Decorator: :func:`lift_linear` of the decorated function of words,
     with the function's name and docstring."""
-    return lambda word_fn: functools.wraps(word_fn)(lift_linear(tag, word_fn))
+    return lambda word_fn: functools.wraps(word_fn)(lift_linear(tags, word_fn))
 
 
 # -- text -------------------------------------------------------------------

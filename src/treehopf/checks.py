@@ -26,6 +26,7 @@ from .algebra import (
     Word,
     embed_tree,
     from_word,
+    lift_linear,
     unit,
     word_as_tree,
     word_degree,
@@ -49,14 +50,14 @@ class CheckResult:
 def corrupt_map(maps: dict[str, Callable], name: str) -> dict[str, Callable]:
     """Replace one structure map by a damaged variant: multi-term outputs
     silently lose their last term, single nonunit terms are squared (wrong
-    degree).  Negative control for the axiom sweeps.  The variant has no
-    ``word`` (``functools.wraps`` would copy it), so ``map_slot`` calls it."""
+    degree).  Negative control for the axiom sweeps.  The variant is a word
+    map of the same tags, which damages the image of each basis word."""
     if name not in maps:
         raise KeyError(f"unknown map {name!r}")
     inner = maps[name]
 
-    def corrupted(x):
-        out = inner(x)
+    def corrupted(*words):
+        out = inner.word(*words)
         if len(out.terms) > 1:
             terms = dict(out.terms)
             del terms[out.sorted_terms()[-1][0]]
@@ -68,7 +69,7 @@ def corrupt_map(maps: dict[str, Callable], name: str) -> dict[str, Callable]:
         return out
 
     out = dict(maps)
-    out[name] = corrupted
+    out[name] = lift_linear(inner.tags, corrupted)
     return out
 
 
@@ -106,7 +107,7 @@ def qed_basis(n: int) -> list[TensorElement]:
     for wa in basis_words(Tag.HALPHA, n):
         da = word_degree(Tag.HALPHA, wa)
         for wb in basis_words(Tag.HE, n - da):
-            out.append(TensorElement((Tag.HALPHA, Tag.HE), {(wa, wb): 1}))
+            out.append(TensorElement(qed.QED_TAGS, {(wa, wb): 1}))
     return out
 
 
@@ -257,19 +258,14 @@ def check_coaction_d2(which: str, n: int, maps=MAPS) -> CheckResult:
 # -- QED Hopf algebra -------------------------------------------------------
 
 
-def _apply_qed_pair(t: TensorElement, i: int, f) -> TensorElement:
-    """Apply a map on 2-slot (charge, electron) elements to slots (i, i+1)."""
-    return t._splice(i, 2, lambda a, b: f(TensorElement._new((Tag.HALPHA, Tag.HE), {(a, b): 1})))
-
-
 def check_qed_hopf(n: int, maps=MAPS) -> CheckResult:
     coproduct = maps["qed-coproduct"]
     antipode = maps["qed-antipode"]
 
     def law(x: TensorElement) -> Optional[str]:
         d = coproduct(x)
-        lhs = _apply_qed_pair(d, 0, coproduct)
-        rhs = _apply_qed_pair(d, 2, coproduct)
+        lhs = d.map_slot(0, coproduct)
+        rhs = d.map_slot(2, coproduct)
         if lhs != rhs:
             return f"qed coassociativity fails on {x!r}"
         if d.contract_counit(0).contract_counit(0) != x:
@@ -278,7 +274,7 @@ def check_qed_hopf(n: int, maps=MAPS) -> CheckResult:
             return f"qed counit (right) fails on {x!r}"
         target = qed.qed_unit().scale(qed.qed_counit(x))
         for side in (0, 2):
-            m = _apply_qed_pair(d, side, antipode)
+            m = d.map_slot(side, antipode)
             m = m.slot_multiply(0, 2, 0).slot_multiply(1, 2, 1)
             if m != target:
                 return f"qed antipode fails on {x!r}"
@@ -296,7 +292,7 @@ def check_electron_coaction_law(n: int, maps=MAPS) -> CheckResult:
     def law(x: Element) -> Optional[str]:
         d = de(x)
         lhs = d.map_slot(0, de)
-        rhs = _apply_qed_pair(d, 1, dqed)
+        rhs = d.map_slot(1, dqed)
         if lhs != rhs:
             return f"electron coaction law fails on {x!r}"
         return None

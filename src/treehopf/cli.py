@@ -17,7 +17,6 @@ import sys
 from .trees import iter_rendered, parse
 from .algebra import (
     MAPS,
-    MAP_INPUTS,
     Element,
     Tag,
     TensorElement,
@@ -74,20 +73,20 @@ def cmd_enum(args) -> int:
 
 
 def cmd_map(args) -> int:
-    tags = MAP_INPUTS.get(args.name)
-    if tags is None:
-        single = sorted(name for name, t in MAP_INPUTS.items() if len(t) == 1)
+    f = MAPS.get(args.name)
+    if f is None:
+        single = sorted(name for name, g in MAPS.items() if len(g.tags) == 1)
         print(f"unknown map {args.name!r}; choose from {single}", file=sys.stderr)
         return 2
-    if len(tags) != 1:
-        slots = ", ".join(tag.value for tag in tags)
+    if len(f.tags) != 1:
+        slots = ", ".join(tag.value for tag in f.tags)
         print(
             f"error: map takes single-algebra elements; {args.name} acts on ({slots}) tensors",
             file=sys.stderr,
         )
         return 2
-    x = parse_element(tags[0], args.element)
-    print(format_output(MAPS[args.name](x), args.format))
+    x = parse_element(f.tags[0], args.element)
+    print(format_output(f(x), args.format))
     return 0
 
 

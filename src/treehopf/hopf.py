@@ -118,7 +118,7 @@ def pairs_map(*tags: Tag):
 
     def lift(pairs_fn: Callable[[Tree], TreePairs]):
         word = multiplicative(lambda: tensor_unit(tags), lambda t: read_pairs(tags, pairs_fn(t)))
-        return functools.wraps(pairs_fn)(lift_linear(tags[0], word))
+        return functools.wraps(pairs_fn)(lift_linear(tags[:1], word))
 
     return lift
 
@@ -126,14 +126,14 @@ def pairs_map(*tags: Tag):
 # -- pruning coproducts -----------------------------------------------------
 
 
-@structure_map("delta-p-gamma", Tag.HGAMMA)
+@structure_map("delta-p-gamma")
 @pairs_map(Tag.HGAMMA, Tag.HGAMMA)
 def delta_p_gamma(t: Tree) -> TreePairs:
     """Pruning coproduct dual to the over product, on the photon algebra."""
     return pruning_pairs_over(t)
 
 
-@structure_map("delta-p-e", Tag.HE)
+@structure_map("delta-p-e")
 @pairs_map(Tag.HE, Tag.HE)
 def delta_p_e(t: Tree) -> TreePairs:
     """Pruning coproduct dual to the under product, on the electron algebra."""
@@ -176,28 +176,28 @@ def delta_p_e_recursive(t: Tree) -> TreePairs:
 # tree-level coproduct or coaction of V(u), read into generator words.
 
 
-@structure_map("delta-alpha", Tag.HALPHA)
+@structure_map("delta-alpha")
 @pairs_map(Tag.HALPHA, Tag.HALPHA)
 def delta_alpha(u: Tree) -> TreePairs:
     """Charge coproduct on the commutative charge algebra."""
     return charge_coproduct_tree(v_wrap(u))
 
 
-@structure_map("delta-small", Tag.HALPHA)
+@structure_map("delta-small")
 @pairs_map(Tag.HALPHA, Tag.HALPHA)
 def delta_small(u: Tree) -> TreePairs:
     """Charge coaction on the commutative charge algebra."""
     return charge_coaction_tree(v_wrap(u))
 
 
-@structure_map("delta-alpha-nc", Tag.HALPHA_NC)
+@structure_map("delta-alpha-nc")
 @pairs_map(Tag.HALPHA_NC, Tag.HALPHA_NC)
 def delta_alpha_nc(u: Tree) -> TreePairs:
     """Charge coproduct on the noncommutative lift."""
     return charge_coproduct_tree(v_wrap(u))
 
 
-@structure_map("delta-small-nc", Tag.HALPHA_NC)
+@structure_map("delta-small-nc")
 @pairs_map(Tag.HALPHA_NC, Tag.HALPHA_NC)
 def delta_small_nc(u: Tree) -> TreePairs:
     """Charge coaction on the noncommutative lift."""
@@ -253,28 +253,28 @@ def _antipode_letter(tag: Tag, t: Tree) -> Element:
     return got
 
 
-@structure_map("antipode-p-e", Tag.HE)
+@structure_map("antipode-p-e")
 @word_map(Tag.HE)
 def antipode_p_e(word: Word) -> Element:
     """Antipode of the electron propagator Hopf algebra."""
     return _ANTIPODE_WORD[Tag.HE](word)
 
 
-@structure_map("antipode-p-gamma", Tag.HGAMMA)
+@structure_map("antipode-p-gamma")
 @word_map(Tag.HGAMMA)
 def antipode_p_gamma(word: Word) -> Element:
     """Antipode of the photon propagator Hopf algebra."""
     return _ANTIPODE_WORD[Tag.HGAMMA](word)
 
 
-@structure_map("antipode-alpha", Tag.HALPHA)
+@structure_map("antipode-alpha")
 @word_map(Tag.HALPHA)
 def antipode_alpha(word: Word) -> Element:
     """Antipode of the charge Hopf algebra."""
     return _ANTIPODE_WORD[Tag.HALPHA](word)
 
 
-@structure_map("antipode-alpha-nc", Tag.HALPHA_NC)
+@structure_map("antipode-alpha-nc")
 @word_map(Tag.HALPHA_NC)
 def antipode_alpha_nc(word: Word) -> Element:
     """Antipode of the noncommutative lift, from the same recursion."""

@@ -19,6 +19,7 @@ from .algebra import (
     multiplicative,
     multiply_words,
     structure_map,
+    tensor,
     tensor_unit,
     tree_word,
     word_map,
@@ -38,14 +39,14 @@ from .hopf import (
 # -- the coactions of the charge algebra on the propagator algebras ---------
 
 
-@structure_map("delta-gamma-coaction", Tag.HGAMMA)
+@structure_map("delta-gamma-coaction")
 @pairs_map(Tag.HGAMMA, Tag.HALPHA)
 def delta_gamma_coaction(t: Tree) -> TreePairs:
     """Right coaction of the charge algebra on the photon algebra."""
     return charge_coaction_tree(t)
 
 
-@structure_map("delta-e-coaction", Tag.HE)
+@structure_map("delta-e-coaction")
 @pairs_map(Tag.HE, Tag.HALPHA)
 def delta_e_coaction(t: Tree) -> TreePairs:
     """Right coaction of the charge algebra on the electron algebra."""
@@ -83,7 +84,7 @@ def delta_e_coaction_recursive(t: Tree) -> TreePairs:
 # -- sigma and the photon renormalization coaction --------------------------
 
 
-@structure_map("sigma", Tag.HGAMMA)
+@structure_map("sigma")
 @word_map(Tag.HGAMMA)
 def sigma(word: Word) -> Element:
     """Algebra morphism from the photon algebra onto the charge algebra that
@@ -92,7 +93,7 @@ def sigma(word: Word) -> Element:
     return from_word(Tag.HALPHA, [u for t in word for u in decompose_over(t)])
 
 
-@structure_map("delta-gamma", Tag.HGAMMA)
+@structure_map("delta-gamma")
 @word_map(Tag.HGAMMA)
 def photon_renorm_coaction(word: Word) -> TensorElement:
     """Photon renormalization coaction: coact on the first leg of the pruning
@@ -104,48 +105,43 @@ def photon_renorm_coaction(word: Word) -> TensorElement:
 
 # -- the smash coproduct ----------------------------------------------------
 
+QED_TAGS = (Tag.HALPHA, Tag.HE)
 
-@structure_map("qed-coproduct", Tag.HALPHA, Tag.HE)
-def qed_coproduct(ab: TensorElement) -> TensorElement:
+
+@structure_map("qed-coproduct")
+@word_map(*QED_TAGS)
+def qed_coproduct(a: Word, b: Word) -> TensorElement:
     """Coproduct of the QED Hopf algebra (charge x electron), the smash
     coproduct; four slots out, grouped pairwise: (c, p) (x) (c, p)."""
-    if ab.tags != (Tag.HALPHA, Tag.HE):
-        raise ValueError("expected a (Halpha, He) element")
     # a (x) b -> a1 (x) a2 (x) b_e (x) b_alpha (x) b2 -> (a1, b_e, a2*b_alpha, b2)
-    out = ab.map_slot(0, delta_alpha).map_slot(2, delta_p_e).map_slot(2, delta_e_coaction)
+    out = tensor([delta_alpha.word(a), delta_p_e.word(b)]).map_slot(2, delta_e_coaction)
     return out.slot_multiply(1, 3, 2)
 
 
 def qed_counit(ab: TensorElement) -> Coeff:
-    if ab.nslots != 2:
-        raise ValueError("expected a 2-slot element")
+    if ab.tags != QED_TAGS:
+        raise ValueError(f"expected a (Halpha, He) element, got {ab.tags}")
     return ab.terms.get(((), ()), 0)
 
 
-@structure_map("qed-antipode", Tag.HALPHA, Tag.HE)
-def qed_antipode(ab: TensorElement) -> TensorElement:
+@structure_map("qed-antipode")
+@word_map(*QED_TAGS)
+def qed_antipode(a: Word, b: Word) -> TensorElement:
     """Antipode of the QED Hopf algebra: S(a (x) b) twists the electron
     antipode of b through the coaction and the charge antipode."""
-    if ab.tags != (Tag.HALPHA, Tag.HE):
-        raise ValueError("expected a (Halpha, He) element")
     # a (x) b -> S(a) (x) S(b)_e (x) S(S(b)_alpha) -> S(a) S(S(b)_alpha) (x) S(b)_e
-    return (
-        ab.map_slot(0, antipode_alpha)
-        .map_slot(1, antipode_p_e)
-        .map_slot(1, delta_e_coaction)
-        .map_slot(2, antipode_alpha)
-        .slot_multiply(0, 2, 0)
-    )
+    sb = antipode_p_e.word(b).map_slot(0, delta_e_coaction).map_slot(1, antipode_alpha)
+    return tensor([antipode_alpha.word(a), sb]).slot_multiply(0, 2, 0)
 
 
 def qed_unit() -> TensorElement:
-    return tensor_unit((Tag.HALPHA, Tag.HE))
+    return tensor_unit(QED_TAGS)
 
 
 # -- the electron renormalization coaction ----------------------------------
 
 
-@structure_map("delta-e", Tag.HE)
+@structure_map("delta-e")
 @word_map(Tag.HE)
 def electron_renorm_coaction(word: Word) -> TensorElement:
     """Electron renormalization coaction: coact with the charge algebra on

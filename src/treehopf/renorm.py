@@ -332,21 +332,28 @@ class DysonReport:
         }
 
 
+def _dyson_report(
+    which: str,
+    u: Character,
+    z3: Series,
+    factor: Series,
+    renormalized: Callable[[Tree], RingValue],
+    n: int,
+) -> DysonReport:
+    """Residuals of (renormalized series) * factor against the bare series
+    of ``u`` evaluated at the substituted coupling alpha0 = alpha / Z3."""
+    alpha0 = ward_alpha0(z3, n)
+    bare = assemble_series(u.letter, n, u.ring_one)
+    lhs = assemble_series(renormalized, n, u.ring_one) * factor
+    rhs = bare.compose(alpha0)
+    return DysonReport(which, n, [r_add(lhs[k], r_mul(Fraction(-1), rhs[k])) for k in range(n + 1)])
+
+
 def dyson_check_photon(u: Character, c_gamma: Character, n: int) -> DysonReport:
     """Compare (renormalized photon series) * Z3 with the bare photon series
     evaluated at the substituted coupling, coefficient by coefficient."""
     z3 = z3_series(c_gamma, n)
-    alpha0 = ward_alpha0(z3, n)
-    bare = assemble_series(lambda t: u.letter(t), n, u.ring_one)
-    renorm = assemble_series(
-        lambda t: renormalized_photon(u, c_gamma, t), n, u.ring_one
-    )
-    lhs = renorm * z3
-    rhs = bare.compose(alpha0)
-    report = DysonReport("photon", n)
-    for k in range(n + 1):
-        report.residuals.append(r_add(lhs[k], r_mul(Fraction(-1), rhs[k])))
-    return report
+    return _dyson_report("photon", u, z3, z3, lambda t: renormalized_photon(u, c_gamma, t), n)
 
 
 def dyson_check_electron(
@@ -358,19 +365,8 @@ def dyson_check_electron(
     plain counterterm series (``z2_factor``); its inverse is the antipode
     expansion ``z2_series`` produced by the coaction slot.
     """
-    z3 = z3_series(c_gamma, n)
-    alpha0 = ward_alpha0(z3, n)
-    z2 = z2_factor(c_e, n)
-    bare = assemble_series(lambda t: u.letter(t), n, u.ring_one)
-    renorm = assemble_series(
-        lambda t: renormalized_electron(u, c_gamma, c_e, t), n, u.ring_one
-    )
-    lhs = renorm * z2
-    rhs = bare.compose(alpha0)
-    report = DysonReport("electron", n)
-    for k in range(n + 1):
-        report.residuals.append(r_add(lhs[k], r_mul(Fraction(-1), rhs[k])))
-    return report
+    renormalized = lambda t: renormalized_electron(u, c_gamma, c_e, t)
+    return _dyson_report("electron", u, z3_series(c_gamma, n), z2_factor(c_e, n), renormalized, n)
 
 
 # -- JSON -------------------------------------------------------------------

@@ -10,7 +10,6 @@ from hypothesis import given, strategies as st
 from treehopf.trees import E, Y, DEUXUN, DEUXDEUX, TROISQUATRE, all_trees_up_to
 from treehopf import checks
 from treehopf.algebra import (
-    MAP_INPUTS,
     MAPS,
     Element,
     Tag,
@@ -18,6 +17,7 @@ from treehopf.algebra import (
     element_to_json,
     embed_tree,
     from_word,
+    lift_linear,
     multiplicative,
     multiply_words,
     normalize_word,
@@ -179,8 +179,8 @@ class TestOneSlot:
         results = {
             "contract_counit": d.contract_counit(0),
             "slot_multiply": two.slot_multiply(0, 1, 0),
-            "map_slot": x.map_slot(0, lambda y: y * y),
-            "map_slot to one slot": two.map_slot(1, lambda y: tensor_unit(())),
+            "map_slot": x.map_slot(0, lift_linear((Tag.HE,), lambda w: from_word(Tag.HE, w + w))),
+            "map_slot to one slot": two.map_slot(1, lift_linear((Tag.HE,), lambda w: tensor_unit(()))),
             "antipode": MAPS["antipode-p-e"](x),
             "sigma": MAPS["sigma"](embed_tree(Tag.HGAMMA, DEUXUN)),
             "sum": x + x,
@@ -200,10 +200,10 @@ class TestOneSlot:
     def test_maps_accept_a_one_slot_tensor(self):
         # The public constructor gives a TensorElement, not an Element; every
         # one-slot map reads its tags, not the Element-only ``tag``.
-        one_slot = [name for name, tags in MAP_INPUTS.items() if len(tags) == 1]
+        one_slot = [name for name, f in MAPS.items() if len(f.tags) == 1]
         assert len(one_slot) == 15
         for name in one_slot:
-            tag = MAP_INPUTS[name][0]
+            (tag,) = MAPS[name].tags
             for w in checks.basis_words(tag, 3):
                 raw = TensorElement((tag,), {(w,): 2})
                 assert type(raw) is TensorElement
@@ -241,7 +241,7 @@ class TestTensor:
 
     def test_map_slot_identity(self):
         t = tensor([self.x(Y), self.x(DEUXDEUX)])
-        assert t.map_slot(0, lambda y: y) == t
+        assert t.map_slot(0, lift_linear((Tag.HE,), lambda w: from_word(Tag.HE, w))) == t
 
     def test_bilinearity(self):
         a, b = self.x(Y), self.x(DEUXUN)
@@ -258,11 +258,10 @@ class TestJson:
 
 class TestCoefficients:
     def test_structure_maps_keep_int_coefficients(self):
-        for name, tags in MAP_INPUTS.items():
-            if len(tags) != 1:
-                continue
-            for x in checks.basis_elements(tags[0], 4):
-                out = MAPS[name](x)
+        for name, f in MAPS.items():
+            xs = checks.basis_elements(f.tags[0], 4) if len(f.tags) == 1 else checks.qed_basis(4)
+            for x in xs:
+                out = f(x)
                 assert out.terms, (name, x)
                 bad = [c for c in out.terms.values() if type(c) is not int]
                 assert not bad, (name, x, bad)
@@ -333,7 +332,7 @@ class TestMapSlot:
         return out
 
     def test_against_oracle(self):
-        one_slot = {name: tags[0] for name, tags in MAP_INPUTS.items() if len(tags) == 1}
+        one_slot = {name: f.tags[0] for name, f in MAPS.items() if len(f.tags) == 1}
         assert len(one_slot) == 15
         for name, tag in one_slot.items():
             for seed in range(6):
@@ -346,26 +345,45 @@ class TestMapSlot:
     def test_image_tag_mismatch_rejected(self):
         t = tensor([embed_tree(Tag.HE, Y) + embed_tree(Tag.HE, DEUXUN)])
 
-        def f(y):
-            ((w,),) = y.terms
+        def f(w):
             return from_word(Tag.HE if w == (Y,) else Tag.HGAMMA, w)
 
         with pytest.raises(ValueError):
-            t.map_slot(0, f)
+            t.map_slot(0, lift_linear((Tag.HE,), f))
 
     def test_map_applied_to_zero_rejected(self):
         with pytest.raises(ValueError):
-            TensorElement((Tag.HE,)).map_slot(0, lambda y: y)
+            TensorElement((Tag.HE,)).map_slot(0, lift_linear((Tag.HE,), lambda w: from_word(Tag.HE, w)))
 
     def test_one_slot_maps_are_word_maps(self):
-        one_slot = {name: tags[0] for name, tags in MAP_INPUTS.items() if len(tags) == 1}
+        one_slot = {name: f.tags[0] for name, f in MAPS.items() if len(f.tags) == 1}
         assert len(one_slot) == 15
         for name, tag in one_slot.items():
             f = MAPS[name]
-            assert f.tag is tag and callable(f.word), name
+            assert f.tags == (tag,) and callable(f.word), name
             # Built once and kept under its own name, with its docstring.
             module = importlib.import_module(f.__module__)
             assert getattr(module, f.__name__) is f and f.__doc__, name
+
+    def test_every_structure_map_is_a_word_map(self):
+        assert len(MAPS) == 17
+        for name, f in MAPS.items():
+            assert type(f.tags) is tuple and f.tags, name
+            assert all(isinstance(tag, Tag) for tag in f.tags) and callable(f.word), name
+
+    def test_two_slot_map_refuses_other_slots(self):
+        coproduct = MAPS["qed-coproduct"]
+        ha, he = embed_tree(Tag.HALPHA, Y), embed_tree(Tag.HE, Y)
+        for t in (ha, he, tensor([he, ha]), tensor([he, he]), tensor([he, ha, he])):
+            with pytest.raises(ValueError):
+                t.map_slot(0, coproduct)
+        with pytest.raises(ValueError):
+            tensor([ha, he]).map_slot(1, coproduct)
+        for t in (ha, tensor([ha, he, he])):
+            with pytest.raises(ValueError):
+                coproduct(t)
+        with pytest.raises(ValueError):
+            MAPS["delta-alpha"](tensor([ha, he]))
 
     def test_word_map_of_another_tag_refuses_the_slot(self):
         t = tensor([embed_tree(Tag.HE, Y) + embed_tree(Tag.HE, DEUXUN)])
@@ -373,10 +391,10 @@ class TestMapSlot:
             t.map_slot(0, MAPS["antipode-alpha"])
 
     def test_damaged_map_is_not_bypassed(self):
-        # corrupt_map's variant has no ``word``, so map_slot hands it one-term
-        # elements.  A functools.wraps wrapper would copy ``word`` and ``tag``
-        # from the clean map and be bypassed by map_slot, so corrupt_map must
-        # not use wraps.
+        # corrupt_map's variant is a word map of its own, whose ``word``
+        # damages the clean map's image.  A functools.wraps wrapper would copy
+        # ``word`` and ``tags`` from the clean map and be bypassed by map_slot,
+        # so corrupt_map must not use wraps.
         damaged = checks.corrupt_map(MAPS, "delta-alpha")["delta-alpha"]
         x = embed_tree(Tag.HALPHA, DEUXUN) - embed_tree(Tag.HALPHA, TROISQUATRE).scale(2)
         t = tensor([x, embed_tree(Tag.HE, Y)])

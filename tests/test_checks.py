@@ -93,6 +93,12 @@ def test_corrupting_map_fails_detector(name):
     assert "[FAIL]" in failing[0].line()
 
 
+def test_corrupted_map_keeps_the_input_tags():
+    for name in MAPS:
+        damaged = checks.corrupt_map(MAPS, name)[name]
+        assert damaged.tags == MAPS[name].tags and callable(damaged.word), name
+
+
 def test_corrupt_unknown_map_rejected():
     with pytest.raises(KeyError):
         checks.corrupt_map(MAPS, "nope")

@@ -193,6 +193,33 @@ class TestSmashProduct:
         assert qed.qed_counit(u) == 1
         assert qed.qed_coproduct(u).contract_counit(0).contract_counit(0) == u
 
+    def test_counit_refuses_other_tensors(self):
+        for tags in ((Tag.HGAMMA, Tag.HE), (Tag.HE, Tag.HALPHA), (Tag.HALPHA, Tag.HALPHA)):
+            with pytest.raises(ValueError):
+                qed.qed_counit(tensor_unit(tags))
+        with pytest.raises(ValueError):
+            qed.qed_counit(tensor_unit((Tag.HALPHA, Tag.HE, Tag.HE)))
+
+    def test_maps_agree_with_slot_pipelines(self):
+        # Second route: the slot pipelines the two maps are built from, run
+        # on a whole (charge, electron) basis element.
+        for ab in qed_basis(4):
+            coproduct = (
+                ab.map_slot(0, hopf.delta_alpha)
+                .map_slot(2, hopf.delta_p_e)
+                .map_slot(2, qed.delta_e_coaction)
+                .slot_multiply(1, 3, 2)
+            )
+            assert qed.qed_coproduct(ab) == coproduct, ab
+            antipode = (
+                ab.map_slot(0, hopf.antipode_alpha)
+                .map_slot(1, hopf.antipode_p_e)
+                .map_slot(1, qed.delta_e_coaction)
+                .map_slot(2, hopf.antipode_alpha)
+                .slot_multiply(0, 2, 0)
+            )
+            assert qed.qed_antipode(ab) == antipode, ab
+
     def test_embedding_multiplicative(self):
         a = ha(DEUXDEUX)
         b = he(Y)
@@ -239,7 +266,7 @@ class TestMultiplicativeExtension:
         # Built once at import, like every registered map, and refusing
         # elements of another algebra through the lift's tag check.
         for f in (qed.delta_e_coaction_recursive, qed.electron_renorm_coaction_recursive):
-            assert f.tag is Tag.HE and callable(f.word), f.__name__
+            assert f.tags == (Tag.HE,) and callable(f.word), f.__name__
             with pytest.raises(ValueError, match="expected a Tag.HE element"):
                 f(from_word(Tag.HGAMMA, (Y,)))
 
