@@ -434,6 +434,9 @@ def check_cross(n: int, maps=MAPS) -> CheckResult:
 
 
 def run_suite(suite: str, order: int | None = None, maps=MAPS) -> list[CheckResult]:
+    if order is not None and order < 0:
+        # Every sweep over the empty range of orders below 0 would pass.
+        raise ValueError(f"the order must be at least 0, not {order}")
     n = order
 
     def d(default: int) -> int:

@@ -105,8 +105,8 @@ def cmd_check(args) -> int:
 
 
 # Largest order `renorm` accepts.  Each order costs three to four times the
-# one before: order 8 takes about 0.8 s (scalar ring) or 1.7 s (4x4 matrices)
-# and 24 MB on a 2-CPU x86-64 VM with Python 3.11, so order 12 would run for
+# one before: order 8 takes about 0.5 s (scalar ring) or 1.1 s (4x4 matrices)
+# and 23 MB on a 2-CPU x86-64 VM with Python 3.11, so order 12 would run for
 # minutes.
 RENORM_MAX_ORDER = 8
 

@@ -7,8 +7,15 @@ multiplicatively in written order.  The pipeline assembles the bare series
 from a character, the renormalized series from the renormalization
 coactions, the two renormalization factors, the charge substitution, and
 compares both sides of the propagator relation coefficient by coefficient.
-A renormalized coefficient is read from the tree tables of ``hopf``, with no
-tensor built per tree; the tests hold it to the tensor coactions of ``qed``.
+
+The over and under products are free monoids, so summed over all trees of
+one order the renormalized series is a product of two series, the left
+factor first: A·B for the photon and A·``z2_series`` for the electron, where
+A is read from the charge coaction table once per tree.  The Dyson reports
+use this product.  The per-tree coefficients ``renormalized_photon`` and
+``renormalized_electron`` read the tree tables of ``hopf`` with no tensor
+built per tree; they are the test oracle of the product, and the tests hold
+them to the tensor coactions of ``qed``.
 """
 
 from __future__ import annotations
@@ -301,6 +308,25 @@ def renormalized_electron(
     )
 
 
+# -- renormalized series ----------------------------------------------------
+
+
+def _coaction_series(u: Character, c_gamma: Character, n: int) -> Series:
+    """Left factor A of both renormalized series: the coefficient of order m
+    sums u(a1)·k·c_gamma(a2) over the charge coaction pairs (a1, a2) of the
+    trees a of order m.  The charge values are summed per a1 first, so each
+    distinct a1 costs one ring product."""
+
+    def value(a: Tree) -> RingValue:
+        sums: dict[Tree, RingValue] = {}
+        for (a1, a2), k in charge_coaction_tree(a).items():
+            v = _slot_product(k, [c_gamma.on_word(tree_word(Tag.HALPHA, a2))])
+            sums[a1] = r_add(sums[a1], v) if a1 in sums else v
+        return _ring_sum(_slot_product(1, [u.letter(a1), s]) for a1, s in sums.items())
+
+    return assemble_series(value, n, u.ring_one)
+
+
 # -- order-by-order consistency reports -------------------------------------
 
 
@@ -337,23 +363,31 @@ def _dyson_report(
     u: Character,
     z3: Series,
     factor: Series,
-    renormalized: Callable[[Tree], RingValue],
+    renormalized: Series,
     n: int,
 ) -> DysonReport:
     """Residuals of (renormalized series) * factor against the bare series
     of ``u`` evaluated at the substituted coupling alpha0 = alpha / Z3."""
     alpha0 = ward_alpha0(z3, n)
     bare = assemble_series(u.letter, n, u.ring_one)
-    lhs = assemble_series(renormalized, n, u.ring_one) * factor
+    lhs = renormalized * factor
     rhs = bare.compose(alpha0)
     return DysonReport(which, n, [r_add(lhs[k], r_mul(Fraction(-1), rhs[k])) for k in range(n + 1)])
 
 
 def dyson_check_photon(u: Character, c_gamma: Character, n: int) -> DysonReport:
     """Compare (renormalized photon series) * Z3 with the bare photon series
-    evaluated at the substituted coupling, coefficient by coefficient."""
+    evaluated at the substituted coupling, coefficient by coefficient.
+
+    The renormalized series is the product A·B of ``_coaction_series`` and
+    B(x) = sum over trees b of c_gamma(sigma(b)) x^|b|, which is 1/Z3;
+    ``renormalized_photon`` is its per-tree oracle in the tests."""
     z3 = z3_series(c_gamma, n)
-    return _dyson_report("photon", u, z3, z3, lambda t: renormalized_photon(u, c_gamma, t), n)
+    _check_tags((u, c_gamma), (Tag.HGAMMA, Tag.HALPHA))
+    b = assemble_series(
+        lambda t: c_gamma.on_word(tree_word(Tag.HALPHA, t)), n, r_one_like(c_gamma.ring_one)
+    )
+    return _dyson_report("photon", u, z3, z3, _coaction_series(u, c_gamma, n) * b, n)
 
 
 def dyson_check_electron(
@@ -363,10 +397,15 @@ def dyson_check_electron(
 
     The renormalization factor Z2 multiplying the renormalized series is the
     plain counterterm series (``z2_factor``); its inverse is the antipode
-    expansion ``z2_series`` produced by the coaction slot.
+    expansion ``z2_series`` produced by the coaction slot.  The renormalized
+    series is the product A·``z2_series`` of ``_coaction_series`` and that
+    inverse, left factor first since matrix values need not commute;
+    ``renormalized_electron`` is its per-tree oracle in the tests.
     """
-    renormalized = lambda t: renormalized_electron(u, c_gamma, c_e, t)
-    return _dyson_report("electron", u, z3_series(c_gamma, n), z2_factor(c_e, n), renormalized, n)
+    z3, z2 = z3_series(c_gamma, n), z2_factor(c_e, n)
+    _check_tags((u, c_gamma, c_e), (Tag.HE, Tag.HALPHA, Tag.HE))
+    renormalized = _coaction_series(u, c_gamma, n) * z2_series(c_e, n)
+    return _dyson_report("electron", u, z3, z2, renormalized, n)
 
 
 # -- JSON -------------------------------------------------------------------

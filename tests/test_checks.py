@@ -56,6 +56,13 @@ def _suite_names() -> set[str]:
     return set(ast.literal_eval(re.search(r"choose from (\[.*?\])", exc.value.args[0]).group(1)))
 
 
+@pytest.mark.parametrize("suite", ["all", "coassoc", "counts"])
+def test_negative_order_refused(suite):
+    with pytest.raises(ValueError, match="at least 0"):
+        checks.run_suite(suite, order=-1)
+    assert all(r.ok for r in checks.run_suite(suite, order=0))
+
+
 def test_controls_cover_every_suite():
     assert set(SUITE_CONTROLS) == _suite_names()
 

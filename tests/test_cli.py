@@ -221,6 +221,18 @@ class TestCheck:
         code, _, _ = run(capsys, "check", "bogus")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [["all", "--order", "-1"], ["coassoc", "--order", "-2"]])
+    def test_negative_order_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, "check", *argv)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    def test_order_zero_is_valid(self, capsys):
+        code, out, _ = run(capsys, "check", "coassoc", "--order", "0")
+        assert code == 0
+        assert all(line.startswith("[PASS]") for line in out.strip().splitlines())
+
     def test_corrupt_fails_with_counterexample(self, capsys):
         code, out, _ = run(
             capsys, "check", "coassoc", "--order", "3", "--corrupt", "delta-alpha"

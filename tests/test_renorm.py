@@ -306,6 +306,28 @@ def _drop_one_term(monkeypatch, which, characters, order):
     raise AssertionError(f"no term of an order-{order} tree changes its coefficient")
 
 
+def _drop_one_coaction_pair(monkeypatch, characters, order):
+    """Replace the charge coaction table ``renorm._coaction_series`` reads
+    (``renorm.charge_coaction_tree``) by one that, on one tree of the given
+    order, lacks a pair, chosen so that the series coefficient of that order
+    changes."""
+    clean = renorm.charge_coaction_tree
+    whole = renorm._coaction_series(*characters, order)[order]
+    for target in enumerate_trees(order):
+        pairs = list(clean(target).items())
+        for i in range(len(pairs)):
+            kept = dict(pairs[:i] + pairs[i + 1 :])
+            monkeypatch.setattr(
+                renorm,
+                "charge_coaction_tree",
+                lambda a: kept if a is target else clean(a),
+            )
+            if not r_eq(renorm._coaction_series(*characters, order)[order], whole):
+                return
+            monkeypatch.setattr(renorm, "charge_coaction_tree", clean)
+    raise AssertionError(f"no coaction pair of an order-{order} tree changes the series")
+
+
 class TestTreeRouteMatchesCoactions:
     """The coefficients from the tree tables against ``pair_evaluate`` on
     the registered tensor coactions, the oracle."""
@@ -360,7 +382,7 @@ class TestTreeRouteMatchesCoactions:
     def test_dropped_photon_term_fails_at_its_order(self, monkeypatch):
         u, _, cg, _ = _coaction_characters("scalar", n=4)
         assert dyson_check_photon(u, cg, 4).ok
-        _drop_one_term(monkeypatch, "photon", (u, cg), 3)
+        _drop_one_coaction_pair(monkeypatch, (u, cg), 3)
         report = dyson_check_photon(u, cg, 4)
         assert not report.ok and report.first_failure == 3
         monkeypatch.undo()
@@ -369,11 +391,85 @@ class TestTreeRouteMatchesCoactions:
     def test_dropped_electron_term_fails_at_its_order(self, monkeypatch):
         _, ue, cg, ce = _coaction_characters("scalar", n=4)
         assert dyson_check_electron(ue, cg, ce, 4).ok
-        _drop_one_term(monkeypatch, "electron", (ue, cg, ce), 3)
+        _drop_one_coaction_pair(monkeypatch, (ue, cg), 3)
         report = dyson_check_electron(ue, cg, ce, 4)
         assert not report.ok and report.first_failure == 3
         monkeypatch.undo()
         assert dyson_check_electron(ue, cg, ce, 4).ok
+
+
+def _report_series(monkeypatch, check, *characters, n):
+    """The renormalized series a Dyson report multiplies by its factor,
+    caught on its way into ``renorm._dyson_report``."""
+    seen = []
+    inner = renorm._dyson_report
+
+    def spy(which, u, z3, factor, renormalized, n):
+        seen.append(renormalized)
+        return inner(which, u, z3, factor, renormalized, n)
+
+    monkeypatch.setattr(renorm, "_dyson_report", spy)
+    check(*characters, n)
+    monkeypatch.setattr(renorm, "_dyson_report", inner)
+    (series,) = seen
+    return series
+
+
+class TestSeriesRouteMatchesTreeRoute:
+    """The renormalized series the Dyson reports read, a product of two
+    series, against the per-tree coefficients summed order by order."""
+
+    ORDER = 5
+
+    def _both_routes(self, monkeypatch, u, ue, cg, ce, n):
+        photon = _report_series(monkeypatch, dyson_check_photon, u, cg, n=n)
+        electron = _report_series(monkeypatch, dyson_check_electron, ue, cg, ce, n=n)
+        tree_photon = assemble_series(lambda t: renormalized_photon(u, cg, t), n, u.ring_one)
+        tree_electron = assemble_series(
+            lambda t: renormalized_electron(ue, cg, ce, t), n, ue.ring_one
+        )
+        return (photon, tree_photon), (electron, tree_electron)
+
+    @pytest.mark.parametrize("kind", ["scalar", "matrix"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_each_order_matches(self, monkeypatch, kind, seed):
+        chars = _coaction_characters(kind, seed=seed, n=self.ORDER)
+        for series, tree_route in self._both_routes(monkeypatch, *chars, self.ORDER):
+            assert series.order == tree_route.order == self.ORDER
+            for k in range(self.ORDER + 1):
+                assert r_eq(series[k], tree_route[k]), k
+
+    @pytest.mark.parametrize("ring, n", [("scalar", 6), ("matrix", 5)])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_benchmark_shapes_match(self, monkeypatch, ring, n, seed):
+        # the characters of ``treehopf renorm --ring RING --order N --seed SEED``
+        chars = (
+            make_toy_character(Tag.HGAMMA, seed, ring, 4, max_order=n),
+            make_toy_character(Tag.HE, seed, ring, 4, max_order=n),
+            make_toy_character(Tag.HALPHA, seed + 1, "scalar", 4, max_order=n),
+            make_toy_character(Tag.HE, seed + 2, "scalar", 4, max_order=n),
+        )
+        for series, tree_route in self._both_routes(monkeypatch, *chars, n):
+            assert series == tree_route
+
+    @pytest.mark.parametrize("which", ["photon", "electron"])
+    def test_dropped_tree_term_breaks_agreement_at_its_order(self, monkeypatch, which):
+        u, ue, cg, ce = chars = _coaction_characters("scalar", n=4)
+        photon, electron = self._both_routes(monkeypatch, *chars, 4)
+        series, tree_route = photon if which == "photon" else electron
+        assert series == tree_route
+        damaged = (u, cg) if which == "photon" else (ue, cg, ce)
+        _drop_one_term(monkeypatch, which, damaged, 3)
+        value = renorm.renormalized_photon if which == "photon" else renorm.renormalized_electron
+        tree_route = assemble_series(lambda t: value(*damaged, t), 4, Fraction(1))
+        assert [k for k in range(5) if not r_eq(series[k], tree_route[k])] == [3]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_reversed_electron_product_differs(self, monkeypatch, seed):
+        _, ue, cg, ce = _coaction_characters("matrix", seed=seed, n=self.ORDER)
+        series = _report_series(monkeypatch, dyson_check_electron, ue, cg, ce, n=self.ORDER)
+        reversed_product = z2_series(ce, self.ORDER) * renorm._coaction_series(ue, cg, self.ORDER)
+        assert series != reversed_product
 
 
 class TestSquaredSeriesDuality:
@@ -514,6 +610,15 @@ class TestDysonConsistency:
         )
         residual = mixed * z3 - bare.compose(ward_alpha0(z3, 3))
         assert any(residual[k] != 0 for k in range(4))
+
+    def test_reports_refuse_mismatched_tags(self):
+        u, ue, cg, ce = _coaction_characters("scalar", n=2)
+        for args in [(ue, cg), (u, u), (u, ce)]:
+            with pytest.raises(ValueError):
+                dyson_check_photon(*args, 2)
+        for args in [(u, cg, ce), (ue, ce, ce), (ue, cg, cg), (ue, cg, u)]:
+            with pytest.raises(ValueError):
+                dyson_check_electron(*args, 2)
 
     def test_report_json_shape(self):
         u = make_toy_character(Tag.HGAMMA, 1, max_order=2)
