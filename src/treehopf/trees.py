@@ -9,6 +9,7 @@ two-sided unit for both and each product is associative.
 
 from __future__ import annotations
 
+import gc
 import math
 import re
 from typing import Iterator, Optional
@@ -140,26 +141,45 @@ _enum_cache: list[list[Tree]] = [[E]]
 
 
 def _level(n: int) -> list[Tree]:
-    """The cached list of all trees of order n; callers must not mutate it."""
+    """The cached list of all trees of order n; callers must not mutate it.
+
+    The missing levels are built with the cyclic garbage collector paused.
+    Interning allocates a tree and a pool key per tree, and each batch of
+    allocations would start a collection that traverses the older trees
+    again.  None of them can free anything: a tree refers only to smaller
+    trees, so trees never form a cycle.  The collector is enabled again on
+    the way out, even on an error, if and only if it was enabled on entry.
+    """
     if n < 0:
         raise ValueError("order must be non-negative")
-    while n >= len(_enum_cache):
-        m = len(_enum_cache)
-        # Left orders descend, and left then right subtrees come in canonical
-        # order: this is already the order of Tree.sort_key, so no sort.
-        _enum_cache.append(
-            [
-                graft(l, r)
-                for k in range(m)
-                for l in _enum_cache[m - 1 - k]
-                for r in _enum_cache[k]
-            ]
-        )
+    if n < len(_enum_cache):
+        return _enum_cache[n]
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        while n >= len(_enum_cache):
+            m = len(_enum_cache)
+            # Left orders descend, and left then right subtrees come in canonical
+            # order: this is already the order of Tree.sort_key, so no sort.
+            _enum_cache.append(
+                [
+                    graft(l, r)
+                    for k in range(m)
+                    for l in _enum_cache[m - 1 - k]
+                    for r in _enum_cache[k]
+                ]
+            )
+    finally:
+        if was_enabled:
+            gc.enable()
     return _enum_cache[n]
 
 
 def enumerate_trees(n: int) -> list[Tree]:
-    """All trees of order n, in canonical order.  Length is the n-th Catalan number."""
+    """All trees of order n, in canonical order.  Length is the n-th Catalan number.
+
+    A level is interned once, with the cyclic collector paused (see _level).
+    """
     return list(_level(n))
 
 
@@ -185,13 +205,16 @@ def iter_rendered(n: int) -> Iterator[str]:
     the two largest below n, meet only orders 0 and 1, one text each, so
     they are generated again on every pass instead of held; order n is
     generated.  A transient of the stream therefore stays small (0.7 MB at
-    order 12) next to whatever the caller has already filled.
+    order 12) next to whatever the caller has already filled.  Each
+    regenerated level holds only the lower texts, not the list that holds
+    it, so no reference cycle forms and the held texts are freed as soon as
+    the stream ends.
     """
     if n < 0:
         raise ValueError("order must be non-negative")
     texts: list = [["e"]]
     for m in range(1, n):
-        texts.append(list(_joined(texts, m)) if m < n - 2 else _Regenerated(texts, m))
+        texts.append(list(_joined(texts, m)) if m < n - 2 else _Regenerated(texts[:m], m))
     return _joined(texts, n) if n else iter(texts[0])
 
 
@@ -285,38 +308,46 @@ def parse(text: str) -> Tree:
             raise ValueError(f"no tree named {s}: order {n} has {count} trees")
         return tree_unrank(n, k)
 
+    # One entry per open "(": None until its left subtree is parsed, then
+    # that subtree.  An explicit stack, so the depth of a tree is not bounded
+    # by the recursion limit.
+    lefts: list[Optional[Tree]] = []
     pos = 0
-
-    def skip_ws():
-        nonlocal pos
-        while pos < len(s) and s[pos].isspace():
-            pos += 1
-
-    def expect(ch: str):
-        nonlocal pos
-        skip_ws()
-        if pos >= len(s) or s[pos] != ch:
-            raise ValueError(f"expected {ch!r} at position {pos} in {text!r}")
+    while True:
+        pos = _skip_ws(s, pos)
+        if pos >= len(s) or s[pos] != "e":
+            pos = _expect(s, pos, "(", text)
+            lefts.append(None)
+            continue
         pos += 1
-
-    def tree() -> Tree:
-        nonlocal pos
-        skip_ws()
-        if pos < len(s) and s[pos] == "e":
-            pos += 1
-            return E
-        expect("(")
-        l = tree()
-        expect("v")
-        r = tree()
-        expect(")")
-        return graft(l, r)
-
-    t = tree()
-    skip_ws()
+        t = E
+        # t is whole: it is the right subtree of every open graft that has
+        # its left one, innermost first.
+        while lefts and lefts[-1] is not None:
+            pos = _expect(s, pos, ")", text)
+            t = graft(lefts.pop(), t)
+        if not lefts:
+            break
+        lefts[-1] = t
+        pos = _expect(s, pos, "v", text)
+    pos = _skip_ws(s, pos)
     if pos != len(s):
         raise ValueError(f"trailing input at position {pos} in {text!r}")
     return t
+
+
+def _skip_ws(s: str, pos: int) -> int:
+    while pos < len(s) and s[pos].isspace():
+        pos += 1
+    return pos
+
+
+def _expect(s: str, pos: int, ch: str, text: str) -> int:
+    """The position after ch, which must come next in s after any blanks."""
+    pos = _skip_ws(s, pos)
+    if pos >= len(s) or s[pos] != ch:
+        raise ValueError(f"expected {ch!r} at position {pos} in {text!r}")
+    return pos + 1
 
 
 # Named small trees, in the canonical display order of each level.

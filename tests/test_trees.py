@@ -1,6 +1,7 @@
 """Tree combinatorics: grafting, the two associative products, canonical
 enumeration, naming, and text round-trips."""
 
+import gc
 import os
 import random
 import subprocess
@@ -194,6 +195,85 @@ class TestEnumeration:
         assert tree_name(TROISTROIS) == "Y3.3"
 
 
+@pytest.fixture
+def collector():
+    """Restore the cyclic collector's state after the test, pass or fail."""
+    was_enabled = gc.isenabled()
+    yield
+    (gc.enable if was_enabled else gc.disable)()
+
+
+@pytest.fixture
+def fresh_levels(monkeypatch):
+    """A level cache holding only order 0, so that _level has levels to build."""
+    monkeypatch.setattr(trees, "_enum_cache", [[E]])
+
+
+class TestCollectorPause:
+    def test_enabled_collector_stays_enabled(self, collector, fresh_levels):
+        gc.enable()
+        assert len(trees._level(7)) == catalan(7)
+        assert gc.isenabled()
+
+    def test_disabled_collector_stays_disabled(self, collector, fresh_levels):
+        gc.disable()
+        assert len(trees._level(7)) == catalan(7)
+        assert not gc.isenabled()
+
+    def test_failed_build_restores_collector(self, collector, fresh_levels, monkeypatch):
+        trees._level(5)
+        levels = len(trees._enum_cache)
+        real_graft, calls = trees.graft, 0
+
+        def failing_graft(left, right):
+            nonlocal calls
+            calls += 1
+            if calls > 50:  # order 6 needs 132 grafts
+                raise RuntimeError("graft failed")
+            return real_graft(left, right)
+
+        monkeypatch.setattr(trees, "graft", failing_graft)
+        gc.enable()
+        with pytest.raises(RuntimeError, match="graft failed"):
+            trees._level(6)
+        assert gc.isenabled()
+        assert len(trees._enum_cache) == levels
+        monkeypatch.setattr(trees, "graft", real_graft)
+        level = trees._level(6)
+        # Second route: unranking builds each tree of order 6 on its own.
+        expected = [tree_unrank(6, k) for k in range(1, catalan(6) + 1)]
+        assert len(level) == len(expected)
+        assert all(t is u for t, u in zip(level, expected))
+
+
+class TestNoGarbageCycles:
+    """Trees and their texts are freed by reference counting alone."""
+
+    @pytest.mark.parametrize("n", [3, 5, 10])
+    def test_exhausted_stream(self, collector, n):
+        gc.collect()
+        gc.disable()
+        assert sum(1 for _ in iter_rendered(n)) == catalan(n)
+        assert gc.collect() == 0
+
+    def test_enumeration(self, collector, fresh_levels):
+        gc.collect()
+        gc.disable()
+        assert len(enumerate_trees(8)) == catalan(8)
+        assert gc.collect() == 0
+
+    def test_parse(self, collector):
+        gc.collect()
+        gc.disable()
+        assert parse("((e v e) v e)") is DEUXUN
+        assert parse("Y3.4") is TROISQUATRE
+        try:
+            parse("(e v e")
+        except ValueError:
+            pass
+        assert gc.collect() == 0
+
+
 class TestStream:
     def test_matches_rendered_levels(self):
         # Second route: the text stream against the interned enumerator.
@@ -268,6 +348,26 @@ class TestText:
         for bad in ["", "(e v", "e e", "(e u e)", "Y3.9"]:
             with pytest.raises(ValueError):
                 parse(bad)
+
+    def test_error_messages(self):
+        with pytest.raises(ValueError, match=r"^expected '\)' at position 6 in '\(e v e'$"):
+            parse("(e v e")
+        with pytest.raises(ValueError, match=r"^expected 'v' at position 3 in ' \(e u e\)'$"):
+            parse(" (e u e)")
+        with pytest.raises(ValueError, match=r"^trailing input at position 2 in 'e e'$"):
+            parse("e e")
+
+    COMBS = {
+        "right": "(e v " * 5000 + "e" + ")" * 5000,
+        "left": "(" * 5000 + "e" + " v e)" * 5000,
+    }
+
+    @pytest.mark.parametrize("side", sorted(COMBS))
+    def test_parse_beyond_recursion_limit(self, side):
+        t = parse(self.COMBS[side])
+        assert t.order == 5000
+        # A comb has 5,000 factors in one factorization and 1 in the other.
+        assert len(decompose_under(t)) * len(decompose_over(t)) == 5000
 
     def test_bad_name_message(self):
         with pytest.raises(ValueError, match=r"^no tree named Y3\.09: order 3 has 5 trees$"):
