@@ -10,6 +10,7 @@ stops) when the reader of the output closes the pipe early, as
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -105,9 +106,9 @@ def cmd_check(args) -> int:
 
 
 # Largest order `renorm` accepts.  Each order costs three to four times the
-# one before: order 8 takes about 0.5 s (scalar ring) or 1.1 s (4x4 matrices)
-# and 23 MB on a 2-CPU x86-64 VM with Python 3.11, so order 12 would run for
-# minutes.
+# one before: order 8 takes about 0.2 s (scalar ring) or 0.5 s (4x4 matrices)
+# and 19-22 MB on a 2-CPU x86-64 VM with Python 3.11, so order 12 would run
+# for a minute or more.
 RENORM_MAX_ORDER = 8
 
 
@@ -139,7 +140,10 @@ def cmd_renorm(args) -> int:
     return 0 if photon.ok and electron.ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: each build leaves about 200
+    argparse objects in reference cycles that only a collection frees."""
     p = argparse.ArgumentParser(
         prog="treehopf",
         description="Exact computer algebra on planar binary trees: Hopf "

@@ -225,6 +225,14 @@ def all_trees_up_to(n: int) -> list[Tree]:
     return out
 
 
+def _catalan_table(n: int) -> list[int]:
+    """The Catalan numbers C(0), ..., C(n)."""
+    cat = [1]
+    for i in range(n):
+        cat.append(cat[-1] * 2 * (2 * i + 1) // (i + 2))
+    return cat
+
+
 def tree_index(t: Tree) -> tuple[int, int]:
     """(n, k) such that t is the k-th tree (1-based) of order n in canonical order.
 
@@ -234,6 +242,7 @@ def tree_index(t: Tree) -> tuple[int, int]:
     its first term times the product of C(|r|) over the ancestors whose left
     subtree holds it.
     """
+    cat = _catalan_table(t.order)
     rank = 0
     stack = [(t, 1)]
     while stack:
@@ -241,8 +250,8 @@ def tree_index(t: Tree) -> tuple[int, int]:
         if s is E:
             continue
         m, a = s.order, s.left.order
-        rank += scale * sum(catalan(k) * catalan(m - 1 - k) for k in range(a + 1, m))
-        stack.append((s.left, scale * catalan(s.right.order)))
+        rank += scale * sum(cat[k] * cat[m - 1 - k] for k in range(a + 1, m))
+        stack.append((s.left, scale * cat[s.right.order]))
         stack.append((s.right, scale))
     return t.order, rank + 1
 
@@ -254,12 +263,10 @@ def tree_unrank(n: int, k: int) -> Tree:
     ranks, the blocks by descending a; within a block the rank is
     rank(l) C(m-1-a) + rank(r).  Built bottom-up from an explicit stack.
     """
-    count = catalan(n) if n >= 0 else 0
+    cat = _catalan_table(n)
+    count = cat[n] if n >= 0 else 0
     if not 1 <= k <= count:
         raise ValueError(f"no tree named Y{n}.{k}: order {n} has {count} trees")
-    cat = [1]
-    for i in range(n):
-        cat.append(cat[-1] * 2 * (2 * i + 1) // (i + 2))
     built: list[Tree] = []
     todo: list[Optional[tuple[int, int]]] = [(n, k - 1)]
     while todo:

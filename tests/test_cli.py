@@ -1,6 +1,7 @@
 """Command-line front end: enumeration, map evaluation, sweeps, demo, and
 exit codes."""
 
+import gc
 import json
 import os
 import subprocess
@@ -287,3 +288,54 @@ class TestRenorm:
         with pytest.raises(SystemExit):
             main(["renorm", "--help"])
         assert f"1 to {RENORM_MAX_ORDER}" in capsys.readouterr().out
+
+
+@pytest.fixture
+def no_collector():
+    """The parser built and old garbage freed, then the cyclic collector
+    off; its state and debug flags are restored after the test."""
+    was_enabled = gc.isenabled()
+    cli.build_parser()
+    gc.collect()
+    gc.disable()
+    yield
+    gc.set_debug(0)
+    gc.garbage.clear()
+    (gc.enable if was_enabled else gc.disable)()
+
+
+def _argparse_garbage() -> list:
+    """The argparse objects in reference cycles, kept by DEBUG_SAVEALL."""
+    gc.collect()
+    return [o for o in gc.garbage if type(o).__module__ == "argparse"]
+
+
+class TestNoGarbageCycles:
+    """The parser is built once per process, so a CLI call leaves none of
+    the argparse formatters that each build leaves in reference cycles."""
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["enum", "3"], ["map", "delta-p-e", "Y2.1"], ["renorm", "--order", "99"]],
+        ids=["enum", "map", "refused-renorm"],
+    )
+    def test_command_leaves_no_cycle(self, capsys, no_collector, argv):
+        main(argv)
+        assert gc.collect() == 0
+
+    @pytest.mark.parametrize(
+        "argv", [["check", "coassoc", "--order", "2"], ["renorm", "--order", "3"]], ids=["check", "renorm"]
+    )
+    def test_command_leaves_no_argparse_cycle(self, capsys, no_collector, argv):
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        assert main(argv) == 0
+        assert _argparse_garbage() == []
+
+    def test_a_fresh_parser_is_seen(self, no_collector):
+        # Negative control: a second build leaves its formatters in cycles.
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        cli.build_parser.__wrapped__()
+        assert _argparse_garbage()

@@ -31,7 +31,7 @@ from treehopf.trees import (
 )
 from treehopf.algebra import MAPS, Element, Tag, TensorElement, Word, embed_tree, from_word, tensor, tensor_unit, unit, word_map
 from treehopf import hopf
-from treehopf.checks import basis_elements, basis_words
+from treehopf.checks import basis_elements, basis_words, corrupt_map
 
 
 def he(t):
@@ -253,6 +253,31 @@ class TestAntipodes:
             if other is not tag:
                 with pytest.raises(ValueError, match=f"expected a {tag} element"):
                     antipode(from_word(other, (Y,)))
+
+
+def antipode_sum_law(maps, tag: Tag, n: int) -> bool:
+    """Sum of S(t) over the trees t of order n equals the sum of
+    (-1)^k t1...tk over the words of k trees of total order n: summed over
+    one order, the antipode inverts the series 1 + sum of all trees."""
+    antipode = maps[hopf.ANTIPODE_NAME[tag]]
+    lhs = reduce(operator.add, (antipode(embed_tree(tag, t)) for t in enumerate_trees(n)))
+    words = [w for w in basis_words(tag, n) if sum(t.order for t in w) == n]
+    return lhs == Element(tag, {w: (-1) ** len(w) for w in words})
+
+
+class TestAntipodeSumLaw:
+    """The character-free form of the antipode's inverse law on the free
+    algebras, with no character and no series."""
+
+    @pytest.mark.parametrize("tag", [Tag.HE, Tag.HGAMMA])
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_holds(self, tag, n):
+        assert antipode_sum_law(MAPS, tag, n)
+
+    @pytest.mark.parametrize("tag", [Tag.HE, Tag.HGAMMA])
+    def test_corrupted_antipode_breaks_it_at_every_order(self, tag):
+        maps = corrupt_map(MAPS, hopf.ANTIPODE_NAME[tag])
+        assert not any(antipode_sum_law(maps, tag, n) for n in range(1, 6))
 
 
 class TestMultiplicativeExtension:

@@ -1,6 +1,7 @@
 """Characters, renormalization factors, and the order-by-order consistency
 of the bare and renormalized propagator expansions."""
 
+import json
 import random
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
@@ -16,7 +17,7 @@ from treehopf.trees import (
     all_trees_up_to,
     enumerate_trees,
 )
-from treehopf.algebra import Tag, TensorElement, embed_tree, from_word
+from treehopf.algebra import Tag, TensorElement, embed_tree, from_word, tree_word
 from treehopf import hopf, qed, renorm
 from treehopf.checks import basis_elements, basis_words
 from treehopf.renorm import (
@@ -398,50 +399,39 @@ class TestTreeRouteMatchesCoactions:
         assert dyson_check_electron(ue, cg, ce, 4).ok
 
 
-def _report_series(monkeypatch, check, *characters, n):
-    """The renormalized series a Dyson report multiplies by its factor,
-    caught on its way into ``renorm._dyson_report``."""
-    seen = []
-    inner = renorm._dyson_report
-
-    def spy(which, u, z3, factor, renormalized, n):
-        seen.append(renormalized)
-        return inner(which, u, z3, factor, renormalized, n)
-
-    monkeypatch.setattr(renorm, "_dyson_report", spy)
-    check(*characters, n)
-    monkeypatch.setattr(renorm, "_dyson_report", inner)
-    (series,) = seen
-    return series
+def _routes(u, ue, cg, ce, n):
+    """For the photon and the electron, the left side of the Dyson report,
+    A (``renorm._coaction_series``), and the per-tree renormalized series
+    summed order by order times the report's factor, Z3 or Z2."""
+    tree_photon = assemble_series(lambda t: renormalized_photon(u, cg, t), n, u.ring_one)
+    tree_electron = assemble_series(
+        lambda t: renormalized_electron(ue, cg, ce, t), n, ue.ring_one
+    )
+    return (
+        (renorm._coaction_series(u, cg, n), tree_photon * z3_series(cg, n)),
+        (renorm._coaction_series(ue, cg, n), tree_electron * z2_factor(ce, n)),
+    )
 
 
 class TestSeriesRouteMatchesTreeRoute:
-    """The renormalized series the Dyson reports read, a product of two
-    series, against the per-tree coefficients summed order by order."""
+    """The factors cancel: the per-tree renormalized series times Z3 (photon)
+    or Z2 (electron), the right factor last, is the series A that the Dyson
+    reports read."""
 
     ORDER = 5
 
-    def _both_routes(self, monkeypatch, u, ue, cg, ce, n):
-        photon = _report_series(monkeypatch, dyson_check_photon, u, cg, n=n)
-        electron = _report_series(monkeypatch, dyson_check_electron, ue, cg, ce, n=n)
-        tree_photon = assemble_series(lambda t: renormalized_photon(u, cg, t), n, u.ring_one)
-        tree_electron = assemble_series(
-            lambda t: renormalized_electron(ue, cg, ce, t), n, ue.ring_one
-        )
-        return (photon, tree_photon), (electron, tree_electron)
-
     @pytest.mark.parametrize("kind", ["scalar", "matrix"])
     @pytest.mark.parametrize("seed", range(4))
-    def test_each_order_matches(self, monkeypatch, kind, seed):
+    def test_each_order_matches(self, kind, seed):
         chars = _coaction_characters(kind, seed=seed, n=self.ORDER)
-        for series, tree_route in self._both_routes(monkeypatch, *chars, self.ORDER):
+        for series, tree_route in _routes(*chars, self.ORDER):
             assert series.order == tree_route.order == self.ORDER
             for k in range(self.ORDER + 1):
                 assert r_eq(series[k], tree_route[k]), k
 
     @pytest.mark.parametrize("ring, n", [("scalar", 6), ("matrix", 5)])
     @pytest.mark.parametrize("seed", [0, 7])
-    def test_benchmark_shapes_match(self, monkeypatch, ring, n, seed):
+    def test_benchmark_shapes_match(self, ring, n, seed):
         # the characters of ``treehopf renorm --ring RING --order N --seed SEED``
         chars = (
             make_toy_character(Tag.HGAMMA, seed, ring, 4, max_order=n),
@@ -449,27 +439,51 @@ class TestSeriesRouteMatchesTreeRoute:
             make_toy_character(Tag.HALPHA, seed + 1, "scalar", 4, max_order=n),
             make_toy_character(Tag.HE, seed + 2, "scalar", 4, max_order=n),
         )
-        for series, tree_route in self._both_routes(monkeypatch, *chars, n):
+        for series, tree_route in _routes(*chars, n):
             assert series == tree_route
 
     @pytest.mark.parametrize("which", ["photon", "electron"])
     def test_dropped_tree_term_breaks_agreement_at_its_order(self, monkeypatch, which):
         u, ue, cg, ce = chars = _coaction_characters("scalar", n=4)
-        photon, electron = self._both_routes(monkeypatch, *chars, 4)
+        photon, electron = _routes(*chars, 4)
         series, tree_route = photon if which == "photon" else electron
         assert series == tree_route
         damaged = (u, cg) if which == "photon" else (ue, cg, ce)
         _drop_one_term(monkeypatch, which, damaged, 3)
         value = renorm.renormalized_photon if which == "photon" else renorm.renormalized_electron
+        # the per-tree series is A times the inverse factor: B = 1/Z3 or 1/Z2
+        if which == "photon":
+            inverse = assemble_series(
+                lambda t: cg.on_word(tree_word(Tag.HALPHA, t)), 4, Fraction(1)
+            )
+        else:
+            inverse = z2_series(ce, 4)
         tree_route = assemble_series(lambda t: value(*damaged, t), 4, Fraction(1))
-        assert [k for k in range(5) if not r_eq(series[k], tree_route[k])] == [3]
+        expected = series * inverse
+        assert [k for k in range(5) if not r_eq(expected[k], tree_route[k])] == [3]
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_reversed_electron_product_differs(self, monkeypatch, seed):
+    def test_reversed_electron_product_differs(self, seed):
         _, ue, cg, ce = _coaction_characters("matrix", seed=seed, n=self.ORDER)
-        series = _report_series(monkeypatch, dyson_check_electron, ue, cg, ce, n=self.ORDER)
-        reversed_product = z2_series(ce, self.ORDER) * renorm._coaction_series(ue, cg, self.ORDER)
-        assert series != reversed_product
+        tree_electron = assemble_series(
+            lambda t: renormalized_electron(ue, cg, ce, t), self.ORDER, ue.ring_one
+        )
+        series = renorm._coaction_series(ue, cg, self.ORDER)
+        assert series != z2_factor(ce, self.ORDER) * tree_electron
+
+    @pytest.mark.parametrize("kind", ["scalar", "matrix"])
+    def test_electron_report_does_not_depend_on_its_counterterm(self, kind):
+        # Z2 cancels, so ten electron counterterms give one report
+        _, ue, cg, _ = _coaction_characters(kind, n=self.ORDER)
+        reports = {
+            json.dumps(
+                dyson_check_electron(
+                    ue, cg, make_toy_character(Tag.HE, seed, kind, 3, max_order=self.ORDER), self.ORDER
+                ).to_json()
+            )
+            for seed in range(10)
+        }
+        assert len(reports) == 1
 
 
 class TestSquaredSeriesDuality:
