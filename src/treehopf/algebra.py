@@ -50,6 +50,8 @@ GENERATOR_TAGS = frozenset({Tag.HALPHA, Tag.HALPHA_NC})
 # ``qed`` are imported: word maps keyed by map name, each carrying the tags of
 # its input slots (one tag for an element, several for a tensor).
 MAPS: dict[str, Callable] = {}
+# The composites among them, as functions of ``(maps, *words)``: see :func:`composite_map`.
+COMPOSITES: dict[str, Callable] = {}
 
 
 def structure_map(name: str):
@@ -58,6 +60,18 @@ def structure_map(name: str):
     def register(fn: Callable) -> Callable:
         MAPS[name] = fn
         return fn
+
+    return register
+
+
+def composite_map(name: str, *tags: Tag):
+    """Decorator for a map built from other structure maps: the decorated
+    function of ``(maps, *words)``, which reads its parts from ``maps``, goes
+    into :data:`COMPOSITES`, and its word map over :data:`MAPS` into ``MAPS``."""
+
+    def register(fn: Callable) -> Callable:
+        COMPOSITES[name] = fn
+        return structure_map(name)(functools.wraps(fn)(lift_linear(tags, functools.partial(fn, MAPS))))
 
     return register
 
@@ -222,22 +236,17 @@ class TensorElement:
     def map_slot(self, i: int, f: Callable[..., "TensorElement"]) -> "TensorElement":
         """Apply the word map ``f`` (:func:`lift_linear`) to the slots from i
         that carry its tags, extending linearly: ``f.word`` is handed their
-        words, and they expand into the image's slots.  Slots of other tags
-        are refused."""
+        words, and every image expands into its slots in one dict.  Slots
+        of other tags are refused."""
         j = i + len(f.tags)
         if self.tags[i:j] != f.tags:
             want = " (x) ".join(map(str, f.tags))
             raise ValueError(f"expected a {want} element, got {self.tags[i:j]}")
-        return self._splice(i, len(f.tags), f.word)
-
-    def _splice(self, i: int, width: int, f: Callable[..., "TensorElement"]) -> "TensorElement":
-        """Replace the ``width`` slots from i by ``f(*words)``, extending
-        linearly; every image is accumulated into one dict."""
-        j = i + width
+        word = f.word
         terms: dict[tuple[Word, ...], Coeff] = {}
         image_tags = None
         for ws, c in self.terms.items():
-            image = f(*ws[i:j])
+            image = word(*ws[i:j])
             if image_tags is None:
                 image_tags = image.tags
             elif image.tags != image_tags:

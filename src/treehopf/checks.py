@@ -7,6 +7,7 @@ reports the first counterexample it finds, so a corrupted map fails loudly.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
@@ -19,6 +20,7 @@ from .trees import (
     decompose_over,
 )
 from .algebra import (
+    COMPOSITES,
     MAPS,
     Element,
     Tag,
@@ -51,7 +53,9 @@ def corrupt_map(maps: dict[str, Callable], name: str) -> dict[str, Callable]:
     """Replace one structure map by a damaged variant: multi-term outputs
     silently lose their last term, single nonunit terms are squared (wrong
     degree).  Negative control for the axiom sweeps.  The variant is a word
-    map of the same tags, which damages the image of each basis word."""
+    map of the same tags, which damages the image of each basis word.  The
+    composites are rebuilt over the new set, so a damaged part reaches every
+    composite built on it; the others give unchanged results."""
     if name not in maps:
         raise KeyError(f"unknown map {name!r}")
     inner = maps[name]
@@ -69,6 +73,8 @@ def corrupt_map(maps: dict[str, Callable], name: str) -> dict[str, Callable]:
         return out
 
     out = dict(maps)
+    for other, fn in COMPOSITES.items():
+        out[other] = lift_linear(maps[other].tags, functools.partial(fn, out))
     out[name] = lift_linear(inner.tags, corrupted)
     return out
 
@@ -85,16 +91,16 @@ def basis_words(tag: Tag, n: int) -> list[Word]:
         letters = all_trees_up_to(max(n - 1, 0))
         weight = {t: t.order + 1 for t in letters}
     out: list[Word] = []
-
-    def rec(prefix: tuple[Tree, ...], budget: int):
+    # Depth first, each word before its extensions, letters popped in order.
+    stack: list[tuple[Word, int]] = [((), n)]
+    while stack:
+        prefix, budget = stack.pop()
         out.append(prefix)
-        for t in letters:
+        for t in reversed(letters):
             if weight[t] <= budget:
                 if tag is Tag.HALPHA and prefix and t.sort_key() < prefix[-1].sort_key():
                     continue  # commutative normal form: nondecreasing letters
-                rec(prefix + (t,), budget - weight[t])
-
-    rec((), n)
+                stack.append((prefix + (t,), budget - weight[t]))
     return out
 
 

@@ -171,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc = sub.add_parser("check", help="run a named axiom sweep")
     pc.add_argument("suite")
     pc.add_argument("--order", type=int, default=None)
-    pc.add_argument("--corrupt", default=None, help="negative control: corrupt one structure map")
+    pc.add_argument("--corrupt", default=None, help="negative control: corrupt a map and every composite built on it")
     pc.set_defaults(fn=cmd_check)
 
     pr = sub.add_parser("renorm", help="order-by-order propagator consistency demo")

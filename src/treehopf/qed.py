@@ -3,7 +3,9 @@
 The photon / electron coactions send a tree into (propagator algebra) x
 (charge algebra); the smash coproduct twists the tensor algebra of the charge
 and electron algebras into one Hopf algebra, whose coaction on the electron
-algebra is the three-slot electron renormalization coaction.
+algebra is the three-slot electron renormalization coaction.  The composites
+read their parts from the map set they are given, so a part damaged in that
+set (``checks.corrupt_map``) reaches every composite built on it.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from .algebra import (
     Tag,
     TensorElement,
     Word,
+    composite_map,
     from_word,
     multiplicative,
     multiply_words,
@@ -24,17 +27,7 @@ from .algebra import (
     tree_word,
     word_map,
 )
-from .hopf import (
-    TreePairs,
-    antipode_alpha,
-    antipode_p_e,
-    charge_coaction_tree,
-    charge_coproduct_tree,
-    delta_alpha,
-    delta_p_e,
-    delta_p_gamma,
-    pairs_map,
-)
+from .hopf import TreePairs, charge_coaction_tree, charge_coproduct_tree, pairs_map
 
 # -- the coactions of the charge algebra on the propagator algebras ---------
 
@@ -93,14 +86,13 @@ def sigma(word: Word) -> Element:
     return from_word(Tag.HALPHA, [u for t in word for u in decompose_over(t)])
 
 
-@structure_map("delta-gamma")
-@word_map(Tag.HGAMMA)
-def photon_renorm_coaction(word: Word) -> TensorElement:
+@composite_map("delta-gamma", Tag.HGAMMA)
+def photon_renorm_coaction(maps, word: Word) -> TensorElement:
     """Photon renormalization coaction: coact on the first leg of the pruning
     coproduct, push the second through sigma, and multiply the charge slots."""
     # (p, p) -> (p, c, p) -> (p, c, c) -> multiply slots 1,2 into the charge slot
-    out = delta_p_gamma.word(word).map_slot(0, delta_gamma_coaction).map_slot(2, sigma)
-    return out.slot_multiply(1, 2, 1)
+    out = maps["delta-p-gamma"].word(word).map_slot(0, maps["delta-gamma-coaction"])
+    return out.map_slot(2, maps["sigma"]).slot_multiply(1, 2, 1)
 
 
 # -- the smash coproduct ----------------------------------------------------
@@ -108,14 +100,13 @@ def photon_renorm_coaction(word: Word) -> TensorElement:
 QED_TAGS = (Tag.HALPHA, Tag.HE)
 
 
-@structure_map("qed-coproduct")
-@word_map(*QED_TAGS)
-def qed_coproduct(a: Word, b: Word) -> TensorElement:
+@composite_map("qed-coproduct", *QED_TAGS)
+def qed_coproduct(maps, a: Word, b: Word) -> TensorElement:
     """Coproduct of the QED Hopf algebra (charge x electron), the smash
     coproduct; four slots out, grouped pairwise: (c, p) (x) (c, p)."""
     # a (x) b -> a1 (x) a2 (x) b_e (x) b_alpha (x) b2 -> (a1, b_e, a2*b_alpha, b2)
-    out = tensor([delta_alpha.word(a), delta_p_e.word(b)]).map_slot(2, delta_e_coaction)
-    return out.slot_multiply(1, 3, 2)
+    out = tensor([maps["delta-alpha"].word(a), maps["delta-p-e"].word(b)])
+    return out.map_slot(2, maps["delta-e-coaction"]).slot_multiply(1, 3, 2)
 
 
 def qed_counit(ab: TensorElement) -> Coeff:
@@ -124,14 +115,14 @@ def qed_counit(ab: TensorElement) -> Coeff:
     return ab.terms.get(((), ()), 0)
 
 
-@structure_map("qed-antipode")
-@word_map(*QED_TAGS)
-def qed_antipode(a: Word, b: Word) -> TensorElement:
+@composite_map("qed-antipode", *QED_TAGS)
+def qed_antipode(maps, a: Word, b: Word) -> TensorElement:
     """Antipode of the QED Hopf algebra: S(a (x) b) twists the electron
     antipode of b through the coaction and the charge antipode."""
     # a (x) b -> S(a) (x) S(b)_e (x) S(S(b)_alpha) -> S(a) S(S(b)_alpha) (x) S(b)_e
-    sb = antipode_p_e.word(b).map_slot(0, delta_e_coaction).map_slot(1, antipode_alpha)
-    return tensor([antipode_alpha.word(a), sb]).slot_multiply(0, 2, 0)
+    s_alpha = maps["antipode-alpha"]
+    sb = maps["antipode-p-e"].word(b).map_slot(0, maps["delta-e-coaction"]).map_slot(1, s_alpha)
+    return tensor([s_alpha.word(a), sb]).slot_multiply(0, 2, 0)
 
 
 def qed_unit() -> TensorElement:
@@ -141,13 +132,12 @@ def qed_unit() -> TensorElement:
 # -- the electron renormalization coaction ----------------------------------
 
 
-@structure_map("delta-e")
-@word_map(Tag.HE)
-def electron_renorm_coaction(word: Word) -> TensorElement:
+@composite_map("delta-e", Tag.HE)
+def electron_renorm_coaction(maps, word: Word) -> TensorElement:
     """Electron renormalization coaction: coact with the charge algebra on
     the left leg of the under-pruning coproduct.  Three slots out:
     (electron, charge, electron)."""
-    return delta_p_e.word(word).map_slot(0, delta_e_coaction)
+    return maps["delta-p-e"].word(word).map_slot(0, maps["delta-e-coaction"])
 
 
 _ern_rec_cache: dict[Tree, TensorElement] = {}

@@ -257,12 +257,10 @@ def z2_factor(c_e: Character, n: int) -> Series:
     return assemble_series(c_e.letter, n, r_one_like(c_e.ring_one))
 
 
-def ward_alpha0(z3: Series, n: Optional[int] = None) -> Series:
+def ward_alpha0(z3: Series) -> Series:
     """Charge substitution: the bare coupling as a series in the
-    renormalized one, alpha0 = alpha / Z3."""
-    if n is None:
-        n = z3.order
-    return (indeterminate(n) * z3.inverse().truncate(n)).truncate(n)
+    renormalized one, alpha0 = alpha / Z3, to the order of Z3."""
+    return indeterminate(z3.order) * z3.inverse()
 
 
 # -- renormalized coefficients ----------------------------------------------
@@ -359,9 +357,8 @@ class DysonReport:
 def _dyson_report(which: str, u: Character, c_gamma: Character, n: int) -> DysonReport:
     """Residuals of A (``_coaction_series``) against the bare series of ``u``
     evaluated at the substituted coupling alpha0 = alpha / Z3."""
-    alpha0 = ward_alpha0(z3_series(c_gamma, n), n)
     lhs = _coaction_series(u, c_gamma, n)
-    rhs = assemble_series(u.letter, n, u.ring_one).compose(alpha0)
+    rhs = assemble_series(u.letter, n, u.ring_one).compose(ward_alpha0(z3_series(c_gamma, n)))
     return DysonReport(which, n, [r_add(lhs[k], r_mul(Fraction(-1), rhs[k])) for k in range(n + 1)])
 
 

@@ -207,10 +207,6 @@ def r_mul(a: RingValue, b: RingValue) -> RingValue:
     return a * b
 
 
-def r_neg(a: RingValue) -> RingValue:
-    return -a
-
-
 def r_is_zero(a: RingValue) -> bool:
     return a.is_zero() if isinstance(a, Matrix) else a == 0
 
@@ -289,7 +285,7 @@ class Series:
         return self + (-other)
 
     def __neg__(self) -> "Series":
-        return Series([r_neg(c) for c in self.coeffs])
+        return Series([-c for c in self.coeffs])
 
     def __mul__(self, other: "Series") -> "Series":
         """Cauchy product; coefficient order is preserved (left factor first)."""
@@ -339,7 +335,7 @@ class Series:
             acc: RingValue = Fraction(0)
             for i in range(1, k + 1):
                 acc = r_add(acc, r_mul(self[i], out[k - i]))
-            out.append(r_neg(r_mul(c0inv, acc)))
+            out.append(-r_mul(c0inv, acc))
         return Series(out)
 
     def shift_down(self) -> "Series":

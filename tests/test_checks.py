@@ -7,7 +7,7 @@ import re
 import pytest
 
 from treehopf import checks, trees
-from treehopf.algebra import MAPS
+from treehopf.algebra import COMPOSITES, MAPS, Tag
 
 
 # map name -> a suite that must notice when that map drops a term
@@ -47,6 +47,16 @@ SUITE_CONTROLS = {
     "primitive": "delta-alpha",
     "counts": "delta-p-gamma",
     "crosscheck": "delta-e-coaction",
+}
+
+
+# composite -> (the suite that sweeps it, the maps it is built from): a
+# damaged part must reach the composite through the map set of the sweep
+COMPOSITE_PARTS = {
+    "delta-gamma": ("photon", ["delta-p-gamma", "delta-gamma-coaction", "sigma"]),
+    "qed-coproduct": ("qed", ["delta-alpha", "delta-p-e", "delta-e-coaction"]),
+    "qed-antipode": ("qed", ["antipode-p-e", "antipode-alpha", "delta-e-coaction"]),
+    "delta-e": ("qed", ["delta-p-e", "delta-e-coaction"]),
 }
 
 
@@ -98,6 +108,30 @@ def test_corrupting_map_fails_detector(name):
     assert failing, f"corrupting {name} went unnoticed"
     assert failing[0].detail  # counterexample description present
     assert "[FAIL]" in failing[0].line()
+
+
+def test_every_composite_has_its_parts_listed():
+    assert set(COMPOSITES) == set(COMPOSITE_PARTS)
+
+
+@pytest.mark.parametrize(
+    "composite, part",
+    [(composite, part) for composite, (_, parts) in COMPOSITE_PARTS.items() for part in parts],
+)
+def test_corrupting_a_part_fails_its_composite(composite, part):
+    suite = COMPOSITE_PARTS[composite][0]
+    results = checks.run_suite(suite, order=3, maps=checks.corrupt_map(MAPS, part))
+    assert any(not r.ok for r in results), f"{suite} ignores a corrupted {part} inside {composite}"
+
+
+def test_corruption_rebuilds_the_composites_over_the_new_set():
+    maps = checks.corrupt_map(MAPS, "delta-p-e")
+    x = checks.basis_elements(Tag.HE, 3)[-1]
+    assert maps["delta-e"](x) != MAPS["delta-e"](x)
+    # a composite that does not use the damaged map gives the same results
+    for y in checks.basis_elements(Tag.HGAMMA, 3):
+        assert maps["delta-gamma"](y) == MAPS["delta-gamma"](y)
+    assert maps["delta-gamma"] is not MAPS["delta-gamma"]
 
 
 def test_corrupted_map_keeps_the_input_tags():

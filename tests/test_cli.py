@@ -204,6 +204,10 @@ class TestMap:
         assert "map takes single-algebra elements" in err
 
     def test_deep_tree_is_usage_error(self, capsys):
+        # The antipode of the n-deep comb has 2^(n-1) terms, one per
+        # composition of n (tests/test_hopf.py::TestCombAntipode): here
+        # 2^1499.  Exit 2 is the only finite answer, so an iterative
+        # render/over/under must not turn this test into a hang.
         comb = "(e v " * 1500 + "e" + ")" * 1500
         code, out, err = run(capsys, "map", "antipode-p-e", comb)
         assert code == 2
@@ -319,8 +323,15 @@ class TestNoGarbageCycles:
 
     @pytest.mark.parametrize(
         "argv",
-        [["enum", "3"], ["map", "delta-p-e", "Y2.1"], ["renorm", "--order", "99"]],
-        ids=["enum", "map", "refused-renorm"],
+        [
+            ["enum", "3"],
+            ["map", "delta-p-e", "Y2.1"],
+            ["renorm", "--order", "99"],
+            ["check", "coassoc", "--order", "2"],
+            ["check", "all", "--order", "2"],
+            ["check", "all"],
+        ],
+        ids=["enum", "map", "refused-renorm", "check-coassoc-2", "check-all-2", "check-all"],
     )
     def test_command_leaves_no_cycle(self, capsys, no_collector, argv):
         main(argv)

@@ -5,6 +5,7 @@ swept over basis ranges and cross-checked against the independent
 factorization-based implementations.
 """
 
+import itertools
 import operator
 from fractions import Fraction
 from functools import reduce
@@ -22,10 +23,12 @@ from treehopf.trees import (
     TROISTROIS,
     TROISQUATRE,
     TROISCINQ,
+    Tree,
     all_trees_up_to,
     decompose_over,
     decompose_under,
     enumerate_trees,
+    graft,
     over,
     under,
 )
@@ -278,6 +281,44 @@ class TestAntipodeSumLaw:
     def test_corrupted_antipode_breaks_it_at_every_order(self, tag):
         maps = corrupt_map(MAPS, hopf.ANTIPODE_NAME[tag])
         assert not any(antipode_sum_law(maps, tag, n) for n in range(1, 6))
+
+
+def comb(n: int) -> Tree:
+    """The n-deep right comb (e v (e v ... e))."""
+    return E if n == 0 else graft(E, comb(n - 1))
+
+
+def compositions(n: int):
+    """The 2^(n-1) compositions (k1, ..., km) of n >= 1, one per set of cut
+    points between the n units."""
+    for cuts in itertools.product((False, True), repeat=n - 1):
+        parts, k = [], 1
+        for cut in cuts:
+            if cut:
+                parts.append(k)
+                k = 0
+            k += 1
+        yield parts + [k]
+
+
+def comb_antipode(n: int) -> Element:
+    """S(c_n) in H_e as the sum of (-1)^m c_k1...c_km over the compositions
+    (k1, ..., km) of n: the under-pruning coproduct splits a comb into two
+    combs, so the antipode recursion reads like that of 1 / (1 + x)."""
+    return Element(Tag.HE, {tuple(comb(k) for k in ks): (-1) ** len(ks) for ks in compositions(n)})
+
+
+class TestCombAntipode:
+    """A closed form for the antipode of a comb, an exact second route."""
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_closed_form(self, n):
+        assert hopf.antipode_p_e(he(comb(n))) == comb_antipode(n)
+        assert len(comb_antipode(n).terms) == 2 ** (n - 1)
+
+    def test_corrupted_antipode_breaks_it(self):
+        damaged = corrupt_map(MAPS, "antipode-p-e")["antipode-p-e"]
+        assert all(damaged(he(comb(n))) != comb_antipode(n) for n in range(1, 8))
 
 
 class TestMultiplicativeExtension:

@@ -541,10 +541,10 @@ class TestFactors:
             assert z2_series(c, 5) * z2_factor(c, 5) == one(5)
 
     def test_ward_substitution(self):
-        assert ward_alpha0(one(4), 4) == indeterminate(4)
+        assert ward_alpha0(one(4)) == indeterminate(4)
         c = Fraction(2, 3)
         z3 = Series([Fraction(1), -c, Fraction(0), Fraction(0)])
-        alpha0 = ward_alpha0(z3, 3)
+        alpha0 = ward_alpha0(z3)
         # geometric series: alpha + c alpha^2 + c^2 alpha^3 + ...
         assert list(alpha0.coeffs) == [0, 1, c, c * c]
         assert alpha0.is_gc()
@@ -622,7 +622,7 @@ class TestDysonConsistency:
         mixed = assemble_series(
             lambda t: renormalized_photon(u, cg, t), 3, Fraction(1)
         )
-        residual = mixed * z3 - bare.compose(ward_alpha0(z3, 3))
+        residual = mixed * z3 - bare.compose(ward_alpha0(z3))
         assert any(residual[k] != 0 for k in range(4))
 
     def test_reports_refuse_mismatched_tags(self):
