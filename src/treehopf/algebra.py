@@ -43,6 +43,10 @@ class Tag(enum.Enum):
     HALPHA = "Halpha"
     HALPHA_NC = "HalphaNC"
 
+    # Members are singletons that compare by identity, so they may hash by
+    # it too: a Tag-keyed lookup then calls no ``Enum.__hash__`` in Python.
+    __hash__ = object.__hash__
+
 
 GENERATOR_TAGS = frozenset({Tag.HALPHA, Tag.HALPHA_NC})
 
@@ -303,13 +307,37 @@ def from_word(tag: Tag, word: Iterable[Tree], coeff=1) -> Element:
     return TensorElement._new((tag,), {(normalize_word(tag, word),): _coeff(coeff)})
 
 
+class _TreeWords(dict):
+    """The basis words of single trees in the algebra of one tag, keyed by
+    the tree; a tree's word is computed on its first read and kept.  A tree
+    is never freed from the intern pool, so a table holds at most one entry
+    per interned tree."""
+
+    __slots__ = ("tag",)
+
+    def __init__(self, tag: Tag):
+        super().__init__()
+        self.tag = tag
+
+    def __missing__(self, t: Tree) -> Word:
+        if self.tag in GENERATOR_TAGS:
+            w = normalize_word(self.tag, decompose_over(t))
+        else:
+            w = () if t is E else (t,)
+        self[t] = w
+        return w
+
+
+# The word table of each tag: see :func:`tree_word`.
+TREE_WORDS: dict[Tag, dict[Tree, Word]] = {tag: _TreeWords(tag) for tag in Tag}
+
+
 def tree_word(tag: Tag, t: Tree) -> Word:
     """Basis word of a single tree: a one-letter word for the free algebras
     (the root tree is the empty word), the generator word of its
-    over-factorization otherwise."""
-    if tag in GENERATOR_TAGS:
-        return normalize_word(tag, decompose_over(t))
-    return () if t is E else (t,)
+    over-factorization otherwise, the arguments read off its left spine.
+    Each tag's words are read once per tree, from :data:`TREE_WORDS`."""
+    return TREE_WORDS[tag][t]
 
 
 def embed_tree(tag: Tag, t: Tree) -> Element:

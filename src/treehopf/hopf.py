@@ -2,9 +2,13 @@
 
 The pruning coproducts split a tree along all factorizations for the over /
 under product; the free-monoid factorization and the structural recursion are
-both implemented and cross-checked in the test suite.  The charge coproduct
-and its coaction are computed tree-level (every slot entry stays a single
-tree) and then read into the commutative algebra or its noncommutative lift.
+both implemented and cross-checked in the test suite.  The factorizations are
+read off the spine: every prefix of an over-factorization is a node of the
+tree's left spine and every suffix of an under-factorization a node of its
+right spine, so only the other factor is grafted.  The charge coproduct and
+its coaction are computed tree-level (every slot entry stays a single tree)
+and then read into the commutative algebra or its noncommutative lift, each
+tree through its tag's word table (:data:`~treehopf.algebra.TREE_WORDS`).
 """
 
 from __future__ import annotations
@@ -12,9 +16,10 @@ from __future__ import annotations
 import functools
 from typing import Callable
 
-from .trees import Tree, E, graft, v_wrap, over, decompose_over, decompose_under, compose_over, compose_under
+from .trees import Tree, E, graft, v_wrap, over
 from .algebra import (
     MAPS,
+    TREE_WORDS,
     Element,
     Tag,
     TensorElement,
@@ -24,7 +29,6 @@ from .algebra import (
     multiplicative,
     structure_map,
     tensor_unit,
-    tree_word,
     unit,
     word_map,
 )
@@ -86,15 +90,41 @@ def charge_coaction_tree(t: Tree) -> TreePairs:
 
 
 def pruning_pairs_over(t: Tree) -> TreePairs:
-    """All factorizations t = t1 / t2, via the free over-monoid."""
-    us = decompose_over(t)
-    return {(compose_over(us[:j]), compose_over(us[j:])): 1 for j in range(len(us) + 1)}
+    """All factorizations t = t1 / t2, via the free over-monoid, by
+    ascending length of t1.  With t = V(u_1)/.../V(u_k), each prefix
+    t1 = V(u_1)/.../V(u_j) is a node of the left spine of t, so only the
+    suffix t2 = V(u_{j+1})/.../V(u_k) is grafted."""
+    spine = [t]
+    while t is not E:
+        t = t.left
+        spine.append(t)
+    spine.reverse()  # spine[j] = V(u_1)/.../V(u_j), whose right subtree is u_j
+    out: TreePairs = {}
+    for j, t1 in enumerate(spine):
+        t2 = E
+        for s in spine[j + 1 :]:
+            t2 = graft(t2, s.right)
+        out[(t1, t2)] = 1
+    return out
 
 
 def pruning_pairs_under(t: Tree) -> TreePairs:
-    """All factorizations t = t1 \\ t2, via the free under-monoid."""
-    us = decompose_under(t)
-    return {(compose_under(us[:j]), compose_under(us[j:])): 1 for j in range(len(us) + 1)}
+    """All factorizations t = t1 \\ t2, via the free under-monoid, by
+    ascending length of t1.  With t = (u_1 v e)\\...\\(u_k v e), each suffix
+    t2 = (u_{j+1} v e)\\...\\(u_k v e) is a node of the right spine of t, so
+    only the prefix t1 = (u_1 v e)\\...\\(u_j v e) is grafted."""
+    spine = [t]
+    while t is not E:
+        t = t.right
+        spine.append(t)
+    # spine[j] is the suffix after j letters; its left subtree is u_{j+1}.
+    out: TreePairs = {}
+    for j, t2 in enumerate(spine):
+        t1 = E
+        for s in reversed(spine[:j]):
+            t1 = graft(s.left, t1)
+        out[(t1, t2)] = 1
+    return out
 
 
 # -- reading tree pairs into tensors ----------------------------------------
@@ -102,11 +132,12 @@ def pruning_pairs_under(t: Tree) -> TreePairs:
 
 def read_pairs(tags: tuple[Tag, Tag], pairs: TreePairs) -> TensorElement:
     """A sum of tree pairs as a 2-slot tensor, each tree read as the basis
-    word of its slot's algebra (:func:`tree_word`)."""
-    ta, tb = tags
+    word of its slot's algebra from that algebra's word table
+    (:func:`~treehopf.algebra.tree_word`)."""
+    wa, wb = TREE_WORDS[tags[0]], TREE_WORDS[tags[1]]
     terms: dict[tuple[Word, ...], int] = {}
     for (a, b), c in pairs.items():
-        key = (tree_word(ta, a), tree_word(tb, b))
+        key = (wa[a], wb[b])
         terms[key] = terms.get(key, 0) + c
     return TensorElement._new(tags, terms)
 

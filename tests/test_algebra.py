@@ -1,16 +1,18 @@
 """Linear/tensor element arithmetic, word normalization, and JSON output."""
 
 import importlib
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from treehopf.trees import E, Y, DEUXUN, DEUXDEUX, TROISQUATRE, all_trees_up_to
+from treehopf.trees import E, Y, DEUXUN, DEUXDEUX, TROISQUATRE, all_trees_up_to, decompose_over
 from treehopf import checks
 from treehopf.algebra import (
     MAPS,
+    TREE_WORDS,
     Element,
     Tag,
     TensorElement,
@@ -115,12 +117,30 @@ class TestMultiplicative:
         assert built == [1]
 
     def test_tree_word(self):
-        for t in all_trees_up_to(4):
+        for t in all_trees_up_to(7):
             letter = () if t is E else (t,)
             assert tree_word(Tag.HE, t) == tree_word(Tag.HGAMMA, t) == letter
             lifted = tree_word(Tag.HALPHA_NC, t)
+            assert lifted == tuple(decompose_over(t))
             assert word_as_tree(Tag.HALPHA_NC, lifted) is t
             assert tree_word(Tag.HALPHA, t) == tuple(sorted(lifted, key=lambda u: u.sort_key()))
+            for tag in Tag:
+                # Read from the tag's table, not built again.
+                assert tree_word(tag, t) is TREE_WORDS[tag][t]
+
+
+class TestTag:
+    @pytest.mark.parametrize("tag", list(Tag))
+    def test_hashes_by_identity(self, tag):
+        assert hash(tag) == object.__hash__(tag)
+
+    @pytest.mark.parametrize("tag", list(Tag))
+    def test_pickle_round_trips_to_the_member(self, tag):
+        assert pickle.loads(pickle.dumps(tag)) is tag
+
+    def test_lookup_by_value(self):
+        assert Tag("He") is Tag.HE
+        assert [tag.value for tag in Tag] == ["Hgamma", "He", "Halpha", "HalphaNC"]
 
 
 class TestElementArithmetic:

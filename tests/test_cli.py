@@ -11,8 +11,8 @@ from fractions import Fraction
 import pytest
 
 from treehopf import cli
-from treehopf.algebra import Element, Tag, TensorElement
-from treehopf.cli import ENUM_MAX_ORDER, RENORM_MAX_ORDER, format_output, main
+from treehopf.algebra import Element, Tag, TensorElement, lift_linear
+from treehopf.cli import CHECK_MAX_ORDER, ENUM_MAX_ORDER, MAP_MAX_ORDER, RENORM_MAX_ORDER, format_output, main
 from treehopf.trees import DEUXDEUX, DEUXUN, Y, enumerate_trees, render
 
 
@@ -148,6 +148,10 @@ class TestFormatOutput:
         assert format_output(x, "latex") == want_latex
 
 
+def _never_called(*args, **kwargs):
+    raise AssertionError("ran past a refused input")
+
+
 class TestMap:
     def test_ascii(self, capsys):
         code, out, _ = run(capsys, "map", "delta-p-e", "(e v e)")
@@ -206,14 +210,41 @@ class TestMap:
     def test_deep_tree_is_usage_error(self, capsys):
         # The antipode of the n-deep comb has 2^(n-1) terms, one per
         # composition of n (tests/test_hopf.py::TestCombAntipode): here
-        # 2^1499.  Exit 2 is the only finite answer, so an iterative
-        # render/over/under must not turn this test into a hang.
+        # 2^1499.  Exit 2 is the only finite answer; it comes from the
+        # degree bound MAP_MAX_ORDER, before any map runs.
         comb = "(e v " * 1500 + "e" + ")" * 1500
         code, out, err = run(capsys, "map", "antipode-p-e", comb)
         assert code == 2
         assert out == ""
-        assert len(err.splitlines()) == 1
-        assert err.startswith("error: ")
+        assert err == f"error: map takes elements of degree up to {MAP_MAX_ORDER}; this one has degree 1500\n"
+
+    def test_element_at_the_degree_bound_is_mapped(self, capsys):
+        comb = "(e v " * MAP_MAX_ORDER + "e" + ")" * MAP_MAX_ORDER
+        code, out, err = run(capsys, "map", "delta-p-e", comb)
+        assert code == 0 and err == ""
+        # One term per node of the right spine, and one more.
+        assert len(out.split(" + ")) == MAP_MAX_ORDER + 1
+
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("delta-p-e", "(e v " * (MAP_MAX_ORDER + 1) + "e" + ")" * (MAP_MAX_ORDER + 1)),
+            ("delta-p-gamma", "*".join(["(e v e)"] * (MAP_MAX_ORDER + 1))),
+            ("antipode-alpha", "(" * MAP_MAX_ORDER + "e" + " v e)" * MAP_MAX_ORDER + "*(e v e)"),
+        ],
+        ids=["comb", "product", "generators"],
+    )
+    def test_element_above_the_degree_bound_is_usage_error(self, capsys, monkeypatch, name, text):
+        monkeypatch.setitem(cli.MAPS, name, lift_linear(cli.MAPS[name].tags, _never_called))
+        code, out, err = run(capsys, "map", name, text)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: map takes elements of degree up to {MAP_MAX_ORDER}; this one has degree {MAP_MAX_ORDER + 1}\n"
+
+    def test_degree_bound_in_help(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["map", "--help"])
+        assert f"degree above {MAP_MAX_ORDER} are refused" in capsys.readouterr().out
 
 
 class TestCheck:
@@ -232,6 +263,19 @@ class TestCheck:
         assert code == 2
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [["all", "--order", str(CHECK_MAX_ORDER + 1)], ["counts", "--order", "30"]])
+    def test_order_above_the_bound_is_usage_error(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(cli.checks, "run_suite", _never_called)
+        code, out, err = run(capsys, "check", *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: check sweeps orders up to {CHECK_MAX_ORDER}; order {argv[-1]} is too large\n"
+
+    def test_order_bound_in_help(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["check", "--help"])
+        assert f"0 to {CHECK_MAX_ORDER}" in " ".join(capsys.readouterr().out.split())
 
     def test_order_zero_is_valid(self, capsys):
         code, out, _ = run(capsys, "check", "coassoc", "--order", "0")

@@ -25,6 +25,8 @@ from treehopf.trees import (
     TROISCINQ,
     Tree,
     all_trees_up_to,
+    compose_over,
+    compose_under,
     decompose_over,
     decompose_under,
     enumerate_trees,
@@ -56,6 +58,35 @@ def tt(tag, *trees):
 def swapped(d: TensorElement) -> TensorElement:
     """A two-slot tensor with its slots exchanged."""
     return TensorElement(d.tags[::-1], {(w2, w1): c for (w1, w2), c in d.terms.items()})
+
+
+class TestPruningPairsOffTheSpine:
+    """The pairs read off the spine are the free-monoid factorizations,
+    item for item and in the same order."""
+
+    def test_over_matches_the_composed_factorizations(self):
+        for t in all_trees_up_to(8):
+            us = decompose_over(t)
+            want = [((compose_over(us[:j]), compose_over(us[j:])), 1) for j in range(len(us) + 1)]
+            assert list(hopf.pruning_pairs_over(t).items()) == want
+
+    def test_under_matches_the_composed_factorizations(self):
+        for t in all_trees_up_to(8):
+            us = decompose_under(t)
+            want = [((compose_under(us[:j]), compose_under(us[j:])), 1) for j in range(len(us) + 1)]
+            assert list(hopf.pruning_pairs_under(t).items()) == want
+
+    def test_deep_combs(self):
+        # The spines are walked, not recursed: combs deeper than the default
+        # recursion limit of 1000 split too.
+        n = 1200
+        right = left = E
+        for _ in range(n):
+            right, left = graft(E, right), graft(left, E)
+        assert len(hopf.pruning_pairs_under(right)) == n + 1
+        assert len(hopf.pruning_pairs_over(left)) == n + 1
+        assert list(hopf.pruning_pairs_under(left)) == [(E, left), (left, E)]
+        assert list(hopf.pruning_pairs_over(right)) == [(E, right), (right, E)]
 
 
 class TestPruningUnder:
