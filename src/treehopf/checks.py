@@ -117,9 +117,7 @@ def qed_basis(n: int) -> list[TensorElement]:
     return out
 
 
-def _sweep(
-    name: str, items: Iterable, law: Callable[[object], Optional[str]]
-) -> CheckResult:
+def _sweep(name: str, items: Iterable, law: Callable[[object], Optional[str]]) -> CheckResult:
     """Run a per-item law; the law returns None on success or a description
     of the violation.  The first violation in item order is reported."""
     for x in items:
@@ -132,17 +130,31 @@ def _sweep(
 # -- coalgebra laws ---------------------------------------------------------
 
 
+def _coaction_law(what: str, coact, delta) -> Callable[[object], Optional[str]]:
+    """The coaction law (coact (x) Id) coact == (Id (x) delta) coact, delta
+    acting on the coacting algebra, slot 1 on of coact(x).  Coassociativity
+    is the law with coact = delta.  On a violation the detail is ``what``
+    formatted with the item as ``x`` and lhs - rhs as ``diff``."""
+
+    def law(x) -> Optional[str]:
+        d = coact(x)
+        lhs = d.map_slot(0, coact)
+        rhs = d.map_slot(1, delta)
+        return None if lhs == rhs else what.format(x=x, diff=lhs - rhs)
+
+    return law
+
+
+def _antipode_holds(x: Element, d: TensorElement, antipode, slots) -> bool:
+    """m (S (x) Id) d == counit(x) 1 for d the coproduct of x, S applied to
+    each slot in ``slots`` in turn."""
+    target = unit(x.tag).scale(x.counit())
+    return all(d.map_slot(i, antipode).slot_multiply(0, 1, 0) == target for i in slots)
+
+
 def check_coassoc(tag: Tag, n: int, maps=MAPS) -> CheckResult:
     delta = maps[COPRODUCT_NAME[tag]]
-
-    def law(x: Element) -> Optional[str]:
-        d = delta(x)
-        lhs = d.map_slot(0, delta)
-        rhs = d.map_slot(1, delta)
-        if lhs != rhs:
-            return f"coassociativity fails on {x!r}: {lhs - rhs!r}"
-        return None
-
+    law = _coaction_law("coassociativity fails on {x!r}: {diff!r}", delta, delta)
     return _sweep(f"coassoc[{tag.value}] order<={n}", basis_elements(tag, n), law)
 
 
@@ -151,9 +163,7 @@ def check_counit(tag: Tag, n: int, maps=MAPS) -> CheckResult:
 
     def law(x: Element) -> Optional[str]:
         d = delta(x)
-        left = d.contract_counit(0)
-        right = d.contract_counit(1)
-        if left != x or right != x:
+        if d.contract_counit(0) != x or d.contract_counit(1) != x:
             return f"counit law fails on {x!r}"
         return None
 
@@ -165,11 +175,7 @@ def check_antipode(tag: Tag, n: int, maps=MAPS) -> CheckResult:
     antipode = maps[ANTIPODE_NAME[tag]]
 
     def law(x: Element) -> Optional[str]:
-        d = delta(x)
-        target = unit(tag).scale(x.counit())
-        left = d.map_slot(0, antipode).slot_multiply(0, 1, 0)
-        right = d.map_slot(1, antipode).slot_multiply(0, 1, 0)
-        if left != target or right != target:
+        if not _antipode_holds(x, delta(x), antipode, (0, 1)):
             return f"antipode axiom fails on {x!r}"
         return None
 
@@ -185,14 +191,11 @@ def check_alpha_trees(n: int, maps=MAPS) -> CheckResult:
     def law(t: Tree) -> Optional[str]:
         x = embed_tree(Tag.HALPHA, t)
         d = delta(x)
-        lhs = d.map_slot(0, delta)
-        rhs = d.map_slot(1, delta)
-        if lhs != rhs:
+        if d.map_slot(0, delta) != d.map_slot(1, delta):
             return f"coassociativity fails on tree {t}"
         if d.contract_counit(0) != x:
             return f"counit fails on tree {t}"
-        axiom = d.map_slot(0, antipode).slot_multiply(0, 1, 0)
-        if axiom != unit(Tag.HALPHA).scale(x.counit()):
+        if not _antipode_holds(x, d, antipode, (0,)):
             return f"antipode fails on tree {t}"
         return None
 
@@ -217,43 +220,36 @@ def check_primitive_pairing(n: int, maps=MAPS) -> CheckResult:
 
 # -- coactions --------------------------------------------------------------
 
+# which -> (the coacted algebra, the coaction, the charge coproduct of (D1))
+_D1 = {
+    "gamma": (Tag.HGAMMA, "delta-gamma-coaction", "delta-alpha"),
+    "e": (Tag.HE, "delta-e-coaction", "delta-alpha"),
+    "alpha": (Tag.HALPHA, "delta-small", "delta-alpha"),
+    "alpha-nc": (Tag.HALPHA_NC, "delta-small-nc", "delta-alpha-nc"),
+}
+
+# which -> (the coacted algebra, the coaction, the pruning coproduct of (D2))
+_D2 = {
+    "gamma": (Tag.HGAMMA, "delta-gamma-coaction", "delta-p-gamma"),
+    "e": (Tag.HE, "delta-e-coaction", "delta-p-e"),
+}
+
 
 def check_coaction_d1(which: str, n: int, maps=MAPS) -> CheckResult:
     """(coact (x) Id) coact == (Id (x) charge coproduct) coact."""
-    tag, coact = {
-        "gamma": (Tag.HGAMMA, maps["delta-gamma-coaction"]),
-        "e": (Tag.HE, maps["delta-e-coaction"]),
-        "alpha": (Tag.HALPHA, maps["delta-small"]),
-        "alpha-nc": (Tag.HALPHA_NC, maps["delta-small-nc"]),
-    }[which]
-    delta_alpha = maps["delta-alpha-nc" if which == "alpha-nc" else "delta-alpha"]
-
-    def law(x: Element) -> Optional[str]:
-        d = coact(x)
-        lhs = d.map_slot(0, coact)
-        rhs = d.map_slot(1, delta_alpha)
-        if lhs != rhs:
-            return f"(D1) fails on {x!r}"
-        return None
-
+    tag, coact, delta = _D1[which]
+    law = _coaction_law("(D1) fails on {x!r}", maps[coact], maps[delta])
     return _sweep(f"(D1)[{which}] order<={n}", basis_elements(tag, n), law)
 
 
 def check_coaction_d2(which: str, n: int, maps=MAPS) -> CheckResult:
     """(pruning (x) Id) coact == merge-middle of (coact (x) coact) pruning."""
-    tag, coact, pruning = {
-        "gamma": (Tag.HGAMMA, maps["delta-gamma-coaction"], maps["delta-p-gamma"]),
-        "e": (Tag.HE, maps["delta-e-coaction"], maps["delta-p-e"]),
-    }[which]
+    tag, coact, pruning = _D2[which]
+    coact, pruning = maps[coact], maps[pruning]
 
     def law(x: Element) -> Optional[str]:
         lhs = coact(x).map_slot(0, pruning)
-        rhs = (
-            pruning(x)
-            .map_slot(0, coact)
-            .map_slot(2, coact)
-            .slot_multiply(1, 3, 2)
-        )
+        rhs = pruning(x).map_slot(0, coact).map_slot(2, coact).slot_multiply(1, 3, 2)
         if lhs != rhs:
             return f"(D2) fails on {x!r}"
         return None
@@ -270,9 +266,7 @@ def check_qed_hopf(n: int, maps=MAPS) -> CheckResult:
 
     def law(x: TensorElement) -> Optional[str]:
         d = coproduct(x)
-        lhs = d.map_slot(0, coproduct)
-        rhs = d.map_slot(2, coproduct)
-        if lhs != rhs:
+        if d.map_slot(0, coproduct) != d.map_slot(2, coproduct):
             return f"qed coassociativity fails on {x!r}"
         if d.contract_counit(0).contract_counit(0) != x:
             return f"qed counit (left) fails on {x!r}"
@@ -280,8 +274,7 @@ def check_qed_hopf(n: int, maps=MAPS) -> CheckResult:
             return f"qed counit (right) fails on {x!r}"
         target = qed.qed_unit().scale(qed.qed_counit(x))
         for side in (0, 2):
-            m = d.map_slot(side, antipode)
-            m = m.slot_multiply(0, 2, 0).slot_multiply(1, 2, 1)
+            m = d.map_slot(side, antipode).slot_multiply(0, 2, 0).slot_multiply(1, 2, 1)
             if m != target:
                 return f"qed antipode fails on {x!r}"
         return None
@@ -292,22 +285,9 @@ def check_qed_hopf(n: int, maps=MAPS) -> CheckResult:
 def check_electron_coaction_law(n: int, maps=MAPS) -> CheckResult:
     """Coassociativity of the electron renormalization coaction with respect
     to the QED coproduct, after regrouping the last two slots."""
-    de = maps["delta-e"]
-    dqed = maps["qed-coproduct"]
-
-    def law(x: Element) -> Optional[str]:
-        d = de(x)
-        lhs = d.map_slot(0, de)
-        rhs = d.map_slot(1, dqed)
-        if lhs != rhs:
-            return f"electron coaction law fails on {x!r}"
-        return None
-
-    return _sweep(
-        f"coaction-law[delta-e vs qed] order<={n}",
-        basis_elements(Tag.HE, n),
-        law,
-    )
+    de, dqed = maps["delta-e"], maps["qed-coproduct"]
+    law = _coaction_law("electron coaction law fails on {x!r}", de, dqed)
+    return _sweep(f"coaction-law[delta-e vs qed] order<={n}", basis_elements(Tag.HE, n), law)
 
 
 def check_electron_coaction_morphism(n: int, maps=MAPS) -> CheckResult:
@@ -335,9 +315,7 @@ def check_intertwine(n: int, maps=MAPS) -> CheckResult:
     dalpha = maps["delta-alpha"]
 
     def law(x: Element) -> Optional[str]:
-        lhs = dalpha(sig(x))
-        rhs = dgamma(x).map_slot(0, sig)
-        if lhs != rhs:
+        if dalpha(sig(x)) != dgamma(x).map_slot(0, sig):
             return f"intertwining fails on {x!r}"
         return None
 
@@ -345,20 +323,9 @@ def check_intertwine(n: int, maps=MAPS) -> CheckResult:
 
 
 def check_photon_coassoc(n: int, maps=MAPS) -> CheckResult:
-    dgamma = maps["delta-gamma"]
-    dalpha = maps["delta-alpha"]
-
-    def law(x: Element) -> Optional[str]:
-        d = dgamma(x)
-        lhs = d.map_slot(0, dgamma)
-        rhs = d.map_slot(1, dalpha)
-        if lhs != rhs:
-            return f"photon coaction coassociativity fails on {x!r}"
-        return None
-
-    return _sweep(
-        f"coassoc[delta-gamma] order<={n}", basis_elements(Tag.HGAMMA, n), law
-    )
+    dgamma, dalpha = maps["delta-gamma"], maps["delta-alpha"]
+    law = _coaction_law("photon coaction coassociativity fails on {x!r}", dgamma, dalpha)
+    return _sweep(f"coassoc[delta-gamma] order<={n}", basis_elements(Tag.HGAMMA, n), law)
 
 
 def check_single_tree_restriction(n: int, maps=MAPS) -> CheckResult:
@@ -396,9 +363,7 @@ def check_catalan(n: int) -> CheckResult:
     for m in range(n + 1):
         got = sum(1 for _ in trees.iter_rendered(m))
         if got != catalan(m):
-            return CheckResult(
-                f"catalan n<={n}", False, f"|Y_{m}| = {got} != {catalan(m)}"
-            )
+            return CheckResult(f"catalan n<={n}", False, f"|Y_{m}| = {got} != {catalan(m)}")
     return CheckResult(f"catalan n<={n}", True)
 
 
@@ -438,62 +403,37 @@ def check_cross(n: int, maps=MAPS) -> CheckResult:
 
 # -- suites -----------------------------------------------------------------
 
+# suite -> its sweeps, in order: (check, the arguments before the order, the
+# default order).  `all` runs every suite in this order.
+SUITES: dict[str, list[tuple[Callable[..., CheckResult], tuple, int]]] = {
+    "coassoc": [(check_coassoc, (tag,), 5) for tag in Tag],
+    "counit": [(check_counit, (tag,), 5) for tag in Tag],
+    "antipode": [(check_antipode, (tag,), 4) for tag in Tag],
+    "hopf-alpha-trees": [(check_alpha_trees, (), 6)],
+    "coaction": [(check_coaction_d1, (which,), 4) for which in _D1],
+    "compat": [(check_coaction_d2, (which,), 4) for which in _D2],
+    "qed": [
+        (check_qed_hopf, (), 4),
+        (check_electron_coaction_law, (), 4),
+        (check_electron_coaction_morphism, (), 4),
+    ],
+    "intertwine": [(check_intertwine, (), 5)],
+    "photon": [(check_photon_coassoc, (), 4), (check_single_tree_restriction, (), 6)],
+    "primitive": [(check_primitive_pairing, (), 6)],
+    "counts": [(check_catalan, (), 12), (check_term_counts, (), 8)],
+    "crosscheck": [(check_cross, (), 8)],
+}
+
 
 def run_suite(suite: str, order: int | None = None, maps=MAPS) -> list[CheckResult]:
     if order is not None and order < 0:
         # Every sweep over the empty range of orders below 0 would pass.
         raise ValueError(f"the order must be at least 0, not {order}")
-    n = order
-
-    def d(default: int) -> int:
-        return default if n is None else n
-
-    suites: dict[str, Callable[[], list[CheckResult]]] = {
-        "coassoc": lambda: [
-            check_coassoc(Tag.HGAMMA, d(5), maps),
-            check_coassoc(Tag.HE, d(5), maps),
-            check_coassoc(Tag.HALPHA, d(5), maps),
-            check_coassoc(Tag.HALPHA_NC, d(5), maps),
-        ],
-        "counit": lambda: [
-            check_counit(tag, d(5), maps) for tag in Tag
-        ],
-        "antipode": lambda: [
-            check_antipode(tag, d(4), maps) for tag in Tag
-        ],
-        "hopf-alpha-trees": lambda: [check_alpha_trees(d(6), maps)],
-        "coaction": lambda: [
-            check_coaction_d1("gamma", d(4), maps),
-            check_coaction_d1("e", d(4), maps),
-            check_coaction_d1("alpha", d(4), maps),
-            check_coaction_d1("alpha-nc", d(4), maps),
-        ],
-        "compat": lambda: [
-            check_coaction_d2("gamma", d(4), maps),
-            check_coaction_d2("e", d(4), maps),
-        ],
-        "qed": lambda: [
-            check_qed_hopf(d(4), maps),
-            check_electron_coaction_law(d(4), maps),
-            check_electron_coaction_morphism(d(4), maps),
-        ],
-        "intertwine": lambda: [check_intertwine(d(5), maps)],
-        "photon": lambda: [
-            check_photon_coassoc(d(4), maps),
-            check_single_tree_restriction(d(6), maps),
-        ],
-        "primitive": lambda: [check_primitive_pairing(d(6), maps)],
-        "counts": lambda: [
-            check_catalan(d(12)),
-            check_term_counts(d(8), maps),
-        ],
-        "crosscheck": lambda: [check_cross(d(8), maps)],
-    }
-    if suite == "all":
-        out: list[CheckResult] = []
-        for name in suites:
-            out.extend(suites[name]())
-        return out
-    if suite not in suites:
-        raise KeyError(f"unknown suite {suite!r}; choose from {sorted(suites)} or 'all'")
-    return suites[suite]()
+    if suite != "all" and suite not in SUITES:
+        raise KeyError(f"unknown suite {suite!r}; choose from {sorted(SUITES)} or 'all'")
+    return [
+        # check_catalan counts trees: it reads no structure map.
+        check(*args, default if order is None else order, *(() if check is check_catalan else (maps,)))
+        for name in (SUITES if suite == "all" else [suite])
+        for check, args, default in SUITES[name]
+    ]

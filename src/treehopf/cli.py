@@ -27,7 +27,6 @@ from .algebra import (
     multiplicative,
     tensor_to_json,
     unit,
-    word_degree,
 )
 from . import checks, renorm
 
@@ -41,16 +40,30 @@ def format_output(x: TensorElement, fmt: str) -> str:
     return format_terms(x, fmt)
 
 
+# Largest degree of an element `map` accepts.  The antipode of the n-deep
+# right comb has 2^(n-1) terms: at n = 16 `antipode-p-e` takes about 0.9 s,
+# 53 MB and prints 3.8 MB, at n = 18 2.7 s and 170 MB (in process on a
+# 2-CPU x86-64 VM with Python 3.11), and each further level doubles it.
+MAP_MAX_ORDER = 16
+
+
 def parse_element(tag: Tag, text: str) -> Element:
-    """A single tree, or a product of trees joined with '*'."""
+    """A single tree, or a product of trees joined with '*', of degree at
+    most MAP_MAX_ORDER.  In every tag a product's degree is the sum of its
+    trees' orders, so the bound is checked on the parsed trees, before any
+    basis word is read."""
     text = text.strip()
     if text == "-":
         text = sys.stdin.read().strip()
     factors = text.split("*")
     if len(factors) > 1 and not all(f.strip() for f in factors):
         raise ValueError(f"the product {text!r} has an empty factor")
-    word = multiplicative(lambda: unit(tag), lambda chunk: embed_tree(tag, parse(chunk)))
-    return word(factors)
+    ts = [parse(f) for f in factors]
+    degree = sum(t.order for t in ts)
+    if degree > MAP_MAX_ORDER:
+        raise ValueError(f"map takes elements of degree up to {MAP_MAX_ORDER}; this one has degree {degree}")
+    word = multiplicative(lambda: unit(tag), lambda t: embed_tree(tag, t))
+    return word(ts)
 
 
 # Largest order `enum` accepts.  Listing order n holds the texts of the
@@ -74,13 +87,6 @@ def cmd_enum(args) -> int:
     return 0
 
 
-# Largest degree of an element `map` accepts.  The antipode of the n-deep
-# right comb has 2^(n-1) terms: at n = 16 `antipode-p-e` takes about 0.9 s,
-# 53 MB and prints 3.8 MB, at n = 18 2.7 s and 170 MB (in process on a
-# 2-CPU x86-64 VM with Python 3.11), and each further level doubles it.
-MAP_MAX_ORDER = 16
-
-
 def cmd_map(args) -> int:
     f = MAPS.get(args.name)
     if f is None:
@@ -94,11 +100,7 @@ def cmd_map(args) -> int:
             file=sys.stderr,
         )
         return 2
-    x = parse_element(f.tags[0], args.element)
-    degree = max(word_degree(x.tag, w) for (w,) in x.terms)
-    if degree > MAP_MAX_ORDER:
-        raise ValueError(f"map takes elements of degree up to {MAP_MAX_ORDER}; this one has degree {degree}")
-    print(format_output(f(x), args.format))
+    print(format_output(f(parse_element(f.tags[0], args.element)), args.format))
     return 0
 
 
@@ -194,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     pm.set_defaults(fn=cmd_map)
 
     pc = sub.add_parser("check", help="run a named axiom sweep")
-    pc.add_argument("suite")
+    pc.add_argument("suite", help=f"all, or one of: {', '.join(checks.SUITES)}")
     pc.add_argument(
         "--order",
         type=int,

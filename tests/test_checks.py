@@ -1,13 +1,24 @@
 """Sweep machinery and negative controls: every structure map, when
 corrupted, makes some sweep fail with a counterexample message."""
 
-import ast
-import re
+import json
+from pathlib import Path
 
 import pytest
 
 from treehopf import checks, trees
 from treehopf.algebra import COMPOSITES, MAPS, Tag
+from treehopf.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# map name -> the [FAIL] lines of `check all --order 3 --corrupt NAME`:
+# every counterexample a damaged map prints, pinned so that a rewrite of the
+# sweeps cannot change one
+CORRUPTED_SWEEPS = json.loads((ROOT / "tests" / "corrupted_sweeps.json").read_text())
+
+# suite -> its verdict lines in `check all`, as the benchmark expects them
+BENCHMARK_SWEEP = json.loads((ROOT / "perfbench" / "expected.json").read_text())["sweep"]
 
 
 # map name -> a suite that must notice when that map drops a term
@@ -60,12 +71,6 @@ COMPOSITE_PARTS = {
 }
 
 
-def _suite_names() -> set[str]:
-    with pytest.raises(KeyError) as exc:
-        checks.run_suite("no-such-suite")
-    return set(ast.literal_eval(re.search(r"choose from (\[.*?\])", exc.value.args[0]).group(1)))
-
-
 @pytest.mark.parametrize("suite", ["all", "coassoc", "counts"])
 def test_negative_order_refused(suite):
     with pytest.raises(ValueError, match="at least 0"):
@@ -74,7 +79,39 @@ def test_negative_order_refused(suite):
 
 
 def test_controls_cover_every_suite():
-    assert set(SUITE_CONTROLS) == _suite_names()
+    assert set(SUITE_CONTROLS) == set(checks.SUITES)
+
+
+def test_unknown_suite_lists_the_suites(capsys):
+    with pytest.raises(KeyError) as exc:
+        checks.run_suite("no-such-suite")
+    message = f"unknown suite 'no-such-suite'; choose from {sorted(checks.SUITES)} or 'all'"
+    assert exc.value.args[0] == message
+    assert main(["check", "no-such-suite"]) == 2
+    assert capsys.readouterr() == ("", message + "\n")
+
+
+def test_suites_are_the_benchmark_suites():
+    assert list(checks.SUITES) == list(BENCHMARK_SWEEP)
+    for suite, sweeps in checks.SUITES.items():
+        assert len(sweeps) == len(BENCHMARK_SWEEP[suite]), suite
+
+
+def test_every_check_is_in_a_suite():
+    public = {getattr(checks, name) for name in dir(checks) if name.startswith("check_")}
+    swept = {check for sweeps in checks.SUITES.values() for check, _, _ in sweeps}
+    assert public == swept
+
+
+def test_corrupted_sweeps_cover_every_map():
+    assert list(CORRUPTED_SWEEPS) == list(MAPS)
+    assert sum(map(len, CORRUPTED_SWEEPS.values())) == 64
+
+
+@pytest.mark.parametrize("name", list(CORRUPTED_SWEEPS))
+def test_corrupted_sweeps_are_frozen(name):
+    results = checks.run_suite("all", 3, checks.corrupt_map(MAPS, name))
+    assert [r.line() for r in results if not r.ok] == CORRUPTED_SWEEPS[name]
 
 
 @pytest.mark.parametrize("suite", sorted(SUITE_CONTROLS))

@@ -218,6 +218,17 @@ class TestMap:
         assert out == ""
         assert err == f"error: map takes elements of degree up to {MAP_MAX_ORDER}; this one has degree 1500\n"
 
+    @pytest.mark.parametrize("name", ["antipode-alpha", "delta-alpha"])
+    def test_deep_tree_in_the_charge_algebra_is_usage_error(self, capsys, name):
+        # The charge algebra reads a tree's word off its over-factorization,
+        # sorted by the recursive Tree.sort_key; the degree bound is checked
+        # on the parsed tree, before that word is read.
+        comb = "(e v " * 1500 + "e" + ")" * 1500
+        code, out, err = run(capsys, "map", name, f"({comb} v e)")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: map takes elements of degree up to {MAP_MAX_ORDER}; this one has degree 1501\n"
+
     def test_element_at_the_degree_bound_is_mapped(self, capsys):
         comb = "(e v " * MAP_MAX_ORDER + "e" + ")" * MAP_MAX_ORDER
         code, out, err = run(capsys, "map", "delta-p-e", comb)
@@ -271,6 +282,12 @@ class TestCheck:
         assert code == 2
         assert out == ""
         assert err == f"error: check sweeps orders up to {CHECK_MAX_ORDER}; order {argv[-1]} is too large\n"
+
+    def test_suites_in_help(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "200")
+        with pytest.raises(SystemExit):
+            main(["check", "--help"])
+        assert f"all, or one of: {', '.join(cli.checks.SUITES)}" in capsys.readouterr().out
 
     def test_order_bound_in_help(self, capsys):
         with pytest.raises(SystemExit):
