@@ -29,6 +29,8 @@ from .algebra import (
     embed_tree,
     from_word,
     lift_linear,
+    normalize_word,
+    tree_word,
     unit,
     word_as_tree,
     word_degree,
@@ -210,7 +212,7 @@ def check_primitive_pairing(n: int, maps=MAPS) -> CheckResult:
         if t is E:
             return None
         d = delta(embed_tree(Tag.HALPHA, t))
-        w = tuple(sorted(decompose_over(t), key=Tree.sort_key))
+        w = tree_word(Tag.HALPHA, t)
         if d.terms.get((w, ())) != 1 or d.terms.get(((), w)) != 1:
             return f"primitive pairing fails on tree {t}"
         return None
@@ -342,7 +344,7 @@ def check_single_tree_restriction(n: int, maps=MAPS) -> CheckResult:
             t1 = word_as_tree(Tag.HALPHA_NC, w1)
             key = (
                 () if t1 is E else (t1,),
-                tuple(sorted(w2, key=Tree.sort_key)),
+                normalize_word(Tag.HALPHA, w2),
             )
             terms[key] = terms.get(key, 0) + c
         rhs = TensorElement((Tag.HGAMMA, Tag.HALPHA), terms)

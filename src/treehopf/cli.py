@@ -15,7 +15,7 @@ import json
 import os
 import sys
 
-from .trees import iter_rendered, parse
+from .trees import _NAME_RE, iter_rendered, parse
 from .algebra import (
     MAPS,
     Element,
@@ -51,15 +51,16 @@ def parse_element(tag: Tag, text: str) -> Element:
     """A single tree, or a product of trees joined with '*', of degree at
     most MAP_MAX_ORDER.  In every tag a product's degree is the sum of its
     trees' orders, so the bound is checked on the parsed trees, before any
-    basis word is read."""
+    basis word is read, and on a factor named ``Yn.k`` before it is built."""
     text = text.strip()
     if text == "-":
         text = sys.stdin.read().strip()
     factors = text.split("*")
     if len(factors) > 1 and not all(f.strip() for f in factors):
         raise ValueError(f"the product {text!r} has an empty factor")
-    ts = [parse(f) for f in factors]
-    degree = sum(t.order for t in ts)
+    named = [int(m.group(1)) if m else 0 for m in (_NAME_RE.match(f.strip()) for f in factors)]
+    ts = [parse(f) for f, n in zip(factors, named) if n <= MAP_MAX_ORDER]
+    degree = sum(n for n in named if n > MAP_MAX_ORDER) + sum(t.order for t in ts)
     if degree > MAP_MAX_ORDER:
         raise ValueError(f"map takes elements of degree up to {MAP_MAX_ORDER}; this one has degree {degree}")
     word = multiplicative(lambda: unit(tag), lambda t: embed_tree(tag, t))

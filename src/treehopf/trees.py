@@ -4,7 +4,9 @@ A tree is either the root tree ``e`` (zero internal vertices) or the graft
 ``l v r`` of two smaller trees.  Trees are interned, so structural equality
 coincides with identity and hashing is cheap.  The over and under products
 graft one tree onto the leftmost / rightmost branch of the other; ``e`` is a
-two-sided unit for both and each product is associative.
+two-sided unit for both and each product is associative.  Trees are totally
+ordered by the key (order, rank) of :meth:`Tree.sort_key`, and ``Yn.k`` names
+the k-th tree of order n in that order.
 """
 
 from __future__ import annotations
@@ -24,32 +26,37 @@ class Tree:
         self.left = left
         self.right = right
         self.order = 0 if left is None else left.order + right.order + 1
-        self._key = None
+        self._key = (0, 0) if left is None else None
 
-    def sort_key(self):
-        """Canonical comparison key.
+    def sort_key(self) -> tuple[int, int]:
+        """The canonical key (order, rank), rank the 0-based position in the level.
 
-        Within a fixed order, trees with a larger left subtree come first;
-        ties are broken by the left subtrees, then the right ones.  Across
-        orders, smaller order comes first and ``e`` is the minimum.
-        """
+        In a level a larger left subtree comes first, then the left subtrees
+        decide, then the right ones.  So rank(l v r) = A + rank(l) C(|r|) +
+        rank(r), A the number of trees of its order m with left order above
+        |l|: a sum of |r| terms C(k) C(m-1-k), or C(m) minus a sum of |l| + 1
+        (Segner), whichever is shorter.  Computed on first read for the tree
+        and its keyless subtrees, children first, from an explicit stack."""
         if self._key is None:
-            if self is E:
-                self._key = (0,)
-            else:
-                self._key = (
-                    self.order,
-                    -self.left.order,
-                    self.left.sort_key(),
-                    self.right.sort_key(),
-                )
+            cat = _catalan_table(self.order)
+            stack = [self]
+            while stack:
+                s = stack[-1]
+                l, r = s.left, s.right
+                if l._key is None:
+                    stack.append(l)
+                elif r._key is None:
+                    stack.append(r)
+                else:
+                    stack.pop()
+                    m, a, b = s.order, l.order, r.order
+                    # C(k) C(m-1-k) over k > a, or C(m) minus the terms k <= a.
+                    if b <= a + 1:
+                        above = sum(x * y for x, y in zip(cat[a + 1 : m], reversed(cat[:b])))
+                    else:
+                        above = cat[m] - sum(x * y for x, y in zip(cat[: a + 1], reversed(cat[b:m])))
+                    s._key = (m, above + l._key[1] * cat[b] + r._key[1])
         return self._key
-
-    def __lt__(self, other: "Tree") -> bool:
-        return self.sort_key() < other.sort_key()
-
-    def __le__(self, other: "Tree") -> bool:
-        return self.sort_key() <= other.sort_key()
 
     def __repr__(self) -> str:
         return f"Tree({render(self)})"
@@ -234,35 +241,14 @@ def _catalan_table(n: int) -> list[int]:
 
 
 def tree_index(t: Tree) -> tuple[int, int]:
-    """(n, k) such that t is the k-th tree (1-based) of order n in canonical order.
-
-    The 0-based rank of s = l v r of order m is the number of trees of order m
-    with a larger left subtree, sum over a > |l| of C(a) C(m-1-a), plus
-    rank(l) C(|r|) + rank(r).  Unrolled over the nodes of t, each node adds
-    its first term times the product of C(|r|) over the ancestors whose left
-    subtree holds it.
-    """
-    cat = _catalan_table(t.order)
-    rank = 0
-    stack = [(t, 1)]
-    while stack:
-        s, scale = stack.pop()
-        if s is E:
-            continue
-        m, a = s.order, s.left.order
-        rank += scale * sum(cat[k] * cat[m - 1 - k] for k in range(a + 1, m))
-        stack.append((s.left, scale * cat[s.right.order]))
-        stack.append((s.right, scale))
-    return t.order, rank + 1
+    """(n, k) such that t is the k-th tree (1-based) of order n in canonical order."""
+    n, rank = t.sort_key()
+    return n, rank + 1
 
 
 def tree_unrank(n: int, k: int) -> Tree:
-    """The k-th tree (1-based) of order n in canonical order: tree_index's inverse.
-
-    Trees of order m with left order a come in one block of C(a) C(m-1-a)
-    ranks, the blocks by descending a; within a block the rank is
-    rank(l) C(m-1-a) + rank(r).  Built bottom-up from an explicit stack.
-    """
+    """The k-th tree (1-based) of order n in canonical order, the inverse of
+    tree_index: Tree.sort_key's rank read top-down, from an explicit stack."""
     cat = _catalan_table(n)
     count = cat[n] if n >= 0 else 0
     if not 1 <= k <= count:
@@ -294,10 +280,20 @@ def tree_name(t: Tree) -> str:
 
 
 def render(t: Tree) -> str:
-    """Canonical text: ``e`` or ``(l v r)`` with single spaces."""
-    if t is E:
-        return "e"
-    return f"({render(t.left)} v {render(t.right)})"
+    """Canonical text: ``e`` or ``(l v r)`` with single spaces.  Built from an
+    explicit stack of the trees and separators still to write."""
+    out: list[str] = []
+    todo: list = [t]
+    while todo:
+        s = todo.pop()
+        if s.__class__ is str:
+            out.append(s)
+        elif s is E:
+            out.append("e")
+        else:
+            out.append("(")
+            todo += (")", s.right, " v ", s.left)
+    return "".join(out)
 
 
 _NAME_RE = re.compile(r"Y(\d+)\.(\d+)$")

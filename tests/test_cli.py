@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from treehopf import cli
+from treehopf import cli, trees
 from treehopf.algebra import Element, Tag, TensorElement, lift_linear
 from treehopf.cli import CHECK_MAX_ORDER, ENUM_MAX_ORDER, MAP_MAX_ORDER, RENORM_MAX_ORDER, format_output, main
 from treehopf.trees import DEUXDEUX, DEUXUN, Y, enumerate_trees, render
@@ -221,8 +221,8 @@ class TestMap:
     @pytest.mark.parametrize("name", ["antipode-alpha", "delta-alpha"])
     def test_deep_tree_in_the_charge_algebra_is_usage_error(self, capsys, name):
         # The charge algebra reads a tree's word off its over-factorization,
-        # sorted by the recursive Tree.sort_key; the degree bound is checked
-        # on the parsed tree, before that word is read.
+        # sorted by Tree.sort_key; the degree bound is checked on the parsed
+        # tree, before that word is read.
         comb = "(e v " * 1500 + "e" + ")" * 1500
         code, out, err = run(capsys, "map", name, f"({comb} v e)")
         assert code == 2
@@ -251,6 +251,27 @@ class TestMap:
         assert code == 2
         assert out == ""
         assert err == f"error: map takes elements of degree up to {MAP_MAX_ORDER}; this one has degree {MAP_MAX_ORDER + 1}\n"
+
+    @pytest.mark.parametrize(
+        "text, degree", [("Y100000.1", 100000), ("Y1.1 * Y100000.1*(e v e)", 100002), ("Y017.1", 17)]
+    )
+    def test_huge_name_is_refused_unbuilt(self, capsys, monkeypatch, text, degree):
+        # Building Yn.k costs C(n) and a Catalan table of n numbers, which
+        # grows with the square of n: the name alone must be refused.
+        def bounded(f):
+            def g(n, *rest):
+                if n > MAP_MAX_ORDER:
+                    raise AssertionError(f"{f.__name__}({n}) called")
+                return f(n, *rest)
+
+            return g
+
+        for name in ("catalan", "tree_unrank"):
+            monkeypatch.setattr(trees, name, bounded(getattr(trees, name)))
+        code, out, err = run(capsys, "map", "delta-p-e", text)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: map takes elements of degree up to {MAP_MAX_ORDER}; this one has degree {degree}\n"
 
     def test_degree_bound_in_help(self, capsys):
         with pytest.raises(SystemExit):

@@ -1,6 +1,7 @@
 """Tree combinatorics: grafting, the two associative products, canonical
 enumeration, naming, and text round-trips."""
 
+import ast
 import gc
 import os
 import random
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from treehopf import trees
+from treehopf.algebra import Tag, embed_tree
 from treehopf.trees import (
     Tree,
     E,
@@ -42,6 +44,14 @@ from treehopf.trees import (
     under,
     v_wrap,
 )
+
+
+def nested_key(t: Tree):
+    """The canonical order as a nested tuple: order, then the larger left
+    order first, then the left subtrees, then the right ones."""
+    if t is E:
+        return (0,)
+    return (t.order, -t.left.order, nested_key(t.left), nested_key(t.right))
 
 
 def trees_of_order(max_order: int):
@@ -188,6 +198,14 @@ class TestEnumeration:
         for n in range(10):
             for k, t in enumerate(enumerate_trees(n), start=1):
                 assert tree_index(t) == (n, k)
+                assert t.sort_key() == (n, k - 1)
+
+    def test_flat_key_orders_as_the_nested_key(self):
+        # Second route: the nested-tuple key compares subtrees recursively.
+        shuffled = all_trees_up_to(9)
+        random.Random(9).shuffle(shuffled)
+        by_nested = sorted(shuffled, key=nested_key)
+        assert sorted(shuffled, key=Tree.sort_key) == by_nested == all_trees_up_to(9)
 
     def test_names(self):
         assert tree_name(E) == "Y0.1"
@@ -377,3 +395,101 @@ class TestText:
     def test_roundtrip(self, t):
         assert parse(render(t)) is t
         assert parse(tree_name(t)) is t
+
+
+def right_comb(n: int) -> Tree:
+    t = E
+    for _ in range(n):
+        t = graft(E, t)
+    return t
+
+
+def left_comb(n: int) -> Tree:
+    t = E
+    for _ in range(n):
+        t = graft(t, E)
+    return t
+
+
+def zigzag(n: int) -> Tree:
+    """A tree whose spine turns at every node."""
+    t = E
+    for i in range(n):
+        t = graft(t, E) if i % 2 else graft(E, t)
+    return t
+
+
+class TestDeepTrees:
+    """Keys, indices and texts of trees deeper than the recursion limit."""
+
+    DEEP = 3000
+
+    def test_comb_keys(self):
+        # The left comb comes first in its level, the right comb last.
+        assert left_comb(self.DEEP).sort_key() == (self.DEEP, 0)
+        assert right_comb(self.DEEP).sort_key() == (self.DEEP, catalan(self.DEEP) - 1)
+        assert tree_index(right_comb(self.DEEP)) == (self.DEEP, catalan(self.DEEP))
+
+    def test_zigzag_lies_between_the_combs(self):
+        n, k = tree_index(zigzag(self.DEEP))
+        assert n == self.DEEP and 1 < k < catalan(self.DEEP)
+
+    @pytest.mark.parametrize("build", [left_comb, right_comb, zigzag])
+    def test_render(self, build):
+        t = build(self.DEEP)
+        text = render(t)
+        assert len(text) == 6 * self.DEEP + 1
+        assert str(t) == text and repr(t) == f"Tree({text})"
+        assert parse(text) is t
+
+    @pytest.mark.parametrize("build", [left_comb, right_comb, zigzag])
+    def test_unrank_inverts_index(self, build):
+        t = build(500)
+        assert tree_unrank(*tree_index(t)) is t
+
+    def test_charge_word_of_a_deep_generator(self):
+        c = right_comb(1500)
+        u = graft(c, c)
+        assert embed_tree(Tag.HALPHA, v_wrap(u)).terms == {((u,),): 1}
+
+
+def recursive_functions(source: str) -> set:
+    """The functions and methods of a module that call themselves, by name or
+    through the ``left`` or ``right`` attribute of a tree."""
+    found = set()
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for call in ast.walk(fn):
+            if not isinstance(call, ast.Call):
+                continue
+            f = call.func
+            if isinstance(f, ast.Name) and f.id == fn.name:
+                found.add(fn.name)
+            elif (
+                isinstance(f, ast.Attribute)
+                and f.attr == fn.name
+                and isinstance(f.value, ast.Attribute)
+                and f.value.attr in ("left", "right")
+            ):
+                found.add(fn.name)
+    return found
+
+
+class TestNoRecursion:
+    def test_only_over_and_under_recurse(self):
+        # Their depth is the spine length of an argument, which the CLI bounds.
+        with open(trees.__file__) as f:
+            assert recursive_functions(f.read()) == {"over", "under"}
+
+    def test_both_kinds_of_self_call_are_found(self):
+        source = (
+            "class T:\n"
+            "    def key(self):\n"
+            "        return (self.left.key(), self.right.key())\n"
+            "def size(t):\n"
+            "    return 0 if t is None else size(t.left) + 1\n"
+            "def flat(t):\n"
+            "    return [t]\n"
+        )
+        assert recursive_functions(source) == {"key", "size"}
