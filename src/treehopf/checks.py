@@ -17,6 +17,7 @@ from .trees import (
     E,
     all_trees_up_to,
     catalan,
+    clip,
     decompose_over,
 )
 from .algebra import (
@@ -59,7 +60,7 @@ def corrupt_map(maps: dict[str, Callable], name: str) -> dict[str, Callable]:
     composites are rebuilt over the new set, so a damaged part reaches every
     composite built on it; the others give unchanged results."""
     if name not in maps:
-        raise KeyError(f"unknown map {name!r}")
+        raise KeyError(f"unknown map {clip(name)!r}")
     inner = maps[name]
 
     def corrupted(*words):
@@ -432,7 +433,7 @@ def run_suite(suite: str, order: int | None = None, maps=MAPS) -> list[CheckResu
         # Every sweep over the empty range of orders below 0 would pass.
         raise ValueError(f"the order must be at least 0, not {order}")
     if suite != "all" and suite not in SUITES:
-        raise KeyError(f"unknown suite {suite!r}; choose from {sorted(SUITES)} or 'all'")
+        raise KeyError(f"unknown suite {clip(suite)!r}; choose from {sorted(SUITES)} or 'all'")
     return [
         # check_catalan counts trees: it reads no structure map.
         check(*args, default if order is None else order, *(() if check is check_catalan else (maps,)))

@@ -15,7 +15,7 @@ import json
 import os
 import sys
 
-from .trees import _NAME_RE, iter_rendered, parse
+from .trees import _NAME_RE, clip, iter_rendered, parse
 from .algebra import (
     MAPS,
     Element,
@@ -57,7 +57,7 @@ def parse_element(tag: Tag, text: str) -> Element:
         text = sys.stdin.read().strip()
     factors = text.split("*")
     if len(factors) > 1 and not all(f.strip() for f in factors):
-        raise ValueError(f"the product {text!r} has an empty factor")
+        raise ValueError(f"the product {clip(text)!r} has an empty factor")
     named = [int(m.group(1)) if m else 0 for m in (_NAME_RE.match(f.strip()) for f in factors)]
     ts = [parse(f) for f, n in zip(factors, named) if n <= MAP_MAX_ORDER]
     degree = sum(n for n in named if n > MAP_MAX_ORDER) + sum(t.order for t in ts)
@@ -92,15 +92,10 @@ def cmd_map(args) -> int:
     f = MAPS.get(args.name)
     if f is None:
         single = sorted(name for name, g in MAPS.items() if len(g.tags) == 1)
-        print(f"unknown map {args.name!r}; choose from {single}", file=sys.stderr)
-        return 2
+        raise KeyError(f"unknown map {clip(args.name)!r}; choose from {single}")
     if len(f.tags) != 1:
         slots = ", ".join(tag.value for tag in f.tags)
-        print(
-            f"error: map takes single-algebra elements; {args.name} acts on ({slots}) tensors",
-            file=sys.stderr,
-        )
-        return 2
+        raise ValueError(f"map takes single-algebra elements; {args.name} acts on ({slots}) tensors")
     print(format_output(f(parse_element(f.tags[0], args.element)), args.format))
     return 0
 
@@ -116,13 +111,8 @@ def cmd_check(args) -> int:
     if args.order is not None and args.order > CHECK_MAX_ORDER:
         raise ValueError(f"check sweeps orders up to {CHECK_MAX_ORDER}; order {args.order} is too large")
     maps = checks.corrupt_map(MAPS, args.corrupt) if args.corrupt else MAPS
-    try:
-        results = checks.run_suite(args.suite, args.order, maps)
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return 2
     ok = True
-    for r in results:
+    for r in checks.run_suite(args.suite, args.order, maps):
         print(r.line())
         ok = ok and r.ok
     return 0 if ok else 1
@@ -134,12 +124,19 @@ def cmd_check(args) -> int:
 # for a minute or more.
 RENORM_MAX_ORDER = 8
 
+# Largest matrix dimension `renorm --ring matrix` accepts.  Each character
+# draws d^2 fractions per tree before any check runs: at order 8, d = 16
+# takes about 5 s and 44 MB, d = 32 17 s and 119 MB (a fresh process on a
+# 2-CPU x86-64 VM with Python 3.11), and each doubling of d costs three to
+# four times the time.
+RENORM_MAX_D = 16
+
 
 def cmd_renorm(args) -> int:
     if args.order > RENORM_MAX_ORDER:
         raise ValueError(f"renorm checks orders up to {RENORM_MAX_ORDER}; order {args.order} is too large")
-    if args.ring == "matrix" and args.d < 1:
-        raise ValueError(f"--d must be at least 1 for the matrix ring, not {args.d}")
+    if args.ring == "matrix" and not 1 <= args.d <= RENORM_MAX_D:
+        raise ValueError(f"--d takes 1 to {RENORM_MAX_D} for the matrix ring, not {args.d}")
     u_gamma = renorm.make_toy_character(Tag.HGAMMA, args.seed, args.ring, args.d, max_order=args.order)
     u_e = renorm.make_toy_character(Tag.HE, args.seed, args.ring, args.d, max_order=args.order)
     c_gamma = renorm.make_toy_character(Tag.HALPHA, args.seed + 1, "scalar", args.d, max_order=args.order)
@@ -211,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--order", type=int, default=4, help=f"the truncation order, 1 to {RENORM_MAX_ORDER}")
     pr.add_argument("--seed", type=int, default=0)
     pr.add_argument("--ring", choices=["scalar", "matrix"], default="scalar")
-    pr.add_argument("--d", type=int, default=4, help="matrix dimension of the matrix ring, at least 1")
+    pr.add_argument("--d", type=int, default=4, help=f"matrix dimension of the matrix ring, 1 to {RENORM_MAX_D}")
     pr.add_argument("--format", choices=["ascii", "json"], default="json")
     pr.set_defaults(fn=cmd_renorm)
 
@@ -230,7 +227,9 @@ def main(argv=None) -> int:
         return code
     except (ValueError, KeyError, RecursionError) as exc:
         # RecursionError: a tree nested deeper than the interpreter's stack.
-        print(f"error: {exc}", file=sys.stderr)
+        # The str of a KeyError quotes its message, so print the message.
+        message = exc.args[0] if isinstance(exc, KeyError) else str(exc)
+        print(f"error: {message}", file=sys.stderr)
         return 2
     except BrokenPipeError:
         # Point stdout at devnull, so that the interpreter's final flush of

@@ -5,15 +5,19 @@ A character assigns ring values (exact rationals or rational matrices) to
 single trees, or to generators for the charge algebra, and extends to words
 multiplicatively in written order.
 
-The over and under products are free monoids, so summed over one order the
+Renormalization is a coaction: a propagator tree goes through delta_gamma or
+delta_e, then is paired with the bare and counterterm characters.  Two
+routes compute it.  The series route, which ``treehopf renorm`` runs: the
+over and under products are free monoids, so summed over one order the
 renormalized series is A·B (photon) or A·``z2_series`` (electron), left
 factor first, with A read from the charge coaction table
 (``_coaction_series``).  B = 1/Z3 and ``z2_series`` = 1/Z2 cancel the factor
 each report multiplies by, so a Dyson report compares A with the bare series
 at the substituted coupling alpha0 = alpha / Z3, coefficient by coefficient.
-The per-tree coefficients ``renormalized_photon`` and
-``renormalized_electron`` (from the tree tables of ``hopf``), ``z2_series``
-and ``z2_factor`` are the test oracles of that product.
+Its oracle is the registered-map pairing ``renormalized_photon`` and
+``renormalized_electron``, which read ``delta-gamma``, ``delta-e`` and
+``antipode-p-e`` from this module's ``MAPS`` at call time, so a map set from
+``checks.corrupt_map`` bound there reaches them.
 """
 
 from __future__ import annotations
@@ -22,12 +26,11 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
-from .trees import Tree, E, enumerate_trees, all_trees_up_to, over, render
+from .trees import Tree, E, enumerate_trees, all_trees_up_to, render
 from .algebra import MAPS, Element, Tag, TensorElement, Word, embed_tree, tree_word, GENERATOR_TAGS
-from .hopf import ANTIPODE_NAME, TreePairs, antipode_p_e, charge_coaction_tree
-from .hopf import pruning_pairs_over, pruning_pairs_under
+from .hopf import charge_coaction_tree
 from .series import (
     Matrix,
     RingValue,
@@ -63,16 +66,13 @@ class Character:
     For the free algebras the values are keyed by single trees; for the
     charge algebra (and its lift) by the generator argument u of V(u).
     The unit word always evaluates to the ring identity.  The values are
-    copied into a read-only mapping, so the checks made here, and the values
-    ``antipode_value`` memoizes, hold for the character's whole life.
+    copied into a read-only mapping, so the checks made here hold for the
+    character's whole life.
     """
 
     tag: Tag
     values: Mapping[Tree, RingValue]
     ring_one: RingValue = Fraction(1)
-    _antipode_values: dict[Word, RingValue] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self):
         object.__setattr__(self, "values", MappingProxyType(dict(self.values)))
@@ -111,15 +111,6 @@ class Character:
         for t in word[1:]:
             acc = r_mul(acc, self.letter(t))
         return acc
-
-    def antipode_value(self, word: Word) -> RingValue:
-        """The character on the antipode of a basis word, memoized per word."""
-        got = self._antipode_values.get(word)
-        if got is None:
-            s = MAPS[ANTIPODE_NAME[self.tag]]
-            got = evaluate(self, s(Element(self.tag, {word: 1})))
-            self._antipode_values[word] = got
-        return got
 
     def __call__(self, x: Element | Tree) -> RingValue:
         if isinstance(x, Tree):
@@ -240,12 +231,12 @@ def z3_series(c_gamma: Character, n: int) -> Series:
 def z2_series(c_e: Character, n: int) -> Series:
     """1 plus the counterterms of the antipode images of all single nonroot
     trees, graded by order: the inverse of ``z2_factor``, since the antipode
-    pairing inverts the character series.  It reads the antipode without
-    ``Character.antipode_value``'s memo, so the two are independent routes."""
+    pairing inverts the character series."""
     if c_e.tag is not Tag.HE:
         raise ValueError("need an electron-algebra character")
+    s = MAPS["antipode-p-e"]
     return assemble_series(
-        lambda t: evaluate(c_e, antipode_p_e(embed_tree(Tag.HE, t))), n, r_one_like(c_e.ring_one)
+        lambda t: evaluate(c_e, s(embed_tree(Tag.HE, t))), n, r_one_like(c_e.ring_one)
     )
 
 
@@ -266,37 +257,20 @@ def ward_alpha0(z3: Series) -> Series:
 # -- renormalized coefficients ----------------------------------------------
 
 
-def _renorm_terms(pruning_pairs: Callable[[Tree], TreePairs], t: Tree):
-    """The terms (a1, a2, b, c) of a renormalization coaction on the tree t:
-    prune t into (a, b), then coact on the left piece, a -> a1 (x) a2."""
-    for (a, b), c in pruning_pairs(t).items():
-        for (a1, a2), k in charge_coaction_tree(a).items():
-            yield a1, a2, b, c * k
-
-
 def renormalized_photon(u: Character, c_gamma: Character, t: Tree) -> RingValue:
-    """Renormalized photon coefficient: pair the bare and counterterm
-    characters with the photon coaction of t, sum of a1 (x) a2 sigma(b)."""
-    _check_tags((u, c_gamma), (Tag.HGAMMA, Tag.HALPHA))
-    return _ring_sum(
-        _slot_product(c, [u.letter(a1), c_gamma.on_word(tree_word(Tag.HALPHA, over(a2, b)))])
-        for a1, a2, b, c in _renorm_terms(pruning_pairs_over, t)
-    )
+    """Renormalized photon coefficient: the bare and counterterm characters
+    paired with the photon renormalization coaction of t (``delta-gamma``)."""
+    return pair_evaluate((u, c_gamma), MAPS["delta-gamma"](embed_tree(Tag.HGAMMA, t)))
 
 
 def renormalized_electron(
     u: Character, c_gamma: Character, c_e: Character, t: Tree
 ) -> RingValue:
-    """Renormalized electron coefficient: three-slot pairing with the
-    electron renormalization coaction of t, the sum of a1 (x) a2 (x) b over
-    the under-pruning terms, applying the electron antipode to b before the
-    counterterm; products are taken left-to-right."""
-    _check_tags((u, c_gamma, c_e), (Tag.HE, Tag.HALPHA, Tag.HE))
-    return _ring_sum(
-        _slot_product(c, [u.letter(a1), c_gamma.on_word(tree_word(Tag.HALPHA, a2)),
-                          c_e.antipode_value(tree_word(Tag.HE, b))])
-        for a1, a2, b, c in _renorm_terms(pruning_pairs_under, t)
-    )
+    """Renormalized electron coefficient: the three characters paired with
+    the electron renormalization coaction of t (``delta-e``), whose last slot
+    has gone through the electron antipode; products are taken left-to-right."""
+    spread = MAPS["delta-e"](embed_tree(Tag.HE, t)).map_slot(2, MAPS["antipode-p-e"])
+    return pair_evaluate((u, c_gamma, c_e), spread)
 
 
 # -- renormalized series ----------------------------------------------------

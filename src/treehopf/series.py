@@ -318,8 +318,7 @@ class Series:
         if not r_is_zero(inner[0]):
             raise ValueError("substituted series must have zero constant term")
         n = min(self.order, inner.order)
-        out = [r_zero_like(self[0]) if isinstance(self[0], Matrix) else Fraction(0)] * (n + 1)
-        out[0] = r_add(out[0], self[0])
+        out = [self[0]] + [r_zero_like(self[0])] * n
         power = Series([r_one_like(inner[0])] + [r_zero_like(inner[0])] * n)
         for k in range(1, n + 1):
             power = (power * inner).truncate(n)

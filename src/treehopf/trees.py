@@ -248,7 +248,11 @@ def tree_index(t: Tree) -> tuple[int, int]:
 
 def tree_unrank(n: int, k: int) -> Tree:
     """The k-th tree (1-based) of order n in canonical order, the inverse of
-    tree_index: Tree.sort_key's rank read top-down, from an explicit stack."""
+    tree_index: Tree.sort_key's rank read top-down, from an explicit stack.
+    A level's blocks, left order m - 1 down to 0, are walked from its nearer
+    end: the block sizes C(a) C(m-1-a) are symmetric, so a rank in the first
+    half lies in a block of left order at least (m-1)/2, and each node costs
+    min(|l|, |r|) + 1 products."""
     cat = _catalan_table(n)
     count = cat[n] if n >= 0 else 0
     if not 1 <= k <= count:
@@ -265,10 +269,18 @@ def tree_unrank(n: int, k: int) -> Tree:
         if m == 0:
             built.append(E)
             continue
-        a = m - 1
-        while rank >= cat[a] * cat[m - 1 - a]:
-            rank -= cat[a] * cat[m - 1 - a]
-            a -= 1
+        if 2 * rank < cat[m]:
+            a = m - 1
+            while rank >= (size := cat[a] * cat[m - 1 - a]):
+                rank -= size
+                a -= 1
+        else:
+            # rest: the trees from this one to the end of the level.
+            a, rest = 0, cat[m] - rank
+            while rest > (size := cat[a] * cat[m - 1 - a]):
+                rest -= size
+                a += 1
+            rank = size - rest
         left_rank, right_rank = divmod(rank, cat[m - 1 - a])
         todo += [None, (m - 1 - a, right_rank), (a, left_rank)]
     return built[0]
@@ -298,6 +310,15 @@ def render(t: Tree) -> str:
 
 _NAME_RE = re.compile(r"Y(\d+)\.(\d+)$")
 
+# Longest piece of an input text that an error message quotes.
+ECHO_MAX = 60
+
+
+def clip(text: str) -> str:
+    """The text cut to ECHO_MAX characters, '...' marking a cut, for quoting
+    input in a one-line error message."""
+    return text if len(text) <= ECHO_MAX else text[: ECHO_MAX - 3] + "..."
+
 
 def parse(text: str) -> Tree:
     """Parse the tree grammar; also accepts canonical names ``Yn.k``."""
@@ -308,7 +329,7 @@ def parse(text: str) -> Tree:
         count = catalan(n)
         if not 1 <= k <= count:
             # The name as written, e.g. with leading zeros.
-            raise ValueError(f"no tree named {s}: order {n} has {count} trees")
+            raise ValueError(f"no tree named {clip(s)}: order {n} has {count} trees")
         return tree_unrank(n, k)
 
     # One entry per open "(": None until its left subtree is parsed, then
@@ -335,7 +356,7 @@ def parse(text: str) -> Tree:
         pos = _expect(s, pos, "v", text)
     pos = _skip_ws(s, pos)
     if pos != len(s):
-        raise ValueError(f"trailing input at position {pos} in {text!r}")
+        raise ValueError(f"trailing input at position {pos} in {clip(text)!r}")
     return t
 
 
@@ -349,7 +370,7 @@ def _expect(s: str, pos: int, ch: str, text: str) -> int:
     """The position after ch, which must come next in s after any blanks."""
     pos = _skip_ws(s, pos)
     if pos >= len(s) or s[pos] != ch:
-        raise ValueError(f"expected {ch!r} at position {pos} in {text!r}")
+        raise ValueError(f"expected {ch!r} at position {pos} in {clip(text)!r}")
     return pos + 1
 
 

@@ -88,7 +88,7 @@ def test_unknown_suite_lists_the_suites(capsys):
     message = f"unknown suite 'no-such-suite'; choose from {sorted(checks.SUITES)} or 'all'"
     assert exc.value.args[0] == message
     assert main(["check", "no-such-suite"]) == 2
-    assert capsys.readouterr() == ("", message + "\n")
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_suites_are_the_benchmark_suites():

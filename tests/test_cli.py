@@ -12,7 +12,15 @@ import pytest
 
 from treehopf import cli, trees
 from treehopf.algebra import Element, Tag, TensorElement, lift_linear
-from treehopf.cli import CHECK_MAX_ORDER, ENUM_MAX_ORDER, MAP_MAX_ORDER, RENORM_MAX_ORDER, format_output, main
+from treehopf.cli import (
+    CHECK_MAX_ORDER,
+    ENUM_MAX_ORDER,
+    MAP_MAX_ORDER,
+    RENORM_MAX_D,
+    RENORM_MAX_ORDER,
+    format_output,
+    main,
+)
 from treehopf.trees import DEUXDEUX, DEUXUN, Y, enumerate_trees, render
 
 
@@ -152,6 +160,12 @@ def _never_called(*args, **kwargs):
     raise AssertionError("ran past a refused input")
 
 
+def _one_error_line(err: str) -> bool:
+    """Exactly one stderr line, in the form of every usage error: it starts
+    'error:' and quotes no message whole, as the str of a KeyError would."""
+    return len(err.splitlines()) == 1 and err.startswith("error: ") and "\"'" not in err
+
+
 class TestMap:
     def test_ascii(self, capsys):
         code, out, _ = run(capsys, "map", "delta-p-e", "(e v e)")
@@ -186,8 +200,19 @@ class TestMap:
         assert out == "-(e v (e v e)) + (e v e) \\cdot (e v e)\n"
 
     def test_unknown_map(self, capsys):
-        code, _, err = run(capsys, "map", "no-such-map", "e")
+        code, out, err = run(capsys, "map", "no-such-map", "e")
         assert code == 2
+        assert out == ""
+        assert _one_error_line(err) and "unknown map 'no-such-map'; choose from" in err
+
+    @pytest.mark.parametrize("argv", [["x" * 5000, "e"], ["delta-p-e", "x" * 5000], ["delta-p-e", "x" * 5000 + "**Y1.1"]])
+    def test_long_argument_is_clipped(self, capsys, argv):
+        # A 5,000-character argument is quoted cut to a fixed length.
+        code, out, err = run(capsys, "map", *argv)
+        assert code == 2
+        assert out == ""
+        assert _one_error_line(err) and len(err) < 400
+        assert "'" + "x" * (trees.ECHO_MAX - 3) + "...'" in err
 
     def test_bad_tree(self, capsys):
         code, _, err = run(capsys, "map", "delta-p-e", "(e v")
@@ -286,8 +311,17 @@ class TestCheck:
         assert all(line.startswith("[PASS]") for line in out.strip().splitlines())
 
     def test_unknown_suite(self, capsys):
-        code, _, _ = run(capsys, "check", "bogus")
+        code, out, err = run(capsys, "check", "bogus")
         assert code == 2
+        assert out == ""
+        assert _one_error_line(err) and "unknown suite 'bogus'; choose from" in err
+
+    def test_unknown_corrupt_map(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli.checks, "run_suite", _never_called)
+        code, out, err = run(capsys, "check", "all", "--corrupt", "nosuch")
+        assert code == 2
+        assert out == ""
+        assert err == "error: unknown map 'nosuch'\n"
 
     @pytest.mark.parametrize("argv", [["all", "--order", "-1"], ["coassoc", "--order", "-2"]])
     def test_negative_order_is_usage_error(self, capsys, argv):
@@ -370,10 +404,27 @@ class TestRenorm:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
+    @pytest.mark.parametrize("d", [RENORM_MAX_D + 1, 1000, 100000])
+    def test_huge_dimension_is_refused_unbuilt(self, capsys, monkeypatch, d):
+        # A character draws d^2 fractions per tree: a large d must be
+        # refused before any character is built.
+        monkeypatch.setattr(cli.renorm, "make_toy_character", _never_called)
+        code, out, err = run(capsys, "renorm", "--ring", "matrix", "--d", str(d))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --d takes 1 to {RENORM_MAX_D} for the matrix ring, not {d}\n"
+
+    def test_largest_dimension_runs(self, capsys):
+        code, out, _ = run(capsys, "renorm", "--order", "1", "--ring", "matrix", "--d", str(RENORM_MAX_D))
+        assert code == 0
+        assert json.loads(out)["status"] == "ok"
+
     def test_bound_in_help(self, capsys):
         with pytest.raises(SystemExit):
             main(["renorm", "--help"])
-        assert f"1 to {RENORM_MAX_ORDER}" in capsys.readouterr().out
+        help_text = capsys.readouterr().out
+        assert f"1 to {RENORM_MAX_ORDER}" in help_text
+        assert f"1 to {RENORM_MAX_D}" in help_text
 
 
 @pytest.fixture

@@ -17,14 +17,12 @@ from treehopf.trees import (
     all_trees_up_to,
     enumerate_trees,
 )
-from treehopf.algebra import Tag, TensorElement, embed_tree, from_word, tree_word
-from treehopf import hopf, qed, renorm
+from treehopf.algebra import Tag, TensorElement, embed_tree, from_word
+from treehopf import checks, hopf, renorm
 from treehopf.checks import basis_elements, basis_words
 from treehopf.renorm import (
     Character,
     _commute,
-    _ring_sum,
-    _slot_product,
     assemble_series,
     dyson_check_electron,
     dyson_check_photon,
@@ -38,7 +36,7 @@ from treehopf.renorm import (
     z2_series,
     z3_series,
 )
-from treehopf.series import Matrix, Series, indeterminate, one, r_add, r_eq, r_mul
+from treehopf.series import Matrix, Series, indeterminate, one, r_eq, r_mul
 
 
 def zero_character(tag: Tag, max_order=5) -> Character:
@@ -215,61 +213,6 @@ class TestChargeCommutativity:
         assert verdicts == {True, False}
 
 
-class TestAntipodeMemo:
-    ORDER = 5
-
-    @pytest.mark.parametrize("kind", ["scalar", "matrix"])
-    def test_memo_sums_match_z2_series(self, kind):
-        n = self.ORDER
-        for seed in range(5):
-            c = make_toy_character(Tag.HE, seed=seed, kind=kind, d=4, max_order=n)
-            z2bar = z2_series(c, n)
-            for k in range(1, n + 1):
-                acc = Fraction(0)
-                for t in enumerate_trees(k):
-                    acc = r_add(acc, c.antipode_value((t,)))
-                assert r_eq(acc, z2bar[k])
-            assert z2bar * z2_factor(c, n) == one(n)
-
-    def test_filled_memo_gives_fresh_values(self):
-        n = 4
-        u = make_toy_character(Tag.HE, 3, kind="matrix", d=2, max_order=n)
-        cg = make_toy_character(Tag.HALPHA, 4, max_order=n)
-        shared = make_toy_character(Tag.HE, 5, max_order=n)
-        trees = all_trees_up_to(n)
-        first = [renormalized_electron(u, cg, shared, t) for t in trees]
-        assert shared._antipode_values
-        again = [renormalized_electron(u, cg, shared, t) for t in trees]
-        fresh = [
-            renormalized_electron(u, cg, make_toy_character(Tag.HE, 5, max_order=n), t)
-            for t in trees
-        ]
-        assert first == again == fresh
-
-
-def _direct_photon(u, cg, t):
-    """The photon coefficient by ``pair_evaluate`` on a freshly built coaction."""
-    return pair_evaluate([u, cg], qed.photon_renorm_coaction(embed_tree(Tag.HGAMMA, t)))
-
-
-def _direct_electron(u, cg, ce, t):
-    """The electron coefficient by ``pair_evaluate`` on a freshly built
-    coaction whose last slot has gone through the electron antipode."""
-    spread = qed.electron_renorm_coaction(embed_tree(Tag.HE, t))
-    spread = spread.map_slot(2, hopf.antipode_p_e)
-    return pair_evaluate([u, cg, ce], spread)
-
-
-def _fold_electron(u, cg, ce, t):
-    """The three-slot fold over the tensor coaction, with the memoized
-    antipode values in the last slot."""
-    spread = qed.electron_renorm_coaction(embed_tree(Tag.HE, t))
-    return _ring_sum(
-        _slot_product(c, [u.on_word(w1), cg.on_word(w2), ce.antipode_value(w3)])
-        for (w1, w2, w3), c in spread.terms.items()
-    )
-
-
 def _coaction_characters(kind, seed=3, n=5):
     """Photon and electron characters, the charge counterterm and the
     electron counterterm; with ``kind='matrix'`` the electron counterterm is
@@ -280,31 +223,6 @@ def _coaction_characters(kind, seed=3, n=5):
         make_toy_character(Tag.HALPHA, seed + 1, kind=kind, d=3, max_order=n),
         make_toy_character(Tag.HE, seed + 2, kind=kind, d=3, max_order=n),
     )
-
-
-def _drop_one_term(monkeypatch, which, characters, order):
-    """Replace the coaction terms ``renorm`` reads (``renorm._renorm_terms``)
-    by ones that, on one tree of the given order, lack a term, chosen so
-    that the tree's coefficient changes."""
-    clean = renorm._renorm_terms
-    pruning, value = {
-        "photon": (hopf.pruning_pairs_over, renorm.renormalized_photon),
-        "electron": (hopf.pruning_pairs_under, renorm.renormalized_electron),
-    }[which]
-    for target in enumerate_trees(order):
-        whole = value(*characters, target)
-        terms = list(clean(pruning, target))
-        for i in range(len(terms)):
-            kept = terms[:i] + terms[i + 1 :]
-            monkeypatch.setattr(
-                renorm,
-                "_renorm_terms",
-                lambda p, t: iter(kept) if p is pruning and t is target else clean(p, t),
-            )
-            if not r_eq(value(*characters, target), whole):
-                return
-            monkeypatch.setattr(renorm, "_renorm_terms", clean)
-    raise AssertionError(f"no term of an order-{order} tree changes its coefficient")
 
 
 def _drop_one_coaction_pair(monkeypatch, characters, order):
@@ -330,38 +248,24 @@ def _drop_one_coaction_pair(monkeypatch, characters, order):
 
 
 class TestTreeRouteMatchesCoactions:
-    """The coefficients from the tree tables against ``pair_evaluate`` on
-    the registered tensor coactions, the oracle."""
+    """The per-tree coefficients, ``pair_evaluate`` on the registered tensor
+    coactions, and the charge coaction table the series route reads."""
 
     ORDER = 5
 
     @pytest.mark.parametrize("kind", ["scalar", "matrix"])
     def test_match_direct_evaluation(self, kind):
+        # the characters hold no state: the same pairing again, and with
+        # freshly built characters, gives the first values
         trees = all_trees_up_to(self.ORDER)
         u, ue, cg, ce = _coaction_characters(kind)
-        want_photon = [_direct_photon(u, cg, t) for t in trees]
-        want_electron = [_direct_electron(ue, cg, ce, t) for t in trees]
-        assert want_electron == [_fold_electron(ue, cg, ce, t) for t in trees]
-        for phase in ("first", "again", "fresh"):
+        want_photon = [renormalized_photon(u, cg, t) for t in trees]
+        want_electron = [renormalized_electron(ue, cg, ce, t) for t in trees]
+        for phase in ("again", "fresh"):
             if phase == "fresh":
                 u, ue, cg, ce = _coaction_characters(kind)
             assert [renormalized_photon(u, cg, t) for t in trees] == want_photon, phase
             assert [renormalized_electron(ue, cg, ce, t) for t in trees] == want_electron, phase
-
-    def test_no_tensor_is_built_per_tree(self, monkeypatch):
-        trees = all_trees_up_to(4)
-        u, ue, cg, ce = _coaction_characters("scalar", n=4)
-        want = [renormalized_electron(ue, cg, ce, t) for t in trees]
-
-        def refuse(*args):
-            raise AssertionError("a tensor was built")
-
-        monkeypatch.setattr(TensorElement, "_new", refuse)
-        monkeypatch.setattr(TensorElement, "__init__", refuse)
-        # the electron antipode values are memoized by the first pass
-        assert [renormalized_electron(ue, cg, ce, t) for t in trees] == want
-        for t in trees:
-            renormalized_photon(u, cg, t)
 
     def test_tag_mismatch_refused(self):
         u, ue, cg, _ = _coaction_characters("scalar", n=2)
@@ -442,25 +346,24 @@ class TestSeriesRouteMatchesTreeRoute:
         for series, tree_route in _routes(*chars, n):
             assert series == tree_route
 
-    @pytest.mark.parametrize("which", ["photon", "electron"])
-    def test_dropped_tree_term_breaks_agreement_at_its_order(self, monkeypatch, which):
-        u, ue, cg, ce = chars = _coaction_characters("scalar", n=4)
-        photon, electron = _routes(*chars, 4)
-        series, tree_route = photon if which == "photon" else electron
-        assert series == tree_route
-        damaged = (u, cg) if which == "photon" else (ue, cg, ce)
-        _drop_one_term(monkeypatch, which, damaged, 3)
-        value = renorm.renormalized_photon if which == "photon" else renorm.renormalized_electron
-        # the per-tree series is A times the inverse factor: B = 1/Z3 or 1/Z2
-        if which == "photon":
-            inverse = assemble_series(
-                lambda t: cg.on_word(tree_word(Tag.HALPHA, t)), 4, Fraction(1)
-            )
-        else:
-            inverse = z2_series(ce, 4)
-        tree_route = assemble_series(lambda t: value(*damaged, t), 4, Fraction(1))
-        expected = series * inverse
-        assert [k for k in range(5) if not r_eq(expected[k], tree_route[k])] == [3]
+    def test_corrupt_map_breaks_its_coaction_agreement(self, monkeypatch):
+        # Only renorm's binding is replaced, never the registry itself:
+        # hopf's antipode cache outlives the test.
+        clean = renorm.MAPS
+        chars = _coaction_characters("scalar", n=4)
+        broken = {"photon": set(), "electron": set()}
+        for name in clean:
+            monkeypatch.setattr(renorm, "MAPS", checks.corrupt_map(clean, name))
+            for which, (series, tree_route) in zip(broken, _routes(*chars, 4)):
+                if series != tree_route:
+                    broken[which].add(name)
+        monkeypatch.undo()
+        assert broken == {
+            "photon": {"delta-gamma-coaction", "delta-p-gamma", "sigma", "delta-gamma"},
+            "electron": {"delta-e-coaction", "delta-p-e", "antipode-p-e", "delta-e"},
+        }
+        assert len(set(clean) - broken["photon"] - broken["electron"]) == 9
+        assert all(series == tree_route for series, tree_route in _routes(*chars, 4))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_reversed_electron_product_differs(self, seed):
@@ -534,10 +437,11 @@ class TestFactors:
         )
         assert z2bar[2] == expect2
 
-    def test_z2_antipode_expansion_inverts_plain_expansion(self):
+    @pytest.mark.parametrize("kind", ["scalar", "matrix"])
+    def test_z2_antipode_expansion_inverts_plain_expansion(self, kind):
         # the antipode pairing inverts the counterterm series exactly
         for seed in range(5):
-            c = make_toy_character(Tag.HE, seed=seed, max_order=5)
+            c = make_toy_character(Tag.HE, seed=seed, kind=kind, d=4, max_order=5)
             assert z2_series(c, 5) * z2_factor(c, 5) == one(5)
 
     def test_ward_substitution(self):

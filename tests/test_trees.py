@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -446,6 +447,14 @@ class TestDeepTrees:
     def test_unrank_inverts_index(self, build):
         t = build(500)
         assert tree_unrank(*tree_index(t)) is t
+
+    def test_last_tree_of_a_deep_level_round_trips_fast(self):
+        # The right comb is the last tree of its level: its blocks are walked
+        # from the near end, one product a node.
+        t = right_comb(2000)
+        start = time.perf_counter()
+        assert tree_unrank(*tree_index(t)) is t
+        assert time.perf_counter() - start < 1
 
     def test_charge_word_of_a_deep_generator(self):
         c = right_comb(1500)
