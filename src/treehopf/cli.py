@@ -118,10 +118,11 @@ def cmd_check(args) -> int:
     return 0 if ok else 1
 
 
-# Largest order `renorm` accepts.  Each order costs three to four times the
-# one before: order 8 takes about 0.2 s (scalar ring) or 0.5 s (4x4 matrices)
-# and 19-22 MB on a 2-CPU x86-64 VM with Python 3.11, so order 12 would run
-# for a minute or more.
+# Largest order `renorm` accepts.  Each order costs three to six times the
+# one before: order 8 takes about 0.1 s (scalar ring) or 0.4 s (4x4 matrices)
+# and 19-22 MB, order 10 about 1.5 s or 5.4 s and 76-104 MB (a fresh process
+# on a 2-CPU x86-64 VM with Python 3.11), so order 12 would run for a minute
+# or more with matrices.
 RENORM_MAX_ORDER = 8
 
 # Largest matrix dimension `renorm --ring matrix` accepts.  Each character
@@ -141,8 +142,7 @@ def cmd_renorm(args) -> int:
     u_e = renorm.make_toy_character(Tag.HE, args.seed, args.ring, args.d, max_order=args.order)
     c_gamma = renorm.make_toy_character(Tag.HALPHA, args.seed + 1, "scalar", args.d, max_order=args.order)
     c_e = renorm.make_toy_character(Tag.HE, args.seed + 2, "scalar", args.d, max_order=args.order)
-    photon = renorm.dyson_check_photon(u_gamma, c_gamma, args.order)
-    electron = renorm.dyson_check_electron(u_e, c_gamma, c_e, args.order)
+    photon, electron = renorm.dyson_reports(u_gamma, u_e, c_gamma, c_e, args.order)
     report = {
         "seed": args.seed,
         "ring": args.ring,
@@ -160,11 +160,20 @@ def cmd_renorm(args) -> int:
     return 0 if photon.ok and electron.ok else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors take the one exit-2 form: raised as
+    ``ValueError`` for ``main`` to print, not printed after a usage block.
+    Subparsers are built with the class of their parent, so theirs do too."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process: each build leaves about 200
     argparse objects in reference cycles that only a collection frees."""
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="treehopf",
         description="Exact computer algebra on planar binary trees: Hopf "
         "structure maps, axiom sweeps, and the propagator renormalization demo.",
@@ -219,8 +228,8 @@ EXIT_BROKEN_PIPE = 141
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         code = args.fn(args)
         # Flushed here, so that a closed pipe is met below and not at exit.
         sys.stdout.flush()

@@ -14,6 +14,10 @@ factor first, with A read from the charge coaction table
 (``_coaction_series``).  B = 1/Z3 and ``z2_series`` = 1/Z2 cancel the factor
 each report multiplies by, so a Dyson report compares A with the bare series
 at the substituted coupling alpha0 = alpha / Z3, coefficient by coefficient.
+Both reports read the counterterm c_gamma the same way, through the charge
+coaction and alpha0, so ``dyson_reports`` builds that charge side
+(``_charge_side``) once for the two, with the coaction pairs of all trees of
+one order coalesced: one ring product per distinct pair.
 Its oracle is the registered-map pairing ``renormalized_photon`` and
 ``renormalized_electron``, which read ``delta-gamma``, ``delta-e`` and
 ``antipode-p-e`` from this module's ``MAPS`` at call time, so a map set from
@@ -23,10 +27,11 @@ Its oracle is the registered-map pairing ``renormalized_photon`` and
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .trees import Tree, E, enumerate_trees, all_trees_up_to, render
 from .algebra import MAPS, Element, Tag, TensorElement, Word, embed_tree, tree_word, GENERATOR_TAGS
@@ -276,24 +281,46 @@ def renormalized_electron(
 # -- renormalized series ----------------------------------------------------
 
 
-def _coaction_series(u: Character, c_gamma: Character, n: int) -> Series:
-    """Left factor A of both renormalized series: the coefficient of order m
-    sums u(a1)·k·c_gamma(a2) over the charge coaction pairs (a1, a2) of the
-    trees a of order m.  The charge values are summed per a1 over all trees
-    of one order first, so each distinct a1 costs one ring product per
-    order, and each a2's charge value is read once per call."""
+class _ChargeSide(NamedTuple):
+    """What both Dyson reports read of the charge counterterm c_gamma: per
+    order m, the charge sums S_m(a1) = sum of k·c_gamma(a2) over the charge
+    coaction pairs (a1, a2) of all trees of order m, k their multiplicity;
+    and the substituted coupling alpha0 = alpha / Z3."""
+
+    sums: tuple[dict[Tree, RingValue], ...]
+    alpha0: Series
+
+
+def _charge_side(c_gamma: Character, n: int) -> _ChargeSide:
+    """The charge side to order n.  The multiplicities of each pair are
+    summed over the trees of one order first, so each distinct (a1, a2)
+    costs one ring product per order, and each a2's charge value is read
+    once per call."""
     charge: dict[Tree, RingValue] = {}
-    coeffs: list[RingValue] = [u.ring_one]
+    sums = []
     for m in range(1, n + 1):
-        sums: dict[Tree, RingValue] = {}
+        pairs: Counter[tuple[Tree, Tree]] = Counter()
         for a in enumerate_trees(m):
-            for (a1, a2), k in charge_coaction_tree(a).items():
-                c = charge.get(a2)
-                if c is None:
-                    c = charge[a2] = c_gamma.on_word(tree_word(Tag.HALPHA, a2))
-                v = _slot_product(k, [c])
-                sums[a1] = r_add(sums[a1], v) if a1 in sums else v
-        coeffs.append(_ring_sum(_slot_product(1, [u.letter(a1), s]) for a1, s in sums.items()))
+            pairs.update(charge_coaction_tree(a))
+        s: dict[Tree, RingValue] = {}
+        for (a1, a2), k in pairs.items():
+            c = charge.get(a2)
+            if c is None:
+                c = charge[a2] = c_gamma.on_word(tree_word(Tag.HALPHA, a2))
+            v = _slot_product(k, [c])
+            s[a1] = r_add(s[a1], v) if a1 in s else v
+        sums.append(s)
+    return _ChargeSide(tuple(sums), ward_alpha0(z3_series(c_gamma, n)))
+
+
+def _coaction_series(u: Character, side: _ChargeSide) -> Series:
+    """Left factor A of both renormalized series: the coefficient of order m
+    is the sum of u(a1)·S_m(a1), left factor first, over the a1 of the
+    charge side's order-m sums, so each distinct a1 costs one ring product
+    per order."""
+    coeffs: list[RingValue] = [u.ring_one]
+    for s in side.sums:
+        coeffs.append(_ring_sum(_slot_product(1, [u.letter(a1), v]) for a1, v in s.items()))
     return Series(coeffs)
 
 
@@ -328,11 +355,13 @@ class DysonReport:
         }
 
 
-def _dyson_report(which: str, u: Character, c_gamma: Character, n: int) -> DysonReport:
+def _dyson_report(which: str, u: Character, side: _ChargeSide) -> DysonReport:
     """Residuals of A (``_coaction_series``) against the bare series of ``u``
-    evaluated at the substituted coupling alpha0 = alpha / Z3."""
-    lhs = _coaction_series(u, c_gamma, n)
-    rhs = assemble_series(u.letter, n, u.ring_one).compose(ward_alpha0(z3_series(c_gamma, n)))
+    evaluated at the substituted coupling alpha0 = alpha / Z3.  Only u is
+    read here; the charge side is built once and may serve both reports."""
+    n = side.alpha0.order
+    lhs = _coaction_series(u, side)
+    rhs = assemble_series(u.letter, n, u.ring_one).compose(side.alpha0)
     return DysonReport(which, n, [r_add(lhs[k], r_mul(Fraction(-1), rhs[k])) for k in range(n + 1)])
 
 
@@ -342,7 +371,7 @@ def dyson_check_photon(u: Character, c_gamma: Character, n: int) -> DysonReport:
     B = sum over trees b of c_gamma(sigma(b)) x^|b| = 1/Z3, so B and Z3
     cancel and neither is built."""
     _check_tags((u, c_gamma), (Tag.HGAMMA, Tag.HALPHA))
-    return _dyson_report("photon", u, c_gamma, n)
+    return _dyson_report("photon", u, _charge_side(c_gamma, n))
 
 
 def dyson_check_electron(
@@ -352,7 +381,18 @@ def dyson_check_electron(
     series is A·``z2_series`` and ``z2_series`` = 1/Z2, so Z2 cancels: the
     report does not depend on c_e, whose tag is still checked."""
     _check_tags((u, c_gamma, c_e), (Tag.HE, Tag.HALPHA, Tag.HE))
-    return _dyson_report("electron", u, c_gamma, n)
+    return _dyson_report("electron", u, _charge_side(c_gamma, n))
+
+
+def dyson_reports(
+    u_gamma: Character, u_e: Character, c_gamma: Character, c_e: Character, n: int
+) -> tuple[DysonReport, DysonReport]:
+    """The photon and electron reports of ``dyson_check_photon`` and
+    ``dyson_check_electron``, which read the same c_gamma: its charge side
+    is built once and read by both."""
+    _check_tags((u_gamma, c_gamma, u_e, c_e), (Tag.HGAMMA, Tag.HALPHA, Tag.HE, Tag.HE))
+    side = _charge_side(c_gamma, n)
+    return _dyson_report("photon", u_gamma, side), _dyson_report("electron", u_e, side)
 
 
 # -- JSON -------------------------------------------------------------------

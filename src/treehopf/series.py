@@ -26,6 +26,8 @@ def _fraction(x) -> Fraction:
     """Exact rational value of a scalar.  Floats are refused, by the rule of
     ``algebra._coeff``: their binary value is not the decimal the caller
     wrote."""
+    if type(x) is Fraction:
+        return x
     if isinstance(x, float):
         raise TypeError(f"ring values must be exact (int, Fraction or str), not {x!r}")
     return Fraction(x)

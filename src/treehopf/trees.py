@@ -246,6 +246,23 @@ def tree_index(t: Tree) -> tuple[int, int]:
     return n, rank + 1
 
 
+# Most digits of a tree count that a one-line message quotes in full.
+COUNT_DIGITS_MAX = 12
+
+
+def _count_text(count: int) -> str:
+    """A tree count for a one-line message: the number when it has at most
+    COUNT_DIGITS_MAX digits, else its number of digits.  Those are counted
+    from the bit length, since a long integer's ``str`` is slow and, past
+    4300 digits, refused."""
+    if count < 10**COUNT_DIGITS_MAX:
+        return str(count)
+    digits = int((count.bit_length() - 1) * math.log10(2))
+    while count >= 10**digits:
+        digits += 1
+    return f"a {digits}-digit number of"
+
+
 def tree_unrank(n: int, k: int) -> Tree:
     """The k-th tree (1-based) of order n in canonical order, the inverse of
     tree_index: Tree.sort_key's rank read top-down, from an explicit stack.
@@ -256,7 +273,7 @@ def tree_unrank(n: int, k: int) -> Tree:
     cat = _catalan_table(n)
     count = cat[n] if n >= 0 else 0
     if not 1 <= k <= count:
-        raise ValueError(f"no tree named Y{n}.{k}: order {n} has {count} trees")
+        raise ValueError(f"no tree named Y{n}.{k}: order {n} has {_count_text(count)} trees")
     built: list[Tree] = []
     todo: list[Optional[tuple[int, int]]] = [(n, k - 1)]
     while todo:
@@ -329,7 +346,7 @@ def parse(text: str) -> Tree:
         count = catalan(n)
         if not 1 <= k <= count:
             # The name as written, e.g. with leading zeros.
-            raise ValueError(f"no tree named {clip(s)}: order {n} has {count} trees")
+            raise ValueError(f"no tree named {clip(s)}: order {n} has {_count_text(count)} trees")
         return tree_unrank(n, k)
 
     # One entry per open "(": None until its left subtree is parsed, then

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -414,6 +415,22 @@ class TestRenorm:
         assert out == ""
         assert err == f"error: --d takes 1 to {RENORM_MAX_D} for the matrix ring, not {d}\n"
 
+    @pytest.mark.parametrize("ring", ["scalar", "matrix"])
+    def test_charge_table_is_read_once_per_tree(self, capsys, monkeypatch, ring):
+        # The photon and electron reports share one charge side, so each
+        # tree's charge coaction pairs are read once per command.
+        reads = Counter()
+        clean = cli.renorm.charge_coaction_tree
+
+        def counted(t):
+            reads[t] += 1
+            return clean(t)
+
+        monkeypatch.setattr(cli.renorm, "charge_coaction_tree", counted)
+        code, out, _ = run(capsys, "renorm", "--order", "5", "--ring", ring)
+        assert code == 0 and json.loads(out)["status"] == "ok"
+        assert reads == Counter(t for m in range(1, 6) for t in enumerate_trees(m))
+
     def test_largest_dimension_runs(self, capsys):
         code, out, _ = run(capsys, "renorm", "--order", "1", "--ring", "matrix", "--d", str(RENORM_MAX_D))
         assert code == 0
@@ -425,6 +442,34 @@ class TestRenorm:
         help_text = capsys.readouterr().out
         assert f"1 to {RENORM_MAX_ORDER}" in help_text
         assert f"1 to {RENORM_MAX_D}" in help_text
+
+
+class TestArgumentErrors:
+    """The parser's own errors take the one exit-2 form: one stderr line,
+    no usage block, and nothing on stdout."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["renorm", "--d", "x"], "argument --d: invalid int value: 'x'"),
+            (["check", "all", "--order", "x"], "argument --order: invalid int value: 'x'"),
+            ([], "the following arguments are required: command"),
+            (["renorm", "--ring", "ring"], "argument --ring: invalid choice: 'ring' (choose from 'scalar', 'matrix')"),
+            (["enum", "3", "4"], "unrecognized arguments: 4"),
+        ],
+        ids=["renorm-d", "check-order", "no-command", "renorm-ring", "enum-extra"],
+    )
+    def test_is_one_error_line(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert _one_error_line(err) and err == f"error: {message}\n"
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: treehopf")
 
 
 @pytest.fixture
@@ -460,11 +505,12 @@ class TestNoGarbageCycles:
             ["enum", "3"],
             ["map", "delta-p-e", "Y2.1"],
             ["renorm", "--order", "99"],
+            ["renorm", "--d", "x"],
             ["check", "coassoc", "--order", "2"],
             ["check", "all", "--order", "2"],
             ["check", "all"],
         ],
-        ids=["enum", "map", "refused-renorm", "check-coassoc-2", "check-all-2", "check-all"],
+        ids=["enum", "map", "refused-renorm", "unparsed-renorm", "check-coassoc-2", "check-all-2", "check-all"],
     )
     def test_command_leaves_no_cycle(self, capsys, no_collector, argv):
         main(argv)

@@ -225,13 +225,19 @@ def _coaction_characters(kind, seed=3, n=5):
     )
 
 
+def _series_a(u, cg, n):
+    """The left side A of a Dyson report, read through c_gamma's charge side
+    as ``renorm.dyson_reports`` reads it."""
+    return renorm._coaction_series(u, renorm._charge_side(cg, n))
+
+
 def _drop_one_coaction_pair(monkeypatch, characters, order):
-    """Replace the charge coaction table ``renorm._coaction_series`` reads
+    """Replace the charge coaction table ``renorm._charge_side`` reads
     (``renorm.charge_coaction_tree``) by one that, on one tree of the given
     order, lacks a pair, chosen so that the series coefficient of that order
     changes."""
     clean = renorm.charge_coaction_tree
-    whole = renorm._coaction_series(*characters, order)[order]
+    whole = _series_a(*characters, order)[order]
     for target in enumerate_trees(order):
         pairs = list(clean(target).items())
         for i in range(len(pairs)):
@@ -241,7 +247,7 @@ def _drop_one_coaction_pair(monkeypatch, characters, order):
                 "charge_coaction_tree",
                 lambda a: kept if a is target else clean(a),
             )
-            if not r_eq(renorm._coaction_series(*characters, order)[order], whole):
+            if not r_eq(_series_a(*characters, order)[order], whole):
                 return
             monkeypatch.setattr(renorm, "charge_coaction_tree", clean)
     raise AssertionError(f"no coaction pair of an order-{order} tree changes the series")
@@ -305,15 +311,15 @@ class TestTreeRouteMatchesCoactions:
 
 def _routes(u, ue, cg, ce, n):
     """For the photon and the electron, the left side of the Dyson report,
-    A (``renorm._coaction_series``), and the per-tree renormalized series
+    A (``_series_a``), and the per-tree renormalized series
     summed order by order times the report's factor, Z3 or Z2."""
     tree_photon = assemble_series(lambda t: renormalized_photon(u, cg, t), n, u.ring_one)
     tree_electron = assemble_series(
         lambda t: renormalized_electron(ue, cg, ce, t), n, ue.ring_one
     )
     return (
-        (renorm._coaction_series(u, cg, n), tree_photon * z3_series(cg, n)),
-        (renorm._coaction_series(ue, cg, n), tree_electron * z2_factor(ce, n)),
+        (_series_a(u, cg, n), tree_photon * z3_series(cg, n)),
+        (_series_a(ue, cg, n), tree_electron * z2_factor(ce, n)),
     )
 
 
@@ -371,7 +377,7 @@ class TestSeriesRouteMatchesTreeRoute:
         tree_electron = assemble_series(
             lambda t: renormalized_electron(ue, cg, ce, t), self.ORDER, ue.ring_one
         )
-        series = renorm._coaction_series(ue, cg, self.ORDER)
+        series = _series_a(ue, cg, self.ORDER)
         assert series != z2_factor(ce, self.ORDER) * tree_electron
 
     @pytest.mark.parametrize("kind", ["scalar", "matrix"])
@@ -528,6 +534,29 @@ class TestDysonConsistency:
         )
         residual = mixed * z3 - bare.compose(ward_alpha0(z3))
         assert any(residual[k] != 0 for k in range(4))
+
+    @pytest.mark.parametrize("kind", ["scalar", "matrix"])
+    def test_shared_side_gives_the_separate_reports(self, monkeypatch, kind):
+        # Whole, and with one charge coaction pair dropped, which breaks both
+        # reports at its order: one shared charge side gives the reports
+        # that each report's own side gives.
+        u, ue, cg, ce = _coaction_characters(kind, n=4)
+        for dropped in (False, True):
+            if dropped:
+                _drop_one_coaction_pair(monkeypatch, (u, cg), 3)
+            photon, electron = renorm.dyson_reports(u, ue, cg, ce, 4)
+            assert photon.to_json() == dyson_check_photon(u, cg, 4).to_json()
+            assert electron.to_json() == dyson_check_electron(ue, cg, ce, 4).to_json()
+            assert photon.ok is electron.ok is not dropped
+            if dropped:
+                assert photon.first_failure == electron.first_failure == 3
+
+    def test_shared_reports_refuse_mismatched_tags(self):
+        u, ue, cg, ce = _coaction_characters("scalar", n=2)
+        assert all(r.ok for r in renorm.dyson_reports(u, ue, cg, ce, 2))
+        for args in [(ue, ue, cg, ce), (u, u, cg, ce), (u, ue, ce, ce), (u, ue, cg, cg)]:
+            with pytest.raises(ValueError):
+                renorm.dyson_reports(*args, 2)
 
     def test_reports_refuse_mismatched_tags(self):
         u, ue, cg, ce = _coaction_characters("scalar", n=2)

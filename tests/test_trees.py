@@ -392,6 +392,18 @@ class TestText:
         with pytest.raises(ValueError, match=r"^no tree named Y3\.09: order 3 has 5 trees$"):
             parse(" Y3.09 ")
 
+    @pytest.mark.parametrize(
+        "name, count",
+        [("Y12.0", "208012"), ("Y50.0", "a 28-digit number of"), ("Y8000.0", "a 4811-digit number of")],
+    )
+    def test_long_count_is_given_by_its_digits(self, name, count):
+        # C(8000) has more digits than Python prints from an int.
+        with pytest.raises(ValueError) as exc:
+            parse(name)
+        message = str(exc.value)
+        assert message == f"no tree named {name}: order {name[1:-2]} has {count} trees"
+        assert len(message.splitlines()) == 1 and len(message) < 120
+
     @given(trees_of_order(6))
     def test_roundtrip(self, t):
         assert parse(render(t)) is t
