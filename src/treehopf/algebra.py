@@ -350,7 +350,7 @@ def word_as_tree(tag: Tag, word: Word) -> Tree:
     identification of the noncommutative lift with single trees)."""
     if tag not in GENERATOR_TAGS:
         raise ValueError("only generator words correspond to single trees")
-    return compose_over(list(word))
+    return compose_over(word)
 
 
 def tensor(xs: Sequence[TensorElement]) -> TensorElement:

@@ -30,7 +30,6 @@ from .algebra import (
     embed_tree,
     from_word,
     lift_linear,
-    normalize_word,
     tree_word,
     unit,
     word_as_tree,
@@ -340,15 +339,9 @@ def check_single_tree_restriction(n: int, maps=MAPS) -> CheckResult:
     def law(t: Tree) -> Optional[str]:
         lhs = dgamma(embed_tree(Tag.HGAMMA, t))
         nc = dnc(embed_tree(Tag.HALPHA_NC, t))
-        terms = {}
-        for (w1, w2), c in nc.terms.items():
-            t1 = word_as_tree(Tag.HALPHA_NC, w1)
-            key = (
-                () if t1 is E else (t1,),
-                normalize_word(Tag.HALPHA, w2),
-            )
-            terms[key] = terms.get(key, 0) + c
-        rhs = TensorElement((Tag.HGAMMA, Tag.HALPHA), terms)
+        as_tree = functools.partial(word_as_tree, Tag.HALPHA_NC)
+        pairs = {(as_tree(w1), as_tree(w2)): c for (w1, w2), c in nc.terms.items()}
+        rhs = hopf.read_pairs((Tag.HGAMMA, Tag.HALPHA), pairs)
         if lhs != rhs:
             return f"single-tree restriction fails on tree {t}"
         for ws in lhs.terms:

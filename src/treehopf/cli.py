@@ -15,18 +15,17 @@ import json
 import os
 import sys
 
-from .trees import _NAME_RE, clip, iter_rendered, parse
+from .trees import clip, iter_rendered, number_text, parse, read_name
 from .algebra import (
     MAPS,
     Element,
     Tag,
     TensorElement,
     element_to_json,
-    embed_tree,
     format_terms,
-    multiplicative,
+    from_word,
     tensor_to_json,
-    unit,
+    tree_word,
 )
 from . import checks, renorm
 
@@ -58,13 +57,14 @@ def parse_element(tag: Tag, text: str) -> Element:
     factors = text.split("*")
     if len(factors) > 1 and not all(f.strip() for f in factors):
         raise ValueError(f"the product {clip(text)!r} has an empty factor")
-    named = [int(m.group(1)) if m else 0 for m in (_NAME_RE.match(f.strip()) for f in factors)]
+    named = [name[0] if (name := read_name(f.strip())) else 0 for f in factors]
     ts = [parse(f) for f, n in zip(factors, named) if n <= MAP_MAX_ORDER]
     degree = sum(n for n in named if n > MAP_MAX_ORDER) + sum(t.order for t in ts)
     if degree > MAP_MAX_ORDER:
-        raise ValueError(f"map takes elements of degree up to {MAP_MAX_ORDER}; this one has degree {degree}")
-    word = multiplicative(lambda: unit(tag), lambda t: embed_tree(tag, t))
-    return word(ts)
+        raise ValueError(
+            f"map takes elements of degree up to {MAP_MAX_ORDER}; this one has degree {number_text(degree)}"
+        )
+    return from_word(tag, [u for t in ts for u in tree_word(tag, t)])
 
 
 # Largest order `enum` accepts.  Listing order n holds the texts of the
@@ -162,11 +162,35 @@ def cmd_renorm(args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose errors take the one exit-2 form: raised as
-    ``ValueError`` for ``main`` to print, not printed after a usage block.
-    Subparsers are built with the class of their parent, so theirs do too."""
+    ``ValueError`` for ``main`` to print, not printed after a usage block,
+    on one line and quoting an argument clipped.  Subparsers are built with
+    the class of their parent, so theirs do too."""
 
     def error(self, message):
         raise ValueError(message)
+
+    def parse_args(self, args=None, namespace=None):
+        # argparse's own joins the unrecognized arguments raw and whole.
+        args, extras = self.parse_known_args(args, namespace)
+        if extras:
+            text = clip(" ".join(extras))
+            self.error(f"unrecognized arguments: {text if text.isprintable() else repr(text)}")
+        return args
+
+    def _check_value(self, action, value):
+        # argparse's own check, which quotes the value whole.
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            raise argparse.ArgumentError(action, f"invalid choice: {clip(value)!r} (choose from {choices})")
+
+
+def _int(text: str) -> int:
+    """The ``type`` of an int argument: argparse's own message for a
+    malformed one would quote it whole."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {clip(text)!r}") from None
 
 
 @functools.cache
@@ -187,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
         f"printed as they are generated.  Orders above {ENUM_MAX_ORDER} are refused "
         "to bound memory.",
     )
-    pe.add_argument("n", type=int, help=f"the order, 0 to {ENUM_MAX_ORDER}")
+    pe.add_argument("n", type=_int, help=f"the order, 0 to {ENUM_MAX_ORDER}")
     pe.add_argument("--count-only", action="store_true")
     pe.set_defaults(fn=cmd_enum)
 
@@ -206,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("suite", help=f"all, or one of: {', '.join(checks.SUITES)}")
     pc.add_argument(
         "--order",
-        type=int,
+        type=_int,
         default=None,
         help=f"the order of every sweep, 0 to {CHECK_MAX_ORDER} (default: each sweep's own)",
     )
@@ -214,10 +238,10 @@ def build_parser() -> argparse.ArgumentParser:
     pc.set_defaults(fn=cmd_check)
 
     pr = sub.add_parser("renorm", help="order-by-order propagator consistency demo")
-    pr.add_argument("--order", type=int, default=4, help=f"the truncation order, 1 to {RENORM_MAX_ORDER}")
-    pr.add_argument("--seed", type=int, default=0)
+    pr.add_argument("--order", type=_int, default=4, help=f"the truncation order, 1 to {RENORM_MAX_ORDER}")
+    pr.add_argument("--seed", type=_int, default=0)
     pr.add_argument("--ring", choices=["scalar", "matrix"], default="scalar")
-    pr.add_argument("--d", type=int, default=4, help=f"matrix dimension of the matrix ring, 1 to {RENORM_MAX_D}")
+    pr.add_argument("--d", type=_int, default=4, help=f"matrix dimension of the matrix ring, 1 to {RENORM_MAX_D}")
     pr.add_argument("--format", choices=["ascii", "json"], default="json")
     pr.set_defaults(fn=cmd_renorm)
 

@@ -10,7 +10,7 @@ set (``checks.corrupt_map``) reaches every composite built on it.
 
 from __future__ import annotations
 
-from .trees import Tree, E, decompose_over, graft, over
+from .trees import Tree, E, graft, over
 from .algebra import (
     Coeff,
     Element,
@@ -82,8 +82,8 @@ def delta_e_coaction_recursive(t: Tree) -> TreePairs:
 def sigma(word: Word) -> Element:
     """Algebra morphism from the photon algebra onto the charge algebra that
     multiplies the letters of a word with the over product."""
-    # The charge image of a tree is its over-factorization, one word.
-    return from_word(Tag.HALPHA, [u for t in word for u in decompose_over(t)])
+    # The charge image of a tree is the generator word of its over-factorization.
+    return from_word(Tag.HALPHA, [u for t in word for u in tree_word(Tag.HALPHA, t)])
 
 
 @composite_map("delta-gamma", Tag.HGAMMA)
@@ -156,10 +156,10 @@ def _ern_tree_recursive(t: Tree) -> TensorElement:
             terms: dict[tuple[Word, ...], int] = {((), (), (t,)): 1}
             sub = _ern_tree_recursive(t.right)
             for (l1, l2), cl in charge_coproduct_tree(t.left).items():
+                w_l2 = tree_word(Tag.HALPHA, l2)
                 for (w1, w2, w3), cs in sub.terms.items():
-                    s1 = E if not w1 else w1[0]
-                    left = graft(l1, s1)
-                    mid = multiply_words(Tag.HALPHA, tuple(decompose_over(l2)), w2)
+                    left = graft(l1, w1[0] if w1 else E)
+                    mid = multiply_words(Tag.HALPHA, w_l2, w2)
                     key = (tree_word(Tag.HE, left), mid, w3)
                     terms[key] = terms.get(key, 0) + cl * cs
             got = TensorElement(_ERN_TAGS, terms)

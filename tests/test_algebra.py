@@ -128,6 +128,15 @@ class TestMultiplicative:
                 # Read from the tag's table, not built again.
                 assert tree_word(tag, t) is TREE_WORDS[tag][t]
 
+    def test_long_generator_word_is_one_tree(self):
+        # 3,000 generators, more than the recursion limit allows to nest.
+        rng = random.Random(3000)
+        letters = all_trees_up_to(3)
+        word = tuple(rng.choice(letters) for _ in range(3000))
+        t = word_as_tree(Tag.HALPHA_NC, word)
+        assert t.order == sum(u.order + 1 for u in word)
+        assert tree_word(Tag.HALPHA_NC, t) == word
+
 
 class TestTag:
     @pytest.mark.parametrize("tag", list(Tag))

@@ -22,7 +22,7 @@ from treehopf.cli import (
     format_output,
     main,
 )
-from treehopf.trees import DEUXDEUX, DEUXUN, Y, enumerate_trees, render
+from treehopf.trees import DEUXDEUX, DEUXUN, Y, clip, enumerate_trees, render
 
 
 def run(capsys, *argv):
@@ -299,6 +299,21 @@ class TestMap:
         assert out == ""
         assert err == f"error: map takes elements of degree up to {MAP_MAX_ORDER}; this one has degree {degree}\n"
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("Y3." + "1" * 5000, f"no tree named {clip('Y3.' + '1' * 5000)}: its numbers are too long to read"),
+            ("Y" + "9" * 4000 + ".1", "this one has degree a 4000-digit number"),
+            ("Y" + "9" * 4300 + ".1*Y" + "9" * 4300 + ".1", "this one has degree a 4301-digit number"),
+        ],
+        ids=["long-rank", "long-order", "long-degree"],
+    )
+    def test_huge_number_gives_a_short_line(self, capsys, text, message):
+        code, out, err = run(capsys, "map", "delta-p-e", text)
+        assert code == 2
+        assert out == ""
+        assert _one_error_line(err) and err.endswith(f"{message}\n") and len(err) < 120
+
     def test_degree_bound_in_help(self, capsys):
         with pytest.raises(SystemExit):
             main(["map", "--help"])
@@ -456,8 +471,32 @@ class TestArgumentErrors:
             ([], "the following arguments are required: command"),
             (["renorm", "--ring", "ring"], "argument --ring: invalid choice: 'ring' (choose from 'scalar', 'matrix')"),
             (["enum", "3", "4"], "unrecognized arguments: 4"),
+            # An echoed argument is clipped, and quoted when it is not printable.
+            (["enum", "3", "a\nb"], "unrecognized arguments: 'a\\nb'"),
+            (["enum", "3", "x" * 200], f"unrecognized arguments: {clip('x' * 200)}"),
+            (["renorm", "--d", "y" * 200], f"argument --d: invalid int value: {clip('y' * 200)!r}"),
+            (
+                ["renorm", "--ring", "r" * 200],
+                f"argument --ring: invalid choice: {clip('r' * 200)!r} (choose from 'scalar', 'matrix')",
+            ),
+            (
+                ["c" * 200],
+                f"argument command: invalid choice: {clip('c' * 200)!r} "
+                "(choose from 'enum', 'map', 'check', 'renorm')",
+            ),
         ],
-        ids=["renorm-d", "check-order", "no-command", "renorm-ring", "enum-extra"],
+        ids=[
+            "renorm-d",
+            "check-order",
+            "no-command",
+            "renorm-ring",
+            "enum-extra",
+            "newline",
+            "long-extra",
+            "long-int",
+            "long-choice",
+            "long-command",
+        ],
     )
     def test_is_one_error_line(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)

@@ -28,6 +28,7 @@ from treehopf.trees import (
     TROISCINQ,
     all_trees_up_to,
     catalan,
+    clip,
     compose_over,
     compose_under,
     decompose_over,
@@ -35,8 +36,10 @@ from treehopf.trees import (
     enumerate_trees,
     graft,
     iter_rendered,
+    number_text,
     over,
     parse,
+    read_name,
     render,
     tree_index,
     tree_name,
@@ -404,6 +407,27 @@ class TestText:
         assert message == f"no tree named {name}: order {name[1:-2]} has {count} trees"
         assert len(message.splitlines()) == 1 and len(message) < 120
 
+    @pytest.mark.parametrize("name", ["Y3." + "1" * 5000, "Y" + "1" * 5000 + ".1"], ids=["rank", "order"])
+    def test_unreadable_name_is_no_tree(self, name):
+        # More digits than Python converts to an int.
+        with pytest.raises(ValueError) as exc:
+            parse(name)
+        assert str(exc.value) == f"no tree named {clip(name)}: its numbers are too long to read"
+
+    def test_read_name(self):
+        assert read_name("Y3.09") == (3, 9)
+        assert read_name("Y0.1") == (0, 1)
+        for text in ("(e v e)", "Y3", "Y3.1 ", "y3.1", "Y-3.1"):
+            assert read_name(text) is None
+
+    @pytest.mark.parametrize(
+        "n, text",
+        [(17, "17"), (10**12 - 1, "999999999999"), (10**12, "a 13-digit number"), (10**5000, "a 5001-digit number")],
+        ids=["small", "12-digit", "13-digit", "5001-digit"],
+    )
+    def test_number_text(self, n, text):
+        assert number_text(n) == text
+
     @given(trees_of_order(6))
     def test_roundtrip(self, t):
         assert parse(render(t)) is t
@@ -467,6 +491,15 @@ class TestDeepTrees:
         start = time.perf_counter()
         assert tree_unrank(*tree_index(t)) is t
         assert time.perf_counter() - start < 1
+
+    def test_long_words_are_grafted_back(self):
+        # Both factorizations are read back from 3,000-letter words, deeper
+        # than the recursion limit.
+        rng = random.Random(self.DEEP)
+        letters = all_trees_up_to(3)
+        us = [rng.choice(letters) for _ in range(self.DEEP)]
+        assert decompose_under(compose_under(us)) == us
+        assert decompose_over(compose_over(us)) == us
 
     def test_charge_word_of_a_deep_generator(self):
         c = right_comb(1500)
