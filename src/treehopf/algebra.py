@@ -130,8 +130,8 @@ def multiply_words(tag: Tag, a: Word, b: Word) -> Word:
 
 class TensorElement:
     """Linear combination of tuples of basis words with per-slot algebra
-    tags: ``terms`` maps a tuple of words, one per slot, to its coefficient.
-    A one-slot result of any operation is an :class:`Element`."""
+    tags: ``terms`` maps a tuple of words, one per slot and each normal
+    (:func:`normalize_word`), to its coefficient.  A one-slot result is an :class:`Element`."""
 
     __slots__ = ("tags", "terms")
 
@@ -141,9 +141,11 @@ class TensorElement:
         terms: dict[tuple[Word, ...], Coeff] | None = None,
     ):
         self.tags = tuple(tags)
-        self.terms: dict[tuple[Word, ...], Coeff] = (
-            {ws: c for ws, c0 in terms.items() if (c := _coeff(c0))} if terms else {}
-        )
+        summed: dict[tuple[Word, ...], Coeff] = {}
+        for ws, c in (terms or {}).items():
+            key = tuple(normalize_word(tag, w) for tag, w in zip(self.tags, ws, strict=True))
+            summed[key] = summed.get(key, 0) + _coeff(c)
+        self.terms = _exact(summed)
 
     @staticmethod
     def _new(tags: tuple[Tag, ...], terms: dict[tuple[Word, ...], Coeff]) -> "TensorElement":

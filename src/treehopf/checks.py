@@ -115,7 +115,7 @@ def qed_basis(n: int) -> list[TensorElement]:
     for wa in basis_words(Tag.HALPHA, n):
         da = word_degree(Tag.HALPHA, wa)
         for wb in basis_words(Tag.HE, n - da):
-            out.append(TensorElement(qed.QED_TAGS, {(wa, wb): 1}))
+            out.append(TensorElement._new(qed.QED_TAGS, {(wa, wb): 1}))
     return out
 
 

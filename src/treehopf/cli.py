@@ -15,7 +15,7 @@ import json
 import os
 import sys
 
-from .trees import clip, iter_rendered, number_text, parse, read_name
+from .trees import ECHO_MAX, clip, iter_rendered, number_text, parse, read_name
 from .algebra import (
     MAPS,
     Element,
@@ -30,12 +30,25 @@ from .algebra import (
 from . import checks, renorm
 
 
+def _json_text(data, indent: str = "") -> str:
+    """``json.dumps(data, indent=2)``: indenting runs json's pure-Python encoder,
+    whose closures leave a reference cycle on every call, so the containers
+    are written here and each key and leaf by plain ``json.dumps``."""
+    if not data or not isinstance(data, (dict, list, tuple)):
+        return json.dumps(data)
+    inner = indent + "  "
+    if isinstance(data, dict):
+        body = ",\n".join(f"{inner}{json.dumps(k)}: {_json_text(v, inner)}" for k, v in data.items())
+        return f"{{\n{body}\n{indent}}}"
+    body = ",\n".join(inner + _json_text(v, inner) for v in data)
+    return f"[\n{body}\n{indent}]"
+
+
 def format_output(x: TensorElement, fmt: str) -> str:
     """Render a map's output: JSON, in which an element names its tag and
     words, or text in the ``ascii`` or ``latex`` style of ``format_terms``."""
     if fmt == "json":
-        data = element_to_json(x) if x.nslots == 1 else tensor_to_json(x)
-        return json.dumps(data, indent=2)
+        return _json_text(element_to_json(x) if x.nslots == 1 else tensor_to_json(x))
     return format_terms(x, fmt)
 
 
@@ -92,7 +105,7 @@ def cmd_map(args) -> int:
     f = MAPS.get(args.name)
     if f is None:
         single = sorted(name for name, g in MAPS.items() if len(g.tags) == 1)
-        raise KeyError(f"unknown map {clip(args.name)!r}; choose from {single}")
+        raise KeyError(f"unknown map {args.name!r}; choose from {single}")
     if len(f.tags) != 1:
         slots = ", ".join(tag.value for tag in f.tags)
         raise ValueError(f"map takes single-algebra elements; {args.name} acts on ({slots}) tensors")
@@ -152,7 +165,7 @@ def cmd_renorm(args) -> int:
         "status": "ok" if photon.ok and electron.ok else "fail",
     }
     if args.format == "json":
-        print(json.dumps(report, indent=2))
+        print(_json_text(report))
     else:
         for rep in (photon, electron):
             status = "PASS" if rep.ok else f"FAIL at order {rep.first_failure}"
@@ -161,36 +174,11 @@ def cmd_renorm(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argument parser whose errors take the one exit-2 form: raised as
-    ``ValueError`` for ``main`` to print, not printed after a usage block,
-    on one line and quoting an argument clipped.  Subparsers are built with
-    the class of their parent, so theirs do too."""
+    """An argument parser whose errors raise ``ValueError`` for ``main`` to
+    print as one line, with no usage block; its subparsers share its class."""
 
     def error(self, message):
         raise ValueError(message)
-
-    def parse_args(self, args=None, namespace=None):
-        # argparse's own joins the unrecognized arguments raw and whole.
-        args, extras = self.parse_known_args(args, namespace)
-        if extras:
-            text = clip(" ".join(extras))
-            self.error(f"unrecognized arguments: {text if text.isprintable() else repr(text)}")
-        return args
-
-    def _check_value(self, action, value):
-        # argparse's own check, which quotes the value whole.
-        if action.choices is not None and value not in action.choices:
-            choices = ", ".join(map(repr, action.choices))
-            raise argparse.ArgumentError(action, f"invalid choice: {clip(value)!r} (choose from {choices})")
-
-
-def _int(text: str) -> int:
-    """The ``type`` of an int argument: argparse's own message for a
-    malformed one would quote it whole."""
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {clip(text)!r}") from None
 
 
 @functools.cache
@@ -211,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
         f"printed as they are generated.  Orders above {ENUM_MAX_ORDER} are refused "
         "to bound memory.",
     )
-    pe.add_argument("n", type=_int, help=f"the order, 0 to {ENUM_MAX_ORDER}")
+    pe.add_argument("n", type=int, help=f"the order, 0 to {ENUM_MAX_ORDER}")
     pe.add_argument("--count-only", action="store_true")
     pe.set_defaults(fn=cmd_enum)
 
@@ -230,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("suite", help=f"all, or one of: {', '.join(checks.SUITES)}")
     pc.add_argument(
         "--order",
-        type=_int,
+        type=int,
         default=None,
         help=f"the order of every sweep, 0 to {CHECK_MAX_ORDER} (default: each sweep's own)",
     )
@@ -238,20 +226,36 @@ def build_parser() -> argparse.ArgumentParser:
     pc.set_defaults(fn=cmd_check)
 
     pr = sub.add_parser("renorm", help="order-by-order propagator consistency demo")
-    pr.add_argument("--order", type=_int, default=4, help=f"the truncation order, 1 to {RENORM_MAX_ORDER}")
-    pr.add_argument("--seed", type=_int, default=0)
+    pr.add_argument("--order", type=int, default=4, help=f"the truncation order, 1 to {RENORM_MAX_ORDER}")
+    pr.add_argument("--seed", type=int, default=0)
     pr.add_argument("--ring", choices=["scalar", "matrix"], default="scalar")
-    pr.add_argument("--d", type=_int, default=4, help=f"matrix dimension of the matrix ring, 1 to {RENORM_MAX_D}")
+    pr.add_argument("--d", type=int, default=4, help=f"matrix dimension of the matrix ring, 1 to {RENORM_MAX_D}")
     pr.add_argument("--format", choices=["ascii", "json"], default="json")
     pr.set_defaults(fn=cmd_renorm)
 
     return p
 
 
+def _echo_safe(message: str, argv: list[str]) -> str:
+    """The message with each unsafe piece of ``argv`` clipped: an argument, or
+    the value argparse reads out of one (after ``=`` or ``-h``), longer than
+    ECHO_MAX or not printable.  A piece is quoted in ``repr`` where the message
+    quotes it so or it is not printable, so the message stays one line."""
+    pieces = {p for arg in argv for p in (arg, arg.partition("=")[2])}
+    pieces.update(arg[1:].lstrip("h") for arg in argv if arg[:2] == "-h")
+    for p in sorted((p for p in pieces if len(p) > ECHO_MAX or not p.isprintable()), key=len, reverse=True):
+        if repr(p) in message:
+            message = message.replace(repr(p), repr(clip(p)))
+        else:
+            message = message.replace(p, clip(p) if p.isprintable() else repr(clip(p)))
+    return message
+
+
 EXIT_BROKEN_PIPE = 141
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = build_parser().parse_args(argv)
         code = args.fn(args)
@@ -262,7 +266,7 @@ def main(argv=None) -> int:
         # RecursionError: a tree nested deeper than the interpreter's stack.
         # The str of a KeyError quotes its message, so print the message.
         message = exc.args[0] if isinstance(exc, KeyError) else str(exc)
-        print(f"error: {message}", file=sys.stderr)
+        print(f"error: {_echo_safe(message, argv)}", file=sys.stderr)
         return 2
     except BrokenPipeError:
         # Point stdout at devnull, so that the interpreter's final flush of

@@ -162,7 +162,7 @@ def _ern_tree_recursive(t: Tree) -> TensorElement:
                     mid = multiply_words(Tag.HALPHA, w_l2, w2)
                     key = (tree_word(Tag.HE, left), mid, w3)
                     terms[key] = terms.get(key, 0) + cl * cs
-            got = TensorElement(_ERN_TAGS, terms)
+            got = TensorElement._new(_ERN_TAGS, terms)
         _ern_rec_cache[t] = got
     return got
 

@@ -125,9 +125,7 @@ class Character:
 
 def evaluate(chi: Character, x: Element) -> RingValue:
     """Linear-multiplicative evaluation of a character on a one-slot tensor."""
-    if x.tags != (chi.tag,):
-        raise ValueError(f"character tag {chi.tag} cannot evaluate {x.tags}")
-    return _pair_fold((chi.on_word,), x.terms.items())
+    return pair_evaluate((chi,), x)
 
 
 def _check_tags(chis: Sequence[Character], tags: Sequence[Tag]) -> None:
@@ -142,15 +140,10 @@ def pair_evaluate(chis: Sequence[Character], tensor: TensorElement) -> RingValue
     if len(chis) != tensor.nslots:
         raise ValueError("need one character per slot")
     _check_tags(chis, tensor.tags)
-    return _pair_fold([chi.on_word for chi in chis], tensor.terms.items())
-
-
-def _pair_fold(slot_fns: Sequence, terms: Iterable) -> RingValue:
-    """Sum over the (words, c) terms of c times the slot values
-    ``slot_fns[i](words[i])``, multiplied left-to-right."""
+    slot_fns = [chi.on_word for chi in chis]
     return _ring_sum(
         _slot_product(c, [value(w) for value, w in zip(slot_fns, ws)])
-        for ws, c in terms
+        for ws, c in tensor.terms.items()
     )
 
 

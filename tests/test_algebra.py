@@ -73,6 +73,23 @@ class TestWords:
         assert multiply_words(Tag.HE, (Y,), (DEUXUN,)) == (Y, DEUXUN)
         assert multiply_words(Tag.HALPHA, (Y,), (E,)) == (E, Y)
 
+    def test_constructors_normalize_words(self):
+        # V(Y) V(e) is one basis word, however it is written.
+        assert Element(Tag.HALPHA, {(Y, E): 1}) == from_word(Tag.HALPHA, (Y, E))
+        assert Element(Tag.HALPHA, {(Y, E): 1, (E, Y): 2}).terms == {((E, Y),): 3}
+        x = TensorElement((Tag.HALPHA, Tag.HE), {((Y, E), (Y,)): 1, ((E, Y), (Y,)): -1})
+        assert x.terms == {}
+        # In the free algebras the root tree is the unit, not a letter.
+        for tags, terms in (((Tag.HE,), {((E,),): 1}), ((Tag.HALPHA, Tag.HGAMMA), {((E,), (Y, E)): 1})):
+            with pytest.raises(ValueError):
+                TensorElement(tags, terms)
+        with pytest.raises(ValueError):
+            Element(Tag.HE, {(E,): 1})
+        # One word per slot, no more and no fewer.
+        for ws in (((Y,), (Y,)), ()):
+            with pytest.raises(ValueError):
+                TensorElement((Tag.HE,), {ws: 1})
+
 
 class TestEmbedding:
     def test_free_embedding_is_single_letter(self):

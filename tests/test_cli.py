@@ -156,6 +156,27 @@ class TestFormatOutput:
         assert format_output(x, "ascii") == want_ascii
         assert format_output(x, "latex") == want_latex
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["map", "delta-gamma", "Y3.1", "--format", "json"],
+            ["map", "antipode-p-e", "Y3.5", "--format", "json"],
+            ["renorm", "--order", "3"],
+            ["renorm", "--order", "2", "--ring", "matrix", "--d", "2"],
+        ],
+        ids=["map-tensor", "map-element", "renorm-scalar", "renorm-matrix"],
+    )
+    def test_json_is_what_json_dumps_indents(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "data", [{}, [], {"a": {}, "b": []}, [[1, [2, []]], [None, True, 0.5]], {"é": ["☃", ""]}, "x", 0]
+    )
+    def test_json_edge_cases(self, data):
+        assert cli._json_text(data) == json.dumps(data, indent=2)
+
 
 def _never_called(*args, **kwargs):
     raise AssertionError("ran past a refused input")
@@ -459,6 +480,10 @@ class TestRenorm:
         assert f"1 to {RENORM_MAX_D}" in help_text
 
 
+NINES = "9" * 4000
+RENORM_OPTIONS = "--help, --order, --seed, --ring, --d, --format"
+
+
 class TestArgumentErrors:
     """The parser's own errors take the one exit-2 form: one stderr line,
     no usage block, and nothing on stdout."""
@@ -484,6 +509,30 @@ class TestArgumentErrors:
                 f"argument command: invalid choice: {clip('c' * 200)!r} "
                 "(choose from 'enum', 'map', 'check', 'renorm')",
             ),
+            # Each unrecognized argument is clipped on its own.
+            (["enum", "3", "x" * 200, "y" * 200], f"unrecognized arguments: {clip('x' * 200)} {clip('y' * 200)}"),
+            # The value argparse reads out of an argument is clipped too.
+            (
+                ["enum", "3", "--count-only=" + "z" * 200],
+                f"argument --count-only: ignored explicit argument {clip('z' * 200)!r}",
+            ),
+            (["-h" + "z" * 200], f"argument -h/--help: ignored explicit argument {clip('z' * 200)!r}"),
+            (["renorm", "--=" + "q" * 200], f"ambiguous option: {clip('--=' + 'q' * 200)} could match {RENORM_OPTIONS}"),
+            (["renorm", "--=a\nb"], f"ambiguous option: '--=a\\nb' could match {RENORM_OPTIONS}"),
+            # A number echoed in a bound message is the argument, clipped.
+            (["enum", NINES], f"enum lists orders up to {ENUM_MAX_ORDER}; order {clip(NINES)} is too large"),
+            (
+                ["check", "all", "--order", NINES],
+                f"check sweeps orders up to {CHECK_MAX_ORDER}; order {clip(NINES)} is too large",
+            ),
+            (
+                ["renorm", "--order", NINES],
+                f"renorm checks orders up to {RENORM_MAX_ORDER}; order {clip(NINES)} is too large",
+            ),
+            (
+                ["renorm", "--ring", "matrix", "--d", NINES],
+                f"--d takes 1 to {RENORM_MAX_D} for the matrix ring, not {clip(NINES)}",
+            ),
         ],
         ids=[
             "renorm-d",
@@ -496,6 +545,15 @@ class TestArgumentErrors:
             "long-int",
             "long-choice",
             "long-command",
+            "long-extras",
+            "long-explicit-value",
+            "long-help-value",
+            "long-ambiguous",
+            "newline-ambiguous",
+            "long-enum-order",
+            "long-check-order",
+            "long-renorm-order",
+            "long-renorm-d",
         ],
     )
     def test_is_one_error_line(self, capsys, argv, message):
@@ -545,11 +603,23 @@ class TestNoGarbageCycles:
             ["map", "delta-p-e", "Y2.1"],
             ["renorm", "--order", "99"],
             ["renorm", "--d", "x"],
+            ["renorm", "--order", "3"],
+            ["map", "delta-gamma", "Y3.1", "--format", "json"],
             ["check", "coassoc", "--order", "2"],
             ["check", "all", "--order", "2"],
             ["check", "all"],
         ],
-        ids=["enum", "map", "refused-renorm", "unparsed-renorm", "check-coassoc-2", "check-all-2", "check-all"],
+        ids=[
+            "enum",
+            "map",
+            "refused-renorm",
+            "unparsed-renorm",
+            "renorm-json",
+            "map-json",
+            "check-coassoc-2",
+            "check-all-2",
+            "check-all",
+        ],
     )
     def test_command_leaves_no_cycle(self, capsys, no_collector, argv):
         main(argv)
