@@ -6,7 +6,8 @@ carries the tag of its algebra.  An :class:`Element` of one algebra is a
 one-slot tensor: its ``terms`` are keyed by ``(word,)``, and only its
 constructor takes bare words.  :func:`lift_linear` turns a function of
 one word per slot into a linear map, a *word map*, which carries the tags
-of its input slots as ``tags``; every structure map is one, built once.
+of its input slots as ``tags``; every structure map is one, built once and
+registered in :data:`MAPS`, a composite with its recipe as ``parts``.
 :meth:`TensorElement.map_slot` hands a word map the words of the slots
 that carry its tags.  Four algebras are tagged:
 
@@ -52,10 +53,8 @@ GENERATOR_TAGS = frozenset({Tag.HALPHA, Tag.HALPHA_NC})
 
 # The named structure maps, filled by :func:`structure_map` when ``hopf`` and
 # ``qed`` are imported: word maps keyed by map name, each carrying the tags of
-# its input slots (one tag for an element, several for a tensor).
+# its input slots, and each composite its recipe (:func:`composite_map`).
 MAPS: dict[str, Callable] = {}
-# The composites among them, as functions of ``(maps, *words)``: see :func:`composite_map`.
-COMPOSITES: dict[str, Callable] = {}
 
 
 def structure_map(name: str):
@@ -70,14 +69,17 @@ def structure_map(name: str):
 
 def composite_map(name: str, *tags: Tag):
     """Decorator for a map built from other structure maps: the decorated
-    function of ``(maps, *words)``, which reads its parts from ``maps``, goes
-    into :data:`COMPOSITES`, and its word map over :data:`MAPS` into ``MAPS``."""
+    function of ``(maps, *words)`` reads its parts from ``maps``, and its word
+    map over :data:`MAPS` (:func:`over_maps`) goes into ``MAPS``."""
+    return lambda fn: structure_map(name)(functools.wraps(fn)(over_maps(MAPS, tags, fn)))
 
-    def register(fn: Callable) -> Callable:
-        COMPOSITES[name] = fn
-        return structure_map(name)(functools.wraps(fn)(lift_linear(tags, functools.partial(fn, MAPS))))
 
-    return register
+def over_maps(maps: dict[str, Callable], tags: tuple[Tag, ...], parts: Callable) -> Callable:
+    """The word map of the recipe ``parts``, a function of ``(maps, *words)``,
+    over ``maps``; it keeps ``parts``, to be rebuilt over another map set."""
+    f = lift_linear(tags, functools.partial(parts, maps))
+    f.parts = parts
+    return f
 
 
 def _coeff(c) -> Coeff:
@@ -105,10 +107,6 @@ def word_degree(tag: Tag, word: Word) -> int:
     if tag is Tag.HALPHA or tag is Tag.HALPHA_NC:
         return sum(u.order + 1 for u in word)
     return sum(t.order for t in word)
-
-
-def word_key(word: Word):
-    return tuple(t.sort_key() for t in word)
 
 
 def normalize_word(tag: Tag, word: Iterable[Tree]) -> Word:
@@ -269,7 +267,7 @@ class TensorElement:
         return sorted(
             self.terms.items(),
             key=lambda it: tuple(
-                (word_degree(tag, w), len(w), word_key(w))
+                (word_degree(tag, w), len(w), tuple(t.sort_key() for t in w))
                 for tag, w in zip(self.tags, it[0])
             ),
         )

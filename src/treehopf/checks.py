@@ -19,9 +19,9 @@ from .trees import (
     catalan,
     clip,
     decompose_over,
+    number_text,
 )
 from .algebra import (
-    COMPOSITES,
     MAPS,
     Element,
     Tag,
@@ -30,6 +30,7 @@ from .algebra import (
     embed_tree,
     from_word,
     lift_linear,
+    over_maps,
     tree_word,
     unit,
     word_as_tree,
@@ -55,9 +56,9 @@ def corrupt_map(maps: dict[str, Callable], name: str) -> dict[str, Callable]:
     """Replace one structure map by a damaged variant: multi-term outputs
     silently lose their last term, single nonunit terms are squared (wrong
     degree).  Negative control for the axiom sweeps.  The variant is a word
-    map of the same tags, which damages the image of each basis word.  The
-    composites are rebuilt over the new set, so a damaged part reaches every
-    composite built on it; the others give unchanged results."""
+    map of the same tags, which damages the image of each basis word.  Each
+    composite in ``maps`` is rebuilt from its ``parts`` over the new set, so a
+    damaged part reaches every composite built on it, and no other map."""
     if name not in maps:
         raise KeyError(f"unknown map {clip(name)!r}")
     inner = maps[name]
@@ -75,8 +76,7 @@ def corrupt_map(maps: dict[str, Callable], name: str) -> dict[str, Callable]:
         return out
 
     out = dict(maps)
-    for other, fn in COMPOSITES.items():
-        out[other] = lift_linear(maps[other].tags, functools.partial(fn, out))
+    out.update({other: over_maps(out, f.tags, f.parts) for other, f in maps.items() if hasattr(f, "parts")})
     out[name] = lift_linear(inner.tags, corrupted)
     return out
 
@@ -424,7 +424,7 @@ SUITES: dict[str, list[tuple[Callable[..., CheckResult], tuple, int]]] = {
 def run_suite(suite: str, order: int | None = None, maps=MAPS) -> list[CheckResult]:
     if order is not None and order < 0:
         # Every sweep over the empty range of orders below 0 would pass.
-        raise ValueError(f"the order must be at least 0, not {order}")
+        raise ValueError(f"the order must be at least 0, not {number_text(order)}")
     if suite != "all" and suite not in SUITES:
         raise KeyError(f"unknown suite {clip(suite)!r}; choose from {sorted(SUITES)} or 'all'")
     return [

@@ -66,6 +66,8 @@ def parse_element(tag: Tag, text: str) -> Element:
     basis word is read, and on a factor named ``Yn.k`` before it is built."""
     text = text.strip()
     if text == "-":
+        if sys.stdin is None:
+            raise ValueError("the element '-' reads stdin, which is closed")
         text = sys.stdin.read().strip()
     factors = text.split("*")
     if len(factors) > 1 and not all(f.strip() for f in factors):
@@ -90,7 +92,7 @@ ENUM_MAX_ORDER = 14
 def cmd_enum(args) -> int:
     n = args.n
     if n > ENUM_MAX_ORDER:
-        raise ValueError(f"enum lists orders up to {ENUM_MAX_ORDER}; order {n} is too large")
+        raise ValueError(f"enum lists orders up to {ENUM_MAX_ORDER}; order {number_text(n)} is too large")
     texts = iter_rendered(n)
     if args.count_only:
         print(sum(1 for _ in texts))
@@ -122,7 +124,7 @@ CHECK_MAX_ORDER = 8
 
 def cmd_check(args) -> int:
     if args.order is not None and args.order > CHECK_MAX_ORDER:
-        raise ValueError(f"check sweeps orders up to {CHECK_MAX_ORDER}; order {args.order} is too large")
+        raise ValueError(f"check sweeps orders up to {CHECK_MAX_ORDER}; order {number_text(args.order)} is too large")
     maps = checks.corrupt_map(MAPS, args.corrupt) if args.corrupt else MAPS
     ok = True
     for r in checks.run_suite(args.suite, args.order, maps):
@@ -148,9 +150,11 @@ RENORM_MAX_D = 16
 
 def cmd_renorm(args) -> int:
     if args.order > RENORM_MAX_ORDER:
-        raise ValueError(f"renorm checks orders up to {RENORM_MAX_ORDER}; order {args.order} is too large")
+        raise ValueError(f"renorm checks orders up to {RENORM_MAX_ORDER}; order {number_text(args.order)} is too large")
+    if args.order < 1:
+        raise ValueError(f"renorm checks orders 1 to {RENORM_MAX_ORDER}; order {number_text(args.order)} is too small")
     if args.ring == "matrix" and not 1 <= args.d <= RENORM_MAX_D:
-        raise ValueError(f"--d takes 1 to {RENORM_MAX_D} for the matrix ring, not {args.d}")
+        raise ValueError(f"--d takes 1 to {RENORM_MAX_D} for the matrix ring, not {number_text(args.d)}")
     u_gamma = renorm.make_toy_character(Tag.HGAMMA, args.seed, args.ring, args.d, max_order=args.order)
     u_e = renorm.make_toy_character(Tag.HE, args.seed, args.ring, args.d, max_order=args.order)
     c_gamma = renorm.make_toy_character(Tag.HALPHA, args.seed + 1, "scalar", args.d, max_order=args.order)

@@ -9,6 +9,7 @@ right spine, so only the other factor is grafted.  The charge coproduct and
 its coaction are computed tree-level (every slot entry stays a single tree)
 and then read into the commutative algebra or its noncommutative lift, each
 tree through its tag's word table (:data:`~treehopf.algebra.TREE_WORDS`).
+A generator's antipode is the antipode law solved with the registered maps.
 """
 
 from __future__ import annotations
@@ -266,20 +267,15 @@ _ANTIPODE_WORD = {tag: _antipode_on_words(tag) for tag in Tag}
 
 
 def _antipode_letter(tag: Tag, t: Tree) -> Element:
-    """Antipode of a single generator, by the reduced-coproduct recursion
-    S(g) = -g - sum S(g') g'' over the reduced coproduct of g."""
+    """Antipode of a single generator g, the antipode law solved for S(g):
+    S(g) = -m (S (x) Id)(Delta g - g (x) 1), whose left words have lower
+    degree.  It reads only the registered maps: this cache outlives any sweep."""
     key = (tag, t)
     got = _antipode_letter_cache.get(key)
     if got is None:
-        gen = from_word(tag, (t,))
-        # Always the registered coproduct, never a corrupted copy: this
-        # cache outlives any one sweep.
-        full = MAPS[COPRODUCT_NAME[tag]](gen)
-        got = -gen
-        for (w1, w2), c in full.terms.items():
-            if not w1 or not w2:
-                continue
-            got = got - _ANTIPODE_WORD[tag](w1).scale(c) * from_word(tag, w2)
+        d = MAPS[COPRODUCT_NAME[tag]](from_word(tag, (t,)))
+        d = TensorElement._new(d.tags, {ws: c for ws, c in d.terms.items() if ws[1]})
+        got = -d.map_slot(0, MAPS[ANTIPODE_NAME[tag]]).slot_multiply(0, 1, 0)
         _antipode_letter_cache[key] = got
     return got
 

@@ -251,16 +251,16 @@ COUNT_DIGITS_MAX = 12
 
 
 def number_text(n: int) -> str:
-    """A nonnegative integer for a one-line message: the number when it has
-    at most COUNT_DIGITS_MAX digits, else 'a D-digit number'.  The digits
-    are counted from the bit length, since a long integer's ``str`` is slow
-    and, past 4300 digits, refused."""
-    if n < 10**COUNT_DIGITS_MAX:
+    """An integer for a one-line message: the number when it has at most
+    COUNT_DIGITS_MAX digits, else 'a D-digit number' ('a negative D-digit
+    number' below 0).  The digits are counted from the bit length, since a
+    long integer's ``str`` is slow and, past 4300 digits, refused."""
+    if abs(n) < 10**COUNT_DIGITS_MAX:
         return str(n)
     digits = int((n.bit_length() - 1) * math.log10(2))
-    while n >= 10**digits:
+    while abs(n) >= 10**digits:
         digits += 1
-    return f"a {digits}-digit number"
+    return f"a {'negative ' if n < 0 else ''}{digits}-digit number"
 
 
 def _count_text(count: int) -> str:
@@ -279,7 +279,8 @@ def tree_unrank(n: int, k: int) -> Tree:
     cat = _catalan_table(n)
     count = cat[n] if n >= 0 else 0
     if not 1 <= k <= count:
-        raise ValueError(f"no tree named Y{n}.{k}: order {n} has {_count_text(count)} trees")
+        name = f"Y{number_text(n)}.{number_text(k)}"
+        raise ValueError(f"no tree named {name}: order {number_text(n)} has {_count_text(count)} trees")
     built: list[Tree] = []
     todo: list[Optional[tuple[int, int]]] = [(n, k - 1)]
     while todo:

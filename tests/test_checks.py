@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from treehopf import checks, trees
-from treehopf.algebra import COMPOSITES, MAPS, Tag
+from treehopf.algebra import MAPS, Tag
 from treehopf.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -69,6 +69,12 @@ COMPOSITE_PARTS = {
     "qed-antipode": ("qed", ["antipode-p-e", "antipode-alpha", "delta-e-coaction"]),
     "delta-e": ("qed", ["delta-p-e", "delta-e-coaction"]),
 }
+
+
+def test_long_negative_order_is_given_by_its_digits():
+    with pytest.raises(ValueError) as exc:
+        checks.run_suite("all", order=-(10**5000))
+    assert str(exc.value) == "the order must be at least 0, not a negative 5001-digit number"
 
 
 @pytest.mark.parametrize("suite", ["all", "coassoc", "counts"])
@@ -148,7 +154,7 @@ def test_corrupting_map_fails_detector(name):
 
 
 def test_every_composite_has_its_parts_listed():
-    assert set(COMPOSITES) == set(COMPOSITE_PARTS)
+    assert {name for name, f in MAPS.items() if hasattr(f, "parts")} == set(COMPOSITE_PARTS)
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 exit codes."""
 
 import gc
+import io
 import json
 import os
 import subprocess
@@ -240,6 +241,21 @@ class TestMap:
         code, _, err = run(capsys, "map", "delta-p-e", "(e v")
         assert code == 2
 
+    def test_element_from_stdin(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(" (e v e)\n"))
+        code, out, _ = run(capsys, "map", "delta-p-e", "-")
+        assert code == 0
+        assert out.strip() == "1 (x) (e v e) + (e v e) (x) 1"
+
+    def test_closed_stdin_is_usage_error(self, capsys, monkeypatch):
+        # With file descriptor 0 closed (`treehopf map delta-p-e - <&-`),
+        # the interpreter sets sys.stdin to None.
+        monkeypatch.setattr(sys, "stdin", None)
+        code, out, err = run(capsys, "map", "delta-p-e", "-")
+        assert code == 2
+        assert out == ""
+        assert err == "error: the element '-' reads stdin, which is closed\n"
+
     @pytest.mark.parametrize("text", ["Y1.1*", "*", "Y1.1**Y2.1", "* Y1.1"])
     def test_empty_factor(self, capsys, text):
         code, out, err = run(capsys, "map", "delta-p-e", text)
@@ -451,6 +467,16 @@ class TestRenorm:
         assert out == ""
         assert err == f"error: --d takes 1 to {RENORM_MAX_D} for the matrix ring, not {d}\n"
 
+    @pytest.mark.parametrize("order", [0, -3])
+    def test_low_order_is_refused_unbuilt(self, capsys, monkeypatch, order):
+        # Below order 1 there is no series to check: refused before any
+        # character is built, by a message that names the range.
+        monkeypatch.setattr(cli.renorm, "make_toy_character", _never_called)
+        code, out, err = run(capsys, "renorm", "--order", str(order))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: renorm checks orders 1 to {RENORM_MAX_ORDER}; order {order} is too small\n"
+
     @pytest.mark.parametrize("ring", ["scalar", "matrix"])
     def test_charge_table_is_read_once_per_tree(self, capsys, monkeypatch, ring):
         # The photon and electron reports share one charge side, so each
@@ -519,19 +545,19 @@ class TestArgumentErrors:
             (["-h" + "z" * 200], f"argument -h/--help: ignored explicit argument {clip('z' * 200)!r}"),
             (["renorm", "--=" + "q" * 200], f"ambiguous option: {clip('--=' + 'q' * 200)} could match {RENORM_OPTIONS}"),
             (["renorm", "--=a\nb"], f"ambiguous option: '--=a\\nb' could match {RENORM_OPTIONS}"),
-            # A number echoed in a bound message is the argument, clipped.
-            (["enum", NINES], f"enum lists orders up to {ENUM_MAX_ORDER}; order {clip(NINES)} is too large"),
+            # A long number in a bound message is given by its digit count.
+            (["enum", NINES], f"enum lists orders up to {ENUM_MAX_ORDER}; order a 4000-digit number is too large"),
             (
                 ["check", "all", "--order", NINES],
-                f"check sweeps orders up to {CHECK_MAX_ORDER}; order {clip(NINES)} is too large",
+                f"check sweeps orders up to {CHECK_MAX_ORDER}; order a 4000-digit number is too large",
             ),
             (
                 ["renorm", "--order", NINES],
-                f"renorm checks orders up to {RENORM_MAX_ORDER}; order {clip(NINES)} is too large",
+                f"renorm checks orders up to {RENORM_MAX_ORDER}; order a 4000-digit number is too large",
             ),
             (
                 ["renorm", "--ring", "matrix", "--d", NINES],
-                f"--d takes 1 to {RENORM_MAX_D} for the matrix ring, not {clip(NINES)}",
+                f"--d takes 1 to {RENORM_MAX_D} for the matrix ring, not a 4000-digit number",
             ),
         ],
         ids=[
@@ -561,6 +587,28 @@ class TestArgumentErrors:
         assert code == 2
         assert out == ""
         assert _one_error_line(err) and err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["enum", "0" + NINES],
+            ["check", "all", "--order", "0" + NINES],
+            ["check", "all", "--order", "-0" + NINES],
+            ["renorm", "--order", "0" + NINES],
+            ["renorm", "--order", "-0" + NINES],
+            ["renorm", "--ring", "matrix", "--d", "0" + NINES],
+            ["renorm", "--ring", "matrix", "--d", "-0" + NINES],
+        ],
+        ids=["enum", "check-order", "check-negative-order", "renorm-order", "renorm-negative-order", "d", "negative-d"],
+    )
+    def test_long_number_spelled_otherwise_is_short(self, capsys, argv):
+        # A leading zero: the number int read is not the argument, so only
+        # the message itself can keep it short.
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert _one_error_line(err) and len(err.rstrip("\n")) <= 120
+        assert "4000-digit number" in err
 
     def test_help_still_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:

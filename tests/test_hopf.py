@@ -13,6 +13,8 @@ from functools import reduce
 import pytest
 from hypothesis import given, strategies as st
 
+import frozen_tables
+
 from treehopf.trees import (
     E,
     Y,
@@ -36,7 +38,7 @@ from treehopf.trees import (
 )
 from treehopf.algebra import MAPS, Element, Tag, TensorElement, Word, embed_tree, from_word, tensor, tensor_unit, unit, word_map
 from treehopf import hopf
-from treehopf.checks import basis_elements, basis_words, corrupt_map
+from treehopf.checks import basis_elements, basis_words, corrupt_map, run_suite
 
 
 def he(t):
@@ -279,6 +281,17 @@ class TestAntipodes:
             g = from_word(Tag.HALPHA, (u,))
             s = hopf.antipode_alpha(g)
             assert s.terms.get(((u,),)) == Fraction(-1)
+
+    def test_letter_cache_is_filled_from_the_registered_maps(self, monkeypatch):
+        # A sweep over a damaged map set fills the letter cache first, and
+        # the cache outlives it: the letters must read only MAPS.
+        monkeypatch.setattr(hopf, "_antipode_letter_cache", {})
+        for name in ("delta-p-e", "antipode-p-e"):
+            assert not all(r.ok for r in run_suite("antipode", maps=corrupt_map(MAPS, name))), name
+        assert hopf._antipode_letter_cache
+        for t, expect in frozen_tables.UNDER_ANTIPODE.items():
+            assert hopf.antipode_p_e(he(t)) == expect, t
+        assert all(r.ok for r in run_suite("antipode"))
 
     @pytest.mark.parametrize("tag", list(Tag), ids=lambda tag: hopf.ANTIPODE_NAME[tag])
     def test_refuses_elements_of_another_algebra(self, tag):

@@ -338,6 +338,22 @@ class TestUnrank:
             with pytest.raises(ValueError, match="no tree named"):
                 tree_unrank(n, k)
 
+    @pytest.mark.parametrize(
+        "n, k, name",
+        [
+            (3, 6, "Y3.6"),
+            (3, 10**4000, "Y3.a 4001-digit number"),
+            (3, 10**5000, "Y3.a 5001-digit number"),
+            (3, -(10**5000), "Y3.a negative 5001-digit number"),
+        ],
+        ids=["small", "4001-digit", "5001-digit", "negative"],
+    )
+    def test_out_of_range_message(self, n, k, name):
+        # More digits than Python prints from an int must not reach str().
+        with pytest.raises(ValueError) as exc:
+            tree_unrank(n, k)
+        assert str(exc.value) == f"no tree named {name}: order 3 has 5 trees"
+
     def test_parse_name_builds_no_level(self):
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
         code = (
@@ -422,8 +438,26 @@ class TestText:
 
     @pytest.mark.parametrize(
         "n, text",
-        [(17, "17"), (10**12 - 1, "999999999999"), (10**12, "a 13-digit number"), (10**5000, "a 5001-digit number")],
-        ids=["small", "12-digit", "13-digit", "5001-digit"],
+        [
+            (17, "17"),
+            (10**12 - 1, "999999999999"),
+            (10**12, "a 13-digit number"),
+            (10**5000, "a 5001-digit number"),
+            (-17, "-17"),
+            (1 - 10**12, "-999999999999"),
+            (-(10**12), "a negative 13-digit number"),
+            (-(10**5000), "a negative 5001-digit number"),
+        ],
+        ids=[
+            "small",
+            "12-digit",
+            "13-digit",
+            "5001-digit",
+            "negative",
+            "negative-12-digit",
+            "negative-13-digit",
+            "negative-5001-digit",
+        ],
     )
     def test_number_text(self, n, text):
         assert number_text(n) == text
