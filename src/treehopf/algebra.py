@@ -120,8 +120,10 @@ def normalize_word(tag: Tag, word: Iterable[Tree]) -> Word:
 
 
 def multiply_words(tag: Tag, a: Word, b: Word) -> Word:
-    """Product of two basis words; only the commutative algebra re-sorts."""
-    if tag is Tag.HALPHA:
+    """Product of two basis words; only the commutative algebra re-sorts,
+    and only when both words have letters: a basis word times the empty
+    word is already sorted."""
+    if tag is Tag.HALPHA and a and b:
         return tuple(sorted(a + b, key=Tree.sort_key))
     return a + b
 

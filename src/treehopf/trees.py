@@ -2,9 +2,11 @@
 
 A tree is either the root tree ``e`` (zero internal vertices) or the graft
 ``l v r`` of two smaller trees.  Trees are interned, so structural equality
-coincides with identity and hashing is cheap.  The over and under products
-graft one tree onto the leftmost / rightmost branch of the other; ``e`` is a
-two-sided unit for both and each product is associative.  Trees are totally
+coincides with identity and hashing is cheap.  Once an order is listed, its
+level is its intern table, and grafting finds a tree of that order by rank;
+only the trees of orders not yet listed are kept in a pool.  The over and
+under products graft one tree onto the leftmost / rightmost branch of the
+other; ``e`` is a two-sided unit for both and each product is associative.  Trees are totally
 ordered by the key (order, rank) of :meth:`Tree.sort_key`, and ``Yn.k`` names
 the k-th tree of order n in that order.
 """
@@ -21,32 +23,35 @@ from typing import Iterator, Optional, Sequence
 class Tree:
     """Immutable planar binary tree.  Build via :data:`E` and :func:`graft`."""
 
-    __slots__ = ("left", "right", "order", "_key")
+    __slots__ = ("left", "right", "order", "rank")
 
-    def __init__(self, left: Optional["Tree"], right: Optional["Tree"]):
+    def __init__(self, left: Optional["Tree"], right: Optional["Tree"], rank: Optional[int] = None):
         self.left = left
         self.right = right
         self.order = 0 if left is None else left.order + right.order + 1
-        self._key = (0, 0) if left is None else None
+        self.rank = 0 if left is None else rank
 
     def sort_key(self) -> tuple[int, int]:
         """The canonical key (order, rank), rank the 0-based position in the level.
 
-        In a level a larger left subtree comes first, then the left subtrees
-        decide, then the right ones.  So rank(l v r) = A + rank(l) C(|r|) +
-        rank(r), A the number of trees of its order m with left order above
-        |l|: a sum of |r| terms C(k) C(m-1-k), or C(m) minus a sum of |l| + 1
-        (Segner), whichever is shorter.  Computed on first read for the tree
-        and its keyless subtrees, children first, from an explicit stack."""
-        if self._key is None:
+        A tree of a listed order got its rank when its level was built (see
+        _level).  For one of an order not yet listed the rank is computed on
+        first read.  In a level a larger left subtree comes first, then the
+        left subtrees decide, then the right ones.  So rank(l v r) = A +
+        rank(l) C(|r|) + rank(r), A the number of trees of its order m with
+        left order above |l|: a sum of |r| terms C(k) C(m-1-k), or C(m) minus
+        a sum of |l| + 1 (Segner), whichever is shorter.  Computed for the
+        tree and its unranked subtrees, children first, from an explicit
+        stack."""
+        if self.rank is None:
             cat = _catalan_table(self.order)
             stack = [self]
             while stack:
                 s = stack[-1]
                 l, r = s.left, s.right
-                if l._key is None:
+                if l.rank is None:
                     stack.append(l)
-                elif r._key is None:
+                elif r.rank is None:
                     stack.append(r)
                 else:
                     stack.pop()
@@ -56,8 +61,8 @@ class Tree:
                         above = sum(x * y for x, y in zip(cat[a + 1 : m], reversed(cat[:b])))
                     else:
                         above = cat[m] - sum(x * y for x, y in zip(cat[: a + 1], reversed(cat[b:m])))
-                    s._key = (m, above + l._key[1] * cat[b] + r._key[1])
-        return self._key
+                    s.rank = above + l.rank * cat[b] + r.rank
+        return self.order, self.rank
 
     def __repr__(self) -> str:
         return f"Tree({render(self)})"
@@ -68,12 +73,28 @@ class Tree:
 
 E = Tree(None, None)
 
-# Keyed by the subtrees themselves: a Tree hashes and compares by identity.
+# The listed levels: _enum_cache[m] holds every tree of order m, in
+# canonical order, each at the index of its rank, and _offsets[m][a] is the
+# index of the first tree of order m whose left subtree has order a.
+_enum_cache: list[list[Tree]] = [[E]]
+_offsets: list[list[int]] = [[]]
+
+# The trees of orders not yet listed, keyed by their subtrees: a Tree hashes
+# and compares by identity.
 _pool: dict[tuple[Tree, Tree], Tree] = {}
 
 
 def graft(left: Tree, right: Tree) -> Tree:
-    """Join two trees under a new root.  order(l v r) = |l| + |r| + 1."""
+    """Join two trees under a new root.  order(l v r) = |l| + |r| + 1.
+
+    A tree of a listed order is read from its level by rank: both subtrees
+    have lower orders, so they are listed and ranked too.  A tree of any
+    other order is interned in the pool."""
+    m = left.order + right.order + 1
+    if m < len(_enum_cache):
+        if right is E:  # the first block of the level, left order m - 1
+            return _enum_cache[m][left.rank]
+        return _enum_cache[m][_offsets[m][left.order] + left.rank * len(_enum_cache[right.order]) + right.rank]
     key = (left, right)
     t = _pool.get(key)
     if t is None:
@@ -144,18 +165,25 @@ def catalan(n: int) -> int:
     return math.factorial(2 * n) // (math.factorial(n) * math.factorial(n + 1))
 
 
-_enum_cache: list[list[Tree]] = [[E]]
-
-
 def _level(n: int) -> list[Tree]:
     """The cached list of all trees of order n; callers must not mutate it.
 
+    A listed level is the intern table of its order.  It is built in
+    canonical order, left orders descending, then left and right subtrees in
+    their own levels' order, so each tree's rank is its index and no sort is
+    needed; each tree is constructed with its rank.  A tree the pool already
+    holds then takes the place of the one constructed at the rank its
+    sort_key gives, so it is listed as itself.  Only once the level and its
+    block offsets are appended are its trees dropped from the pool, so a
+    build that raises leaves the pool and the cache as they were, apart from
+    the levels already finished.
+
     The missing levels are built with the cyclic garbage collector paused.
-    Interning allocates a tree and a pool key per tree, and each batch of
-    allocations would start a collection that traverses the older trees
-    again.  None of them can free anything: a tree refers only to smaller
-    trees, so trees never form a cycle.  The collector is enabled again on
-    the way out, even on an error, if and only if it was enabled on entry.
+    Each batch of allocations would start a collection that traverses the
+    older trees again.  None of them can free anything: a tree refers only
+    to smaller trees, so trees never form a cycle.  The collector is enabled
+    again on the way out, even on an error, if and only if it was enabled on
+    entry.
     """
     if n < 0:
         raise ValueError("order must be non-negative")
@@ -164,18 +192,27 @@ def _level(n: int) -> list[Tree]:
     was_enabled = gc.isenabled()
     gc.disable()
     try:
+        pooled: dict[int, list[Tree]] = {}
+        for t in _pool.values():
+            if t.order <= n:
+                pooled.setdefault(t.order, []).append(t)
         while n >= len(_enum_cache):
             m = len(_enum_cache)
-            # Left orders descend, and left then right subtrees come in canonical
-            # order: this is already the order of Tree.sort_key, so no sort.
-            _enum_cache.append(
-                [
-                    graft(l, r)
-                    for k in range(m)
-                    for l in _enum_cache[m - 1 - k]
-                    for r in _enum_cache[k]
-                ]
-            )
+            level: list[Tree] = []
+            offsets = [0] * m
+            for a in range(m - 1, -1, -1):
+                offsets[a] = len(level)
+                rights = _enum_cache[m - 1 - a]
+                for l in _enum_cache[a]:
+                    for r in rights:
+                        level.append(Tree(l, r, len(level)))
+            mine = pooled.get(m, ())
+            for t in mine:
+                level[t.sort_key()[1]] = t
+            _enum_cache.append(level)
+            _offsets.append(offsets)
+            for t in mine:
+                del _pool[t.left, t.right]
     finally:
         if was_enabled:
             gc.enable()

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from treehopf import checks, trees
-from treehopf.algebra import MAPS, Tag
+from treehopf.algebra import MAPS, Tag, word_degree
 from treehopf.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -206,3 +206,34 @@ def test_catalan_check_sees_a_short_level(monkeypatch):
     result = checks.check_catalan(9)
     assert not result.ok
     assert result.detail == "|Y_7| = 428 != 429"
+
+
+# tag -> the number of basis words of each degree 0..7: the free algebras on
+# trees of each order >= 1 have 1/(2 - C(x)), the binomials (2n-1 choose n),
+# the commutative charge algebra prod (1 - x^(n+1))^(-C(n)), and its
+# noncommutative lift C(x).
+GRADED_DIMENSIONS = {
+    Tag.HGAMMA: [1, 1, 3, 10, 35, 126, 462, 1716],
+    Tag.HE: [1, 1, 3, 10, 35, 126, 462, 1716],
+    Tag.HALPHA: [1, 1, 2, 4, 10, 26, 77, 235],
+    Tag.HALPHA_NC: [1, 1, 2, 5, 14, 42, 132, 429],
+}
+
+
+def graded_dimensions(tag: Tag, n: int) -> list[int]:
+    counts = [0] * (n + 1)
+    for w in checks.basis_words(tag, n):
+        counts[word_degree(tag, w)] += 1
+    return counts
+
+
+@pytest.mark.parametrize("tag", list(GRADED_DIMENSIONS), ids=lambda tag: tag.value)
+def test_graded_dimensions_of_the_basis(tag):
+    assert graded_dimensions(tag, 7) == GRADED_DIMENSIONS[tag]
+
+
+def test_charge_dimensions_need_the_normal_form(monkeypatch):
+    # Negative control: with every tree's key equal, no word of the
+    # commutative algebra is refused as unsorted, and its counts grow.
+    monkeypatch.setattr(trees.Tree, "sort_key", lambda t: (0, 0))
+    assert graded_dimensions(Tag.HALPHA, 7) != GRADED_DIMENSIONS[Tag.HALPHA]

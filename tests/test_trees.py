@@ -227,8 +227,12 @@ def collector():
 
 @pytest.fixture
 def fresh_levels(monkeypatch):
-    """A level cache holding only order 0, so that _level has levels to build."""
+    """Intern tables holding only order 0, so that _level has levels to
+    build: the level cache and its block offsets list the root tree alone,
+    and the pool is empty, so every other tree is built afresh."""
     monkeypatch.setattr(trees, "_enum_cache", [[E]])
+    monkeypatch.setattr(trees, "_offsets", [[]])
+    monkeypatch.setattr(trees, "_pool", {})
 
 
 class TestCollectorPause:
@@ -245,27 +249,66 @@ class TestCollectorPause:
     def test_failed_build_restores_collector(self, collector, fresh_levels, monkeypatch):
         trees._level(5)
         levels = len(trees._enum_cache)
-        real_graft, calls = trees.graft, 0
+        pooled = tree_unrank(6, 100)
+        pool = dict(trees._pool)
+        real_tree, calls = trees.Tree, 0
 
-        def failing_graft(left, right):
+        def failing_tree(*args):
             nonlocal calls
             calls += 1
-            if calls > 50:  # order 6 needs 132 grafts
-                raise RuntimeError("graft failed")
-            return real_graft(left, right)
+            if calls > 50:  # order 6 has 132 trees
+                raise RuntimeError("construction failed")
+            return real_tree(*args)
 
-        monkeypatch.setattr(trees, "graft", failing_graft)
+        monkeypatch.setattr(trees, "Tree", failing_tree)
         gc.enable()
-        with pytest.raises(RuntimeError, match="graft failed"):
+        with pytest.raises(RuntimeError, match="construction failed"):
             trees._level(6)
         assert gc.isenabled()
         assert len(trees._enum_cache) == levels
-        monkeypatch.setattr(trees, "graft", real_graft)
+        assert trees._pool == pool
+        monkeypatch.setattr(trees, "Tree", real_tree)
         level = trees._level(6)
         # Second route: unranking builds each tree of order 6 on its own.
         expected = [tree_unrank(6, k) for k in range(1, catalan(6) + 1)]
         assert len(level) == len(expected)
         assert all(t is u for t, u in zip(level, expected))
+        # The tree pooled before the failed build is the one listed.
+        assert level[99] is pooled
+
+
+class TestInterning:
+    """A listed level is the intern table of its order; the pool holds only
+    the trees of orders not yet listed."""
+
+    def test_pool_holds_no_listed_order(self, fresh_levels):
+        unlisted = [tree_unrank(n, k) for n in (3, 5, 7) for k in (1, 2, catalan(n))]
+        trees._level(5)
+        assert {t.order for t in trees._pool.values()} == {6, 7}
+        assert {tree_unrank(7, k) for k in (1, 2, catalan(7))} <= set(trees._pool.values())
+        assert all(t in trees._level(t.order) for t in unlisted if t.order <= 5)
+
+    def test_pool_holds_no_listed_order_of_the_process(self):
+        all_trees_up_to(6)
+        comb = tree_unrank(7, 1)
+        assert over(comb, comb).order == 14
+        listed = len(trees._enum_cache) - 1
+        assert all(t.order > listed for t in trees._pool.values())
+
+    def test_graft_reads_a_listed_level(self):
+        for t in all_trees_up_to(9):
+            if t is not E:
+                assert graft(t.left, t.right) is t
+
+    def test_pooled_tree_is_listed_as_itself(self, fresh_levels):
+        parsed = [parse(text) for text in iter_rendered(6)]
+        assert all(t.rank is None for t in parsed)
+        # Ranked lazily, from the pooled subtrees up, before the level exists.
+        assert [t.sort_key() for t in parsed] == [(6, k) for k in range(catalan(6))]
+        level = trees._level(6)
+        assert all(u is t for u, t in zip(level, parsed))
+        assert len(level) == len(parsed)
+        assert trees._pool == {}
 
 
 class TestNoGarbageCycles:
