@@ -6,15 +6,19 @@ carries the tag of its algebra.  An :class:`Element` of one algebra is a
 one-slot tensor: its ``terms`` are keyed by ``(word,)``, and only its
 constructor takes bare words.  :func:`lift_linear` turns a function of
 one word per slot into a linear map, a *word map*, which carries the tags
-of its input slots as ``tags``; every structure map is one, built once and
-registered in :data:`MAPS`, a composite with its recipe as ``parts``.
-:meth:`TensorElement.map_slot` hands a word map the words of the slots
-that carry its tags.  Four algebras are tagged:
+of its input slots as ``tags`` and of its images as ``out_tags``; every
+structure map is one, built once and registered in :data:`MAPS`, a
+composite with its recipe as ``parts``.  :meth:`TensorElement.map_slot`
+hands a word map the words of the slots that carry its tags, and puts
+``out_tags`` in their place.  Four algebras are tagged, and each
+:class:`Tag` states its shape once: whether its letters are
+``generators``, whether it is ``commutative``, and the names in ``MAPS`` of
+its ``coproduct`` and ``antipode``.
 
 * ``HGAMMA`` / ``HE`` -- free associative algebras on trees; a basis word is
   an ordered tuple of nonroot trees and the product is concatenation.
-* ``HALPHA`` -- commutative polynomials on the generators V(u); a basis word
-  is the sorted tuple of generator arguments u.
+* ``HALPHA`` -- commutative polynomials on the generators V(u), of degree
+  |u| + 1; a basis word is the sorted tuple of generator arguments u.
 * ``HALPHA_NC`` -- the noncommutative lift; same generator words, unsorted.
 
 The empty word is the unit (the root tree ``e``).  Coefficients are exact:
@@ -39,21 +43,27 @@ L = TypeVar("L")
 
 
 class Tag(enum.Enum):
-    HGAMMA = "Hgamma"
-    HE = "He"
-    HALPHA = "Halpha"
-    HALPHA_NC = "HalphaNC"
+    # value, generators, commutative, coproduct, antipode
+    HGAMMA = "Hgamma", False, False, "delta-p-gamma", "antipode-p-gamma"
+    HE = "He", False, False, "delta-p-e", "antipode-p-e"
+    HALPHA = "Halpha", True, True, "delta-alpha", "antipode-alpha"
+    HALPHA_NC = "HalphaNC", True, False, "delta-alpha-nc", "antipode-alpha-nc"
+
+    def __new__(cls, value: str, generators: bool, commutative: bool, coproduct: str, antipode: str):
+        tag = object.__new__(cls)
+        tag._value_ = value
+        tag.generators, tag.commutative = generators, commutative
+        tag.coproduct, tag.antipode = coproduct, antipode
+        return tag
 
     # Members are singletons that compare by identity, so they may hash by
     # it too: a Tag-keyed lookup then calls no ``Enum.__hash__`` in Python.
     __hash__ = object.__hash__
 
 
-GENERATOR_TAGS = frozenset({Tag.HALPHA, Tag.HALPHA_NC})
-
 # The named structure maps, filled by :func:`structure_map` when ``hopf`` and
-# ``qed`` are imported: word maps keyed by map name, each carrying the tags of
-# its input slots, and each composite its recipe (:func:`composite_map`).
+# ``qed`` are imported: word maps keyed by map name, each carrying its input
+# and output tags, and each composite its recipe (:func:`composite_map`).
 MAPS: dict[str, Callable] = {}
 
 
@@ -67,17 +77,19 @@ def structure_map(name: str):
     return register
 
 
-def composite_map(name: str, *tags: Tag):
+def composite_map(name: str, tags: tuple[Tag, ...], out_tags: tuple[Tag, ...]):
     """Decorator for a map built from other structure maps: the decorated
     function of ``(maps, *words)`` reads its parts from ``maps``, and its word
     map over :data:`MAPS` (:func:`over_maps`) goes into ``MAPS``."""
-    return lambda fn: structure_map(name)(functools.wraps(fn)(over_maps(MAPS, tags, fn)))
+    return lambda fn: structure_map(name)(functools.wraps(fn)(over_maps(MAPS, tags, out_tags, fn)))
 
 
-def over_maps(maps: dict[str, Callable], tags: tuple[Tag, ...], parts: Callable) -> Callable:
+def over_maps(
+    maps: dict[str, Callable], tags: tuple[Tag, ...], out_tags: tuple[Tag, ...], parts: Callable
+) -> Callable:
     """The word map of the recipe ``parts``, a function of ``(maps, *words)``,
     over ``maps``; it keeps ``parts``, to be rebuilt over another map set."""
-    f = lift_linear(tags, functools.partial(parts, maps))
+    f = lift_linear(tags, out_tags, functools.partial(parts, maps))
     f.parts = parts
     return f
 
@@ -104,26 +116,24 @@ def _exact(terms: dict) -> dict:
 
 
 def word_degree(tag: Tag, word: Word) -> int:
-    if tag is Tag.HALPHA or tag is Tag.HALPHA_NC:
+    if tag.generators:
         return sum(u.order + 1 for u in word)
     return sum(t.order for t in word)
 
 
 def normalize_word(tag: Tag, word: Iterable[Tree]) -> Word:
     w = tuple(word)
-    if tag is Tag.HALPHA:
-        return tuple(sorted(w, key=Tree.sort_key))
-    if tag is not Tag.HALPHA_NC and any(t is E for t in w):
+    if not tag.generators and any(t is E for t in w):
         # In the free algebras a root-tree letter is the unit, not a letter.
         raise ValueError("basis words must not contain the root tree")
-    return w
+    return tuple(sorted(w, key=Tree.sort_key)) if tag.commutative else w
 
 
 def multiply_words(tag: Tag, a: Word, b: Word) -> Word:
-    """Product of two basis words; only the commutative algebra re-sorts,
+    """Product of two basis words; only a commutative algebra re-sorts,
     and only when both words have letters: a basis word times the empty
     word is already sorted."""
-    if tag is Tag.HALPHA and a and b:
+    if tag.commutative and a and b:
         return tuple(sorted(a + b, key=Tree.sort_key))
     return a + b
 
@@ -242,28 +252,24 @@ class TensorElement:
     def map_slot(self, i: int, f: Callable[..., "TensorElement"]) -> "TensorElement":
         """Apply the word map ``f`` (:func:`lift_linear`) to the slots from i
         that carry its tags, extending linearly: ``f.word`` is handed their
-        words, and every image expands into its slots in one dict.  Slots
-        of other tags are refused."""
+        words, and every image expands into its slots in one dict.  The
+        result has ``f.out_tags`` in place of those slots, so 0 maps to 0.
+        Slots of other tags, and images of other tags, are refused."""
         j = i + len(f.tags)
         if self.tags[i:j] != f.tags:
             want = " (x) ".join(map(str, f.tags))
             raise ValueError(f"expected a {want} element, got {self.tags[i:j]}")
-        word = f.word
+        word, out_tags = f.word, f.out_tags
         terms: dict[tuple[Word, ...], Coeff] = {}
-        image_tags = None
         for ws, c in self.terms.items():
             image = word(*ws[i:j])
-            if image_tags is None:
-                image_tags = image.tags
-            elif image.tags != image_tags:
-                raise ValueError(f"image tag mismatch: {image_tags} vs {image.tags}")
+            if image.tags != out_tags:
+                raise ValueError(f"image tag mismatch: {out_tags} vs {image.tags}")
             head, tail = ws[:i], ws[j:]
             for iws, ic in image.terms.items():
                 key = head + iws + tail
                 terms[key] = terms.get(key, 0) + c * ic
-        if image_tags is None:
-            raise ValueError("cannot infer output tags of a map applied to 0")
-        return TensorElement._new(self.tags[:i] + image_tags + self.tags[j:], terms)
+        return TensorElement._new(self.tags[:i] + out_tags + self.tags[j:], terms)
 
     def sorted_terms(self) -> list[tuple[tuple[Word, ...], Coeff]]:
         return sorted(
@@ -322,7 +328,7 @@ class _TreeWords(dict):
         self.tag = tag
 
     def __missing__(self, t: Tree) -> Word:
-        if self.tag in GENERATOR_TAGS:
+        if self.tag.generators:
             w = normalize_word(self.tag, decompose_over(t))
         else:
             w = () if t is E else (t,)
@@ -350,7 +356,7 @@ def embed_tree(tag: Tag, t: Tree) -> Element:
 def word_as_tree(tag: Tag, word: Word) -> Tree:
     """Inverse of :func:`embed_tree` on generator words (the vector-space
     identification of the noncommutative lift with single trees)."""
-    if tag not in GENERATOR_TAGS:
+    if not tag.generators:
         raise ValueError("only generator words correspond to single trees")
     return compose_over(word)
 
@@ -385,28 +391,27 @@ def multiplicative(unit: Callable[[], T], letter: Callable[[L], T]) -> Callable[
 
 
 def lift_linear(
-    tags: tuple[Tag, ...], word_fn: Callable[..., TensorElement]
+    tags: tuple[Tag, ...], out_tags: tuple[Tag, ...], word_fn: Callable[..., TensorElement]
 ) -> Callable[[TensorElement], TensorElement]:
     """Extend a function of one word per slot linearly to whole elements of
-    the tensor algebra of ``tags``: the one place a function of words becomes
-    a linear map, a *word map*, which keeps ``tags`` and ``word_fn`` as its
-    ``tags`` and ``word``.  A call is :meth:`TensorElement.map_slot` on an
-    element with exactly those slots."""
+    the tensor algebra of ``tags``, with images in that of ``out_tags``: the
+    one place a function of words becomes a linear map, a *word map*, which
+    keeps its arguments as ``tags``, ``out_tags`` and ``word``.  A call is
+    :meth:`TensorElement.map_slot` on an element with exactly those slots."""
 
     def apply(x: TensorElement) -> TensorElement:
         if x.nslots != len(tags):
             raise ValueError(f"expected a {len(tags)}-slot element, got {x.tags}")
         return x.map_slot(0, apply)
 
-    apply.tags = tags
-    apply.word = word_fn
+    apply.tags, apply.out_tags, apply.word = tags, out_tags, word_fn
     return apply
 
 
-def word_map(*tags: Tag):
+def word_map(tags: tuple[Tag, ...], out_tags: tuple[Tag, ...]):
     """Decorator: :func:`lift_linear` of the decorated function of words,
     with the function's name and docstring."""
-    return lambda word_fn: functools.wraps(word_fn)(lift_linear(tags, word_fn))
+    return lambda word_fn: functools.wraps(word_fn)(lift_linear(tags, out_tags, word_fn))
 
 
 # -- text -------------------------------------------------------------------

@@ -37,7 +37,6 @@ from .algebra import (
     word_degree,
 )
 from . import hopf, qed, trees
-from .hopf import ANTIPODE_NAME, COPRODUCT_NAME
 
 
 @dataclass
@@ -76,8 +75,8 @@ def corrupt_map(maps: dict[str, Callable], name: str) -> dict[str, Callable]:
         return out
 
     out = dict(maps)
-    out.update({other: over_maps(out, f.tags, f.parts) for other, f in maps.items() if hasattr(f, "parts")})
-    out[name] = lift_linear(inner.tags, corrupted)
+    out.update({other: over_maps(out, f.tags, f.out_tags, f.parts) for other, f in maps.items() if hasattr(f, "parts")})
+    out[name] = lift_linear(inner.tags, inner.out_tags, corrupted)
     return out
 
 
@@ -85,13 +84,11 @@ def corrupt_map(maps: dict[str, Callable], name: str) -> dict[str, Callable]:
 
 
 def basis_words(tag: Tag, n: int) -> list[Word]:
-    """All basis words of total degree <= n, unit word included."""
-    if tag in (Tag.HGAMMA, Tag.HE):
-        letters = [t for t in all_trees_up_to(n) if t is not E]
-        weight = {t: t.order for t in letters}
-    else:
-        letters = all_trees_up_to(max(n - 1, 0))
-        weight = {t: t.order + 1 for t in letters}
+    """All basis words of total degree <= n, unit word included.  The
+    letters are the trees of positive degree (:func:`word_degree`) up to n;
+    a commutative algebra keeps only the sorted words."""
+    weight = {t: word_degree(tag, (t,)) for t in all_trees_up_to(n)}
+    letters = [t for t, w in weight.items() if 0 < w <= n]
     out: list[Word] = []
     # Depth first, each word before its extensions, letters popped in order.
     stack: list[tuple[Word, int]] = [((), n)]
@@ -100,7 +97,7 @@ def basis_words(tag: Tag, n: int) -> list[Word]:
         out.append(prefix)
         for t in reversed(letters):
             if weight[t] <= budget:
-                if tag is Tag.HALPHA and prefix and t.sort_key() < prefix[-1].sort_key():
+                if tag.commutative and prefix and t.sort_key() < prefix[-1].sort_key():
                     continue  # commutative normal form: nondecreasing letters
                 stack.append((prefix + (t,), budget - weight[t]))
     return out
@@ -155,13 +152,13 @@ def _antipode_holds(x: Element, d: TensorElement, antipode, slots) -> bool:
 
 
 def check_coassoc(tag: Tag, n: int, maps=MAPS) -> CheckResult:
-    delta = maps[COPRODUCT_NAME[tag]]
+    delta = maps[tag.coproduct]
     law = _coaction_law("coassociativity fails on {x!r}: {diff!r}", delta, delta)
     return _sweep(f"coassoc[{tag.value}] order<={n}", basis_elements(tag, n), law)
 
 
 def check_counit(tag: Tag, n: int, maps=MAPS) -> CheckResult:
-    delta = maps[COPRODUCT_NAME[tag]]
+    delta = maps[tag.coproduct]
 
     def law(x: Element) -> Optional[str]:
         d = delta(x)
@@ -173,8 +170,7 @@ def check_counit(tag: Tag, n: int, maps=MAPS) -> CheckResult:
 
 
 def check_antipode(tag: Tag, n: int, maps=MAPS) -> CheckResult:
-    delta = maps[COPRODUCT_NAME[tag]]
-    antipode = maps[ANTIPODE_NAME[tag]]
+    delta, antipode = maps[tag.coproduct], maps[tag.antipode]
 
     def law(x: Element) -> Optional[str]:
         if not _antipode_holds(x, delta(x), antipode, (0, 1)):

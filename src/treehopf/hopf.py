@@ -9,7 +9,8 @@ right spine, so only the other factor is grafted.  The charge coproduct and
 its coaction are computed tree-level (every slot entry stays a single tree)
 and then read into the commutative algebra or its noncommutative lift, each
 tree through its tag's word table (:data:`~treehopf.algebra.TREE_WORDS`).
-A generator's antipode is the antipode law solved with the registered maps.
+A generator's antipode is the antipode law solved with the maps that its
+tag names as its ``coproduct`` and ``antipode`` in the registry.
 """
 
 from __future__ import annotations
@@ -150,7 +151,7 @@ def pairs_map(*tags: Tag):
 
     def lift(pairs_fn: Callable[[Tree], TreePairs]):
         word = multiplicative(lambda: tensor_unit(tags), lambda t: read_pairs(tags, pairs_fn(t)))
-        return functools.wraps(pairs_fn)(lift_linear(tags[:1], word))
+        return functools.wraps(pairs_fn)(lift_linear(tags[:1], tags, word))
 
     return lift
 
@@ -236,21 +237,6 @@ def delta_small_nc(u: Tree) -> TreePairs:
     return charge_coaction_tree(v_wrap(u))
 
 
-# Name in MAPS of each tag's coproduct and antipode.
-COPRODUCT_NAME = {
-    Tag.HGAMMA: "delta-p-gamma",
-    Tag.HE: "delta-p-e",
-    Tag.HALPHA: "delta-alpha",
-    Tag.HALPHA_NC: "delta-alpha-nc",
-}
-ANTIPODE_NAME = {
-    Tag.HGAMMA: "antipode-p-gamma",
-    Tag.HE: "antipode-p-e",
-    Tag.HALPHA: "antipode-alpha",
-    Tag.HALPHA_NC: "antipode-alpha-nc",
-}
-
-
 # -- antipodes --------------------------------------------------------------
 
 _antipode_letter_cache: dict[tuple[Tag, Tree], Element] = {}
@@ -273,36 +259,36 @@ def _antipode_letter(tag: Tag, t: Tree) -> Element:
     key = (tag, t)
     got = _antipode_letter_cache.get(key)
     if got is None:
-        d = MAPS[COPRODUCT_NAME[tag]](from_word(tag, (t,)))
+        d = MAPS[tag.coproduct](from_word(tag, (t,)))
         d = TensorElement._new(d.tags, {ws: c for ws, c in d.terms.items() if ws[1]})
-        got = -d.map_slot(0, MAPS[ANTIPODE_NAME[tag]]).slot_multiply(0, 1, 0)
+        got = -d.map_slot(0, MAPS[tag.antipode]).slot_multiply(0, 1, 0)
         _antipode_letter_cache[key] = got
     return got
 
 
 @structure_map("antipode-p-e")
-@word_map(Tag.HE)
+@word_map((Tag.HE,), (Tag.HE,))
 def antipode_p_e(word: Word) -> Element:
     """Antipode of the electron propagator Hopf algebra."""
     return _ANTIPODE_WORD[Tag.HE](word)
 
 
 @structure_map("antipode-p-gamma")
-@word_map(Tag.HGAMMA)
+@word_map((Tag.HGAMMA,), (Tag.HGAMMA,))
 def antipode_p_gamma(word: Word) -> Element:
     """Antipode of the photon propagator Hopf algebra."""
     return _ANTIPODE_WORD[Tag.HGAMMA](word)
 
 
 @structure_map("antipode-alpha")
-@word_map(Tag.HALPHA)
+@word_map((Tag.HALPHA,), (Tag.HALPHA,))
 def antipode_alpha(word: Word) -> Element:
     """Antipode of the charge Hopf algebra."""
     return _ANTIPODE_WORD[Tag.HALPHA](word)
 
 
 @structure_map("antipode-alpha-nc")
-@word_map(Tag.HALPHA_NC)
+@word_map((Tag.HALPHA_NC,), (Tag.HALPHA_NC,))
 def antipode_alpha_nc(word: Word) -> Element:
     """Antipode of the noncommutative lift, from the same recursion."""
     return _ANTIPODE_WORD[Tag.HALPHA_NC](word)

@@ -78,7 +78,7 @@ def delta_e_coaction_recursive(t: Tree) -> TreePairs:
 
 
 @structure_map("sigma")
-@word_map(Tag.HGAMMA)
+@word_map((Tag.HGAMMA,), (Tag.HALPHA,))
 def sigma(word: Word) -> Element:
     """Algebra morphism from the photon algebra onto the charge algebra that
     multiplies the letters of a word with the over product."""
@@ -86,7 +86,7 @@ def sigma(word: Word) -> Element:
     return from_word(Tag.HALPHA, [u for t in word for u in tree_word(Tag.HALPHA, t)])
 
 
-@composite_map("delta-gamma", Tag.HGAMMA)
+@composite_map("delta-gamma", (Tag.HGAMMA,), (Tag.HGAMMA, Tag.HALPHA))
 def photon_renorm_coaction(maps, word: Word) -> TensorElement:
     """Photon renormalization coaction: coact on the first leg of the pruning
     coproduct, push the second through sigma, and multiply the charge slots."""
@@ -98,9 +98,10 @@ def photon_renorm_coaction(maps, word: Word) -> TensorElement:
 # -- the smash coproduct ----------------------------------------------------
 
 QED_TAGS = (Tag.HALPHA, Tag.HE)
+_ERN_TAGS = (Tag.HE, Tag.HALPHA, Tag.HE)
 
 
-@composite_map("qed-coproduct", *QED_TAGS)
+@composite_map("qed-coproduct", QED_TAGS, QED_TAGS + QED_TAGS)
 def qed_coproduct(maps, a: Word, b: Word) -> TensorElement:
     """Coproduct of the QED Hopf algebra (charge x electron), the smash
     coproduct; four slots out, grouped pairwise: (c, p) (x) (c, p)."""
@@ -115,7 +116,7 @@ def qed_counit(ab: TensorElement) -> Coeff:
     return ab.terms.get(((), ()), 0)
 
 
-@composite_map("qed-antipode", *QED_TAGS)
+@composite_map("qed-antipode", QED_TAGS, QED_TAGS)
 def qed_antipode(maps, a: Word, b: Word) -> TensorElement:
     """Antipode of the QED Hopf algebra: S(a (x) b) twists the electron
     antipode of b through the coaction and the charge antipode."""
@@ -132,7 +133,7 @@ def qed_unit() -> TensorElement:
 # -- the electron renormalization coaction ----------------------------------
 
 
-@composite_map("delta-e", Tag.HE)
+@composite_map("delta-e", (Tag.HE,), _ERN_TAGS)
 def electron_renorm_coaction(maps, word: Word) -> TensorElement:
     """Electron renormalization coaction: coact with the charge algebra on
     the left leg of the under-pruning coproduct.  Three slots out:
@@ -141,8 +142,6 @@ def electron_renorm_coaction(maps, word: Word) -> TensorElement:
 
 
 _ern_rec_cache: dict[Tree, TensorElement] = {}
-
-_ERN_TAGS = (Tag.HE, Tag.HALPHA, Tag.HE)
 
 
 def _ern_tree_recursive(t: Tree) -> TensorElement:
@@ -170,7 +169,7 @@ def _ern_tree_recursive(t: Tree) -> TensorElement:
 _ern_word_recursive = multiplicative(lambda: tensor_unit(_ERN_TAGS), _ern_tree_recursive)
 
 
-@word_map(Tag.HE)
+@word_map((Tag.HE,), _ERN_TAGS)
 def electron_renorm_coaction_recursive(word: Word) -> TensorElement:
     """Independent grafting recursion for the electron renormalization
     coaction, cross-checked against the direct composite."""

@@ -34,7 +34,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .trees import Tree, E, enumerate_trees, all_trees_up_to, render
-from .algebra import MAPS, Element, Tag, TensorElement, Word, embed_tree, tree_word, GENERATOR_TAGS
+from .algebra import MAPS, Element, Tag, TensorElement, Word, embed_tree, tree_word
 from .hopf import charge_coaction_tree
 from .series import (
     Matrix,
@@ -81,9 +81,9 @@ class Character:
 
     def __post_init__(self):
         object.__setattr__(self, "values", MappingProxyType(dict(self.values)))
-        if self.tag not in GENERATOR_TAGS and E in self.values:
+        if not self.tag.generators and E in self.values:
             raise ValueError("the root tree is the unit; do not assign it a value")
-        if self.tag is Tag.HALPHA:
+        if self.tag.commutative:
             # Central values commute with everything, so only the others
             # need the pairwise test.
             vals = [v for v in self.values.values() if not r_is_central(v)]
@@ -95,7 +95,7 @@ class Character:
                         )
 
     def letter(self, t: Tree) -> RingValue:
-        if t is E and self.tag not in GENERATOR_TAGS:
+        if t is E and not self.tag.generators:
             # In the free algebras the root tree is the algebra unit; for the
             # charge algebra it is the argument of the degree-one generator
             # and carries an honest value like any other letter.
@@ -179,26 +179,23 @@ def make_toy_character(
     """Seed-deterministic character with small rational values.
 
     ``kind='matrix'`` draws dense d x d rational matrices; on the charge
-    algebra matrix values are restricted to scalar multiples of the identity
-    so that the commutativity requirement holds.
+    algebra and its lift (the generator tags) matrix values are restricted
+    to scalar multiples of the identity so that the commutativity
+    requirement holds.  Any other ``kind`` is refused.
     """
+    if kind not in ("scalar", "matrix"):
+        raise ValueError(f"unknown character kind {kind!r}")
     rng = random.Random(f"{seed}-{tag.value}-{kind}-{d}")
     values: dict[Tree, RingValue] = {}
-    scalar_only = tag in GENERATOR_TAGS
     for t in all_trees_up_to(max_order):
-        if t is E and not scalar_only:
+        if t is E and not tag.generators:
             continue
         if kind == "scalar":
             values[t] = _random_fraction(rng)
-        elif kind == "matrix":
-            if scalar_only:
-                values[t] = Matrix.identity(d).scale(_random_fraction(rng))
-            else:
-                values[t] = Matrix.from_rows(
-                    [[_random_fraction(rng) for _ in range(d)] for _ in range(d)]
-                )
+        elif tag.generators:
+            values[t] = Matrix.identity(d).scale(_random_fraction(rng))
         else:
-            raise ValueError(f"unknown character kind {kind!r}")
+            values[t] = Matrix.from_rows([[_random_fraction(rng) for _ in range(d)] for _ in range(d)])
     ring_one = Matrix.identity(d) if kind == "matrix" else Fraction(1)
     return Character(tag, values, ring_one)
 

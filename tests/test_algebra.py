@@ -225,8 +225,8 @@ class TestOneSlot:
         results = {
             "contract_counit": d.contract_counit(0),
             "slot_multiply": two.slot_multiply(0, 1, 0),
-            "map_slot": x.map_slot(0, lift_linear((Tag.HE,), lambda w: from_word(Tag.HE, w + w))),
-            "map_slot to one slot": two.map_slot(1, lift_linear((Tag.HE,), lambda w: tensor_unit(()))),
+            "map_slot": x.map_slot(0, lift_linear((Tag.HE,), (Tag.HE,), lambda w: from_word(Tag.HE, w + w))),
+            "map_slot to one slot": two.map_slot(1, lift_linear((Tag.HE,), (), lambda w: tensor_unit(()))),
             "antipode": MAPS["antipode-p-e"](x),
             "sigma": MAPS["sigma"](embed_tree(Tag.HGAMMA, DEUXUN)),
             "sum": x + x,
@@ -287,7 +287,7 @@ class TestTensor:
 
     def test_map_slot_identity(self):
         t = tensor([self.x(Y), self.x(DEUXDEUX)])
-        assert t.map_slot(0, lift_linear((Tag.HE,), lambda w: from_word(Tag.HE, w))) == t
+        assert t.map_slot(0, lift_linear((Tag.HE,), (Tag.HE,), lambda w: from_word(Tag.HE, w))) == t
 
     def test_bilinearity(self):
         a, b = self.x(Y), self.x(DEUXUN)
@@ -395,11 +395,29 @@ class TestMapSlot:
             return from_word(Tag.HE if w == (Y,) else Tag.HGAMMA, w)
 
         with pytest.raises(ValueError):
-            t.map_slot(0, lift_linear((Tag.HE,), f))
+            t.map_slot(0, lift_linear((Tag.HE,), (Tag.HE,), f))
 
-    def test_map_applied_to_zero_rejected(self):
-        with pytest.raises(ValueError):
-            TensorElement((Tag.HE,)).map_slot(0, lift_linear((Tag.HE,), lambda w: from_word(Tag.HE, w)))
+    def test_image_of_undeclared_tags_rejected(self):
+        # Every image has the same tags, but not the ones the map declares.
+        t = tensor([embed_tree(Tag.HE, Y) + embed_tree(Tag.HE, DEUXUN)])
+        with pytest.raises(ValueError, match="image tag mismatch"):
+            t.map_slot(0, lift_linear((Tag.HE,), (Tag.HE,), lambda w: from_word(Tag.HGAMMA, w)))
+
+    def test_map_applied_to_zero_gives_zero(self):
+        f = lift_linear((Tag.HE,), (Tag.HGAMMA,), lambda w: from_word(Tag.HGAMMA, w))
+        got = TensorElement((Tag.HE,)).map_slot(0, f)
+        assert got == zero(Tag.HGAMMA) and type(got) is Element
+
+    @pytest.mark.parametrize("name", sorted(MAPS))
+    def test_every_map_sends_zero_to_zero(self, name):
+        for f in (MAPS[name], checks.corrupt_map(MAPS, name)[name]):
+            got = f(TensorElement(f.tags))
+            assert got.tags == f.out_tags and not got.terms, name
+
+    def test_cancelled_sum_maps_to_zero(self):
+        x = embed_tree(Tag.HE, DEUXUN)
+        got = MAPS["delta-e"](x - x)
+        assert got.tags == (Tag.HE, Tag.HALPHA, Tag.HE) and not got.terms
 
     def test_one_slot_maps_are_word_maps(self):
         one_slot = {name: f.tags[0] for name, f in MAPS.items() if len(f.tags) == 1}

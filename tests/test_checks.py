@@ -6,8 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from treehopf import checks, trees
-from treehopf.algebra import MAPS, Tag, word_degree
+from treehopf import checks, hopf, trees
+from treehopf.algebra import MAPS, Tag, from_word, word_degree
 from treehopf.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -237,3 +237,29 @@ def test_charge_dimensions_need_the_normal_form(monkeypatch):
     # commutative algebra is refused as unsorted, and its counts grow.
     monkeypatch.setattr(trees.Tree, "sort_key", lambda t: (0, 0))
     assert graded_dimensions(Tag.HALPHA, 7) != GRADED_DIMENSIONS[Tag.HALPHA]
+
+
+def test_charge_algebra_reads_its_commutativity_from_its_tag(monkeypatch):
+    # Negative control of the tag record: declared noncommutative, the
+    # charge algebra keeps words unsorted and its basis counts become those
+    # of the noncommutative lift, the Catalan numbers.
+    monkeypatch.setattr(Tag.HALPHA, "commutative", False)
+    assert graded_dimensions(Tag.HALPHA, 7) == GRADED_DIMENSIONS[Tag.HALPHA_NC]
+    assert graded_dimensions(Tag.HALPHA, 7) != GRADED_DIMENSIONS[Tag.HALPHA]
+    word = (trees.DEUXUN, trees.Y)
+    assert from_word(Tag.HALPHA, word).terms == {(word,): 1}
+
+
+def test_sweeps_and_letters_read_the_antipode_named_by_the_tag(monkeypatch):
+    # Negative control of the tag record: the electron algebra's antipode
+    # pointed at the photon one is refused by the sweep, whose letters are
+    # already cached, and, once the cache is empty, by the letter recursion:
+    # each reads the name from the tag.
+    monkeypatch.setattr(hopf, "_antipode_letter_cache", {})
+    assert checks.check_antipode(Tag.HE, 2).ok
+    monkeypatch.setattr(Tag.HE, "antipode", "antipode-p-gamma")
+    with pytest.raises(ValueError, match="expected a Tag.HGAMMA element"):
+        checks.check_antipode(Tag.HE, 2)
+    hopf._antipode_letter_cache.clear()
+    with pytest.raises(ValueError, match="expected a Tag.HGAMMA element"):
+        MAPS["antipode-p-e"](from_word(Tag.HE, (trees.Y,)))

@@ -309,7 +309,8 @@ class TestMap:
         ids=["comb", "product", "generators"],
     )
     def test_element_above_the_degree_bound_is_usage_error(self, capsys, monkeypatch, name, text):
-        monkeypatch.setitem(cli.MAPS, name, lift_linear(cli.MAPS[name].tags, _never_called))
+        f = cli.MAPS[name]
+        monkeypatch.setitem(cli.MAPS, name, lift_linear(f.tags, f.out_tags, _never_called))
         code, out, err = run(capsys, "map", name, text)
         assert code == 2
         assert out == ""

@@ -99,7 +99,7 @@ def test_damaged_map_changes_its_digests_and_its_composites(monkeypatch):
     # Negative control: sigma doubled changes sigma's digests and those of
     # delta-gamma, the one single-slot composite that reads it, and no others.
     sigma = cli.MAPS["sigma"]
-    monkeypatch.setitem(cli.MAPS, "sigma", lift_linear(sigma.tags, lambda w: sigma.word(w).scale(2)))
+    monkeypatch.setitem(cli.MAPS, "sigma", lift_linear(sigma.tags, sigma.out_tags, lambda w: sigma.word(w).scale(2)))
     changed = _changed(map_digests(), _golden()["map"])
     assert changed == sorted(f"{name}/{fmt}" for name in ("delta-gamma", "sigma") for fmt in FORMATS)
 

@@ -89,6 +89,13 @@ class TestCharacter:
         for v in chi.values.values():
             assert v == Matrix.identity(3).scale(v.rows[0][0])
 
+    @pytest.mark.parametrize("tag", list(Tag), ids=lambda tag: tag.value)
+    def test_unknown_toy_kind_refused(self, tag):
+        # Checked before any value is drawn: at max_order 0 a free algebra
+        # draws none.
+        with pytest.raises(ValueError, match="unknown character kind 'bogus'"):
+            make_toy_character(tag, 0, "bogus", max_order=0)
+
     def test_seed_determinism(self):
         a = make_toy_character(Tag.HE, seed=9, max_order=3)
         b = make_toy_character(Tag.HE, seed=9, max_order=3)
