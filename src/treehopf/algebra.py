@@ -224,9 +224,12 @@ class TensorElement:
     def slot_multiply(self, i: int, j: int, target: int) -> "TensorElement":
         """Multiply slot i by slot j (in that order, in slot i's algebra) and
         place the product at index ``target`` of the reduced slot tuple."""
+        n = self.nslots
+        if i == j or not (0 <= i < n and 0 <= j < n and 0 <= target < n - 1):
+            raise ValueError(f"cannot merge slots {i} and {j} into slot {target} of {n} slots")
         if self.tags[i] is not self.tags[j]:
             raise ValueError("slots to merge carry different tags")
-        rest = [k for k in range(self.nslots) if k not in (i, j)]
+        rest = [k for k in range(n) if k not in (i, j)]
         tags = [self.tags[k] for k in rest]
         tags.insert(target, self.tags[i])
         terms: dict[tuple[Word, ...], Coeff] = {}
@@ -240,6 +243,8 @@ class TensorElement:
 
     def contract_counit(self, i: int) -> "TensorElement":
         """Apply the counit to slot i (keep only terms whose slot i is empty)."""
+        if not 0 <= i < self.nslots:
+            raise ValueError(f"no slot {i} in a {self.nslots}-slot tensor")
         tags = self.tags[:i] + self.tags[i + 1 :]
         terms: dict[tuple[Word, ...], Coeff] = {}
         for ws, c in self.terms.items():

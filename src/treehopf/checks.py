@@ -218,32 +218,29 @@ def check_primitive_pairing(n: int, maps=MAPS) -> CheckResult:
 
 # -- coactions --------------------------------------------------------------
 
-# which -> (the coacted algebra, the coaction, the charge coproduct of (D1))
-_D1 = {
-    "gamma": (Tag.HGAMMA, "delta-gamma-coaction", "delta-alpha"),
-    "e": (Tag.HE, "delta-e-coaction", "delta-alpha"),
-    "alpha": (Tag.HALPHA, "delta-small", "delta-alpha"),
-    "alpha-nc": (Tag.HALPHA_NC, "delta-small-nc", "delta-alpha-nc"),
-}
-
-# which -> (the coacted algebra, the coaction, the pruning coproduct of (D2))
-_D2 = {
-    "gamma": (Tag.HGAMMA, "delta-gamma-coaction", "delta-p-gamma"),
-    "e": (Tag.HE, "delta-e-coaction", "delta-p-e"),
+# which -> the coaction.  (D1) sweeps every one with the coproduct of its
+# last output slot, the charge coproduct; (D2) sweeps the two that coact on
+# the propagator algebras, with the coproduct of the coacted algebra.
+_COACTIONS = {
+    "gamma": "delta-gamma-coaction",
+    "e": "delta-e-coaction",
+    "alpha": "delta-small",
+    "alpha-nc": "delta-small-nc",
 }
 
 
 def check_coaction_d1(which: str, n: int, maps=MAPS) -> CheckResult:
     """(coact (x) Id) coact == (Id (x) charge coproduct) coact."""
-    tag, coact, delta = _D1[which]
-    law = _coaction_law("(D1) fails on {x!r}", maps[coact], maps[delta])
-    return _sweep(f"(D1)[{which}] order<={n}", basis_elements(tag, n), law)
+    coact = maps[_COACTIONS[which]]
+    law = _coaction_law("(D1) fails on {x!r}", coact, maps[coact.out_tags[-1].coproduct])
+    return _sweep(f"(D1)[{which}] order<={n}", basis_elements(coact.tags[0], n), law)
 
 
 def check_coaction_d2(which: str, n: int, maps=MAPS) -> CheckResult:
     """(pruning (x) Id) coact == merge-middle of (coact (x) coact) pruning."""
-    tag, coact, pruning = _D2[which]
-    coact, pruning = maps[coact], maps[pruning]
+    coact = maps[_COACTIONS[which]]
+    tag = coact.tags[0]
+    pruning = maps[tag.coproduct]
 
     def law(x: Element) -> Optional[str]:
         lhs = coact(x).map_slot(0, pruning)
@@ -402,8 +399,8 @@ SUITES: dict[str, list[tuple[Callable[..., CheckResult], tuple, int]]] = {
     "counit": [(check_counit, (tag,), 5) for tag in Tag],
     "antipode": [(check_antipode, (tag,), 4) for tag in Tag],
     "hopf-alpha-trees": [(check_alpha_trees, (), 6)],
-    "coaction": [(check_coaction_d1, (which,), 4) for which in _D1],
-    "compat": [(check_coaction_d2, (which,), 4) for which in _D2],
+    "coaction": [(check_coaction_d1, (which,), 4) for which in _COACTIONS],
+    "compat": [(check_coaction_d2, (which,), 4) for which in ("gamma", "e")],
     "qed": [
         (check_qed_hopf, (), 4),
         (check_electron_coaction_law, (), 4),

@@ -3,7 +3,8 @@ bare vs. renormalized propagator expansions.
 
 A character assigns ring values (exact rationals or rational matrices) to
 single trees, or to generators for the charge algebra, and extends to words
-multiplicatively in written order.
+multiplicatively in written order by ``_slot_product``, the ring's one
+product, which also multiplies the slot values of a pairing.
 
 Renormalization is a coaction: a propagator tree goes through delta_gamma or
 delta_e, then is paired with the bare and counterterm characters.  Two
@@ -47,21 +48,13 @@ from .series import (
     r_mul,
     r_one_like,
     indeterminate,
+    ring_sum,
+    ring_value,
 )
 
 
 def _commute(a: RingValue, b: RingValue) -> bool:
     return r_eq(r_mul(a, b), r_mul(b, a))
-
-
-def _ring_sum(values: Iterable[RingValue]) -> RingValue:
-    """Sum starting from the first value (no ``0 + v`` identity term); the
-    empty sum is ``Fraction(0)``."""
-    it = iter(values)
-    acc = next(it, Fraction(0))
-    for v in it:
-        acc = r_add(acc, v)
-    return acc
 
 
 @dataclass(frozen=True)
@@ -70,8 +63,9 @@ class Character:
 
     For the free algebras the values are keyed by single trees; for the
     charge algebra (and its lift) by the generator argument u of V(u).
-    The unit word always evaluates to the ring identity.  The values are
-    copied into a read-only mapping, so the checks made here hold for the
+    The unit word always evaluates to the ring identity.  The values, and
+    ``ring_one``, are made exact (``series.ring_value``: floats are refused)
+    and copied into a read-only mapping, so the checks made here hold for the
     character's whole life.
     """
 
@@ -80,7 +74,9 @@ class Character:
     ring_one: RingValue = Fraction(1)
 
     def __post_init__(self):
-        object.__setattr__(self, "values", MappingProxyType(dict(self.values)))
+        values = {t: ring_value(v) for t, v in self.values.items()}
+        object.__setattr__(self, "values", MappingProxyType(values))
+        object.__setattr__(self, "ring_one", ring_value(self.ring_one))
         if not self.tag.generators and E in self.values:
             raise ValueError("the root tree is the unit; do not assign it a value")
         if self.tag.commutative:
@@ -95,27 +91,17 @@ class Character:
                         )
 
     def letter(self, t: Tree) -> RingValue:
-        if t is E and not self.tag.generators:
-            # In the free algebras the root tree is the algebra unit; for the
-            # charge algebra it is the argument of the degree-one generator
-            # and carries an honest value like any other letter.
-            return self.ring_one
+        """The value of letter t.  The root tree is a letter only of the charge
+        algebras, where it is the argument of the degree-one generator."""
         try:
             return self.values[t]
         except KeyError:
-            raise KeyError(
-                f"character has no value for {render(t)}"
-            ) from None
+            raise KeyError(f"character has no value for {render(t)}") from None
 
     def on_word(self, word: Word) -> RingValue:
-        """Product of the letter values in written order, folded from the
-        first letter; the empty word gives ``ring_one``."""
-        if not word:
-            return self.ring_one
-        acc = self.letter(word[0])
-        for t in word[1:]:
-            acc = r_mul(acc, self.letter(t))
-        return acc
+        """Product of the letter values in written order
+        (``_slot_product``); the empty word gives ``ring_one``."""
+        return _slot_product(1, map(self.letter, word)) if word else self.ring_one
 
     def __call__(self, x: Element | Tree) -> RingValue:
         if isinstance(x, Tree):
@@ -141,16 +127,16 @@ def pair_evaluate(chis: Sequence[Character], tensor: TensorElement) -> RingValue
         raise ValueError("need one character per slot")
     _check_tags(chis, tensor.tags)
     slot_fns = [chi.on_word for chi in chis]
-    return _ring_sum(
+    return ring_sum(
         _slot_product(c, [value(w) for value, w in zip(slot_fns, ws)])
         for ws, c in tensor.terms.items()
     )
 
 
-def _slot_product(c, values: Sequence[RingValue]) -> RingValue:
-    """c times the slot values, multiplied left-to-right.  Scalar factors
-    equal to 1 are skipped but matrices never are, so a product with a
-    matrix factor is still a matrix."""
+def _slot_product(c, values: Iterable[RingValue]) -> RingValue:
+    """c times the values, multiplied left-to-right: the ring's one product.
+    Scalar factors equal to 1 are skipped but matrices never are, so a
+    product with a matrix factor is still a matrix."""
     acc: Optional[RingValue] = None if c == 1 else Fraction(c)
     for v in values:
         if isinstance(v, Matrix) or v != 1:
@@ -207,7 +193,7 @@ def assemble_series(values_by_tree, n: int, ring_one: RingValue) -> Series:
     """Sum tree coefficients order by order into a truncated series."""
     coeffs: list[RingValue] = [ring_one]
     for k in range(1, n + 1):
-        coeffs.append(_ring_sum(values_by_tree(t) for t in enumerate_trees(k)))
+        coeffs.append(ring_sum(values_by_tree(t) for t in enumerate_trees(k)))
     return Series(coeffs)
 
 
@@ -218,7 +204,7 @@ def z3_series(c_gamma: Character, n: int) -> Series:
         raise ValueError("need a charge-algebra character")
     coeffs: list[RingValue] = [r_one_like(c_gamma.ring_one)]
     for k in range(1, n + 1):
-        acc = _ring_sum(c_gamma.letter(t) for t in enumerate_trees(k - 1))
+        acc = ring_sum(c_gamma.letter(t) for t in enumerate_trees(k - 1))
         coeffs.append(r_mul(Fraction(-1), acc))
     return Series(coeffs)
 
@@ -310,7 +296,7 @@ def _coaction_series(u: Character, side: _ChargeSide) -> Series:
     per order."""
     coeffs: list[RingValue] = [u.ring_one]
     for s in side.sums:
-        coeffs.append(_ring_sum(_slot_product(1, [u.letter(a1), v]) for a1, v in s.items()))
+        coeffs.append(ring_sum(_slot_product(1, [u.letter(a1), v]) for a1, v in s.items()))
     return Series(coeffs)
 
 

@@ -6,20 +6,22 @@ invertible linear term under substitution.  Substitution acts on the first
 group from the right, and a 1-cocycle of the substitution group glues the
 two into the twisted action used by the charge renormalization.
 
-A coefficient is a ``Fraction`` or a square ``Matrix``.  A matrix keeps
-integer numerators over one common positive denominator in lowest terms, so
-its sums and products are integer arithmetic with one ``gcd`` per result;
-``Matrix.rows`` gives the entries as ``Fraction``s.  Floats are refused with
-``TypeError``, as in ``algebra``.
+A coefficient is a ``Fraction`` or a square ``Matrix`` (``ring_value``;
+floats are refused with ``TypeError``, as in ``algebra``), and ``ring_sum``
+is the ring's one sum.  A matrix is a frozen dataclass of integer numerators
+over one common positive denominator in lowest terms, so its sums and
+products are integer arithmetic with one ``gcd`` per result; ``Matrix.rows``
+gives the entries as ``Fraction``s.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 from operator import mul
-from typing import Callable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 
 def _fraction(x) -> Fraction:
@@ -33,13 +35,12 @@ def _fraction(x) -> Fraction:
     return Fraction(x)
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Matrix:
     """Dense matrix with exact rational entries, stored as integer
     numerators over one common positive denominator in lowest terms:
-    ``den > 0`` and ``gcd(den, *num) == 1``.  The stored form is canonical,
-    so equal matrices have equal ``(num, den)``."""
-
-    __slots__ = ("num", "den")
+    ``den > 0`` and ``gcd(den, *num) == 1``.  The form is canonical, so
+    ``==`` and ``hash`` compare ``(num, den)``."""
 
     num: tuple[tuple[int, ...], ...]
     den: int
@@ -69,12 +70,6 @@ class Matrix:
                 num = tuple(tuple(x // g for x in r) for r in num)
                 den //= g
         return cls._new(num, den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"Matrix is immutable; cannot set {name!r}")
-
-    def __reduce__(self):
-        return (Matrix._new, (self.num, self.den))
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence]) -> "Matrix":
@@ -111,14 +106,6 @@ class Matrix:
     def shape(self) -> tuple[int, int]:
         num = self.num
         return len(num), len(num[0]) if num else 0
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return self.den == other.den and self.num == other.num
-
-    def __hash__(self):
-        return hash((self.num, self.den))
 
     def __repr__(self) -> str:
         return f"Matrix(rows={self.rows!r})"
@@ -161,8 +148,11 @@ class Matrix:
         return not any(chain.from_iterable(self.num))
 
     def inverse(self) -> "Matrix":
-        """Gauss-Jordan inverse; raises ValueError on a singular matrix."""
+        """Gauss-Jordan inverse; raises ValueError on a singular or a
+        non-square matrix."""
         d = self.dim
+        if self.shape != (d, d):
+            raise ValueError(f"cannot invert a {self.shape} matrix")
         aug = [
             list(row) + [Fraction(1 if i == j else 0) for j in range(d)]
             for i, row in enumerate(self.rows)
@@ -182,6 +172,21 @@ class Matrix:
 
 
 RingValue = Union[Fraction, Matrix]
+
+
+def ring_value(x) -> RingValue:
+    """A matrix as it is, or the exact rational value of a scalar."""
+    return x if isinstance(x, Matrix) else _fraction(x)
+
+
+def ring_sum(values: Iterable[RingValue]) -> RingValue:
+    """Sum starting from the first value (no ``0 + v`` identity term); the
+    empty sum is ``Fraction(0)``."""
+    it = iter(values)
+    acc = next(it, Fraction(0))
+    for v in it:
+        acc = r_add(acc, v)
+    return acc
 
 
 def r_add(a: RingValue, b: RingValue) -> RingValue:
@@ -265,9 +270,7 @@ class Series:
     def __init__(self, coeffs: Sequence[RingValue]):
         if not coeffs:
             raise ValueError("a truncated series needs at least a constant term")
-        self.coeffs = tuple(
-            c if isinstance(c, Matrix) else _fraction(c) for c in coeffs
-        )
+        self.coeffs = tuple(map(ring_value, coeffs))
 
     @property
     def order(self) -> int:
@@ -292,13 +295,8 @@ class Series:
     def __mul__(self, other: "Series") -> "Series":
         """Cauchy product; coefficient order is preserved (left factor first)."""
         n = min(self.order, other.order)
-        out = []
-        for k in range(n + 1):
-            acc: RingValue = Fraction(0)
-            for i in range(k + 1):
-                acc = r_add(acc, r_mul(self[i], other[k - i]))
-            out.append(acc)
-        return Series(out)
+        return Series([ring_sum(r_mul(self[i], other[k - i]) for i in range(k + 1))
+                       for k in range(n + 1)])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Series):
@@ -333,18 +331,9 @@ class Series:
         c0inv = r_inv(self[0])
         out = [c0inv]
         for k in range(1, self.order + 1):
-            acc: RingValue = Fraction(0)
-            for i in range(1, k + 1):
-                acc = r_add(acc, r_mul(self[i], out[k - i]))
+            acc = ring_sum(r_mul(self[i], out[k - i]) for i in range(1, k + 1))
             out.append(-r_mul(c0inv, acc))
         return Series(out)
-
-    def shift_down(self) -> "Series":
-        """Divide by the indeterminate (drop the constant term, which must
-        vanish); the result is one order shorter."""
-        if not r_is_zero(self[0]):
-            raise ValueError("cannot divide by the indeterminate: nonzero constant term")
-        return Series(self.coeffs[1:])
 
     def is_gp(self) -> bool:
         try:
@@ -417,8 +406,11 @@ Cocycle = Callable[[Series], Series]
 
 def divide_by_alpha(phi: Series) -> Series:
     """The standard cocycle: identify a substitution-group element with a
-    product-group element by dividing by the indeterminate."""
-    return phi.shift_down()
+    product-group element by dividing by the indeterminate (dropping the
+    constant term, which must vanish); the result is one order shorter."""
+    if not r_is_zero(phi[0]):
+        raise ValueError("cannot divide by the indeterminate: nonzero constant term")
+    return Series(phi.coeffs[1:])
 
 
 def cocycle_check(s: Cocycle, phi: Series, psi: Series) -> bool:

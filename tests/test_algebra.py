@@ -285,6 +285,26 @@ class TestTensor:
         )
         assert t.contract_counit(0) == tensor([self.x(DEUXUN)])
 
+    @pytest.mark.parametrize(
+        "op, args",
+        [
+            ("contract_counit", (-1,)),
+            ("contract_counit", (2,)),
+            ("slot_multiply", (0, 0, 0)),
+            ("slot_multiply", (-1, 0, 0)),
+            ("slot_multiply", (0, 2, 0)),
+            ("slot_multiply", (0, 1, 1)),
+            ("slot_multiply", (0, 1, 3)),
+            ("slot_multiply", (0, 1, -1)),
+        ],
+    )
+    def test_slot_operations_refuse_indices_that_are_not_slots(self, op, args):
+        # Two slots of one tag: only slot_multiply(0, 1, 0), (1, 0, 0) and
+        # contract_counit(0), (1) name slots.
+        t = tensor([self.x(Y), self.x(Y)])
+        with pytest.raises(ValueError):
+            getattr(t, op)(*args)
+
     def test_map_slot_identity(self):
         t = tensor([self.x(Y), self.x(DEUXDEUX)])
         assert t.map_slot(0, lift_linear((Tag.HE,), (Tag.HE,), lambda w: from_word(Tag.HE, w))) == t

@@ -9,6 +9,9 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from treehopf.algebra import Element, Tag, TensorElement, from_word, unit
+from treehopf.renorm import Character, evaluate
+from treehopf.trees import Y
 from treehopf.series import (
     Matrix,
     Series,
@@ -80,6 +83,11 @@ class TestMatrix:
         with pytest.raises(ValueError):
             Matrix.from_rows([[1, 2], [2, 4]]).inverse()
 
+    @pytest.mark.parametrize("rows", [[[1, 2, 3]], [[1], [2]], [[1, 0], [0, 1], [0, 0]]])
+    def test_non_square_inverse_rejected(self, rows):
+        with pytest.raises(ValueError, match="cannot invert"):
+            Matrix.from_rows(rows).inverse()
+
     def test_floats_refused(self):
         m = Matrix.identity(2)
         for build in (
@@ -105,6 +113,35 @@ class TestMatrix:
         assert Matrix.from_rows([["1/2", 3]]).rows == ((Fraction(1, 2), Fraction(3)),)
         assert Matrix.identity(1).scale("-2/4") == Matrix.from_rows([[Fraction(-1, 2)]])
         assert Series(["0.1", 2]).coeffs == (Fraction(1, 10), Fraction(2))
+
+    def test_character_values_are_made_exact(self):
+        chi = Character(Tag.HE, {Y: "1/2"}, 1)
+        assert type(evaluate(chi, from_word(Tag.HE, (Y,)))) is Fraction
+        assert chi.letter(Y) == Fraction(1, 2) and chi.ring_one == Fraction(1)
+
+
+# The exactness gate: every entry point that takes a value from outside the
+# library refuses a float.  The ring operations r_add and r_mul convert a
+# scalar met beside a matrix; two scalars are ring values already.
+_OUTSIDE_FLOAT = {
+    "from_word": lambda: from_word(Tag.HE, (Y,), 0.5),
+    "Element": lambda: Element(Tag.HE, {(Y,): 0.5}),
+    "TensorElement": lambda: TensorElement((Tag.HE, Tag.HE), {((Y,), ()): 0.5}),
+    "scale": lambda: unit(Tag.HE).scale(0.5),
+    "Matrix.from_rows": lambda: Matrix.from_rows([[0.5]]),
+    "Matrix.scale": lambda: Matrix.identity(2).scale(0.5),
+    "Series": lambda: Series([1, 0.5]),
+    "r_add": lambda: r_add(Matrix.identity(2), 0.5),
+    "r_mul": lambda: r_mul(0.5, Matrix.identity(2)),
+    "Character values": lambda: Character(Tag.HE, {Y: 0.5}),
+    "Character ring_one": lambda: Character(Tag.HE, {Y: Fraction(1, 2)}, 0.5),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_OUTSIDE_FLOAT))
+def test_exactness_gate_refuses_floats(entry):
+    with pytest.raises(TypeError, match="exact"):
+        _OUTSIDE_FLOAT[entry]()
 
 
 # -- a second route for the integer matrix ------------------------------------
