@@ -159,11 +159,14 @@ class TensorElement:
 
     @staticmethod
     def _new(tags: tuple[Tag, ...], terms: dict[tuple[Word, ...], Coeff]) -> "TensorElement":
-        """Trusted constructor for results computed here from exact terms;
-        a one-slot result is an :class:`Element`."""
+        """Trusted constructor: ``terms`` are already exact (no zero
+        coefficient, no integral ``Fraction``) and keyed by normal words, and
+        are kept as given.  A caller whose sums can cancel, or whose
+        ``Fraction`` products can be integral, passes ``_exact(terms)``.  A
+        one-slot result is an :class:`Element`."""
         x = object.__new__(Element if len(tags) == 1 else TensorElement)
         x.tags = tags
-        x.terms = _exact(terms)
+        x.terms = terms
         return x
 
     @property
@@ -175,7 +178,7 @@ class TensorElement:
         terms = dict(self.terms)
         for ws, c in other.terms.items():
             terms[ws] = terms.get(ws, 0) + c
-        return TensorElement._new(self.tags, terms)
+        return TensorElement._new(self.tags, _exact(terms))
 
     def __sub__(self, other: "TensorElement") -> "TensorElement":
         return self + (-other)
@@ -185,7 +188,7 @@ class TensorElement:
 
     def scale(self, k) -> "TensorElement":
         k = _coeff(k)
-        return TensorElement._new(self.tags, {ws: k * c for ws, c in self.terms.items()})
+        return TensorElement._new(self.tags, _exact({ws: k * c for ws, c in self.terms.items()}))
 
     def __rmul__(self, k) -> "TensorElement":
         return self.scale(k)
@@ -202,7 +205,7 @@ class TensorElement:
             for wb, cb in other.terms.items():
                 ws = tuple(map(multiply_words, tags, wa, wb))
                 terms[ws] = terms.get(ws, 0) + ca * cb
-        return TensorElement._new(tags, terms)
+        return TensorElement._new(tags, _exact(terms))
 
     def __eq__(self, other) -> bool:
         return (
@@ -239,19 +242,18 @@ class TensorElement:
             out.insert(target, merged)
             key = tuple(out)
             terms[key] = terms.get(key, 0) + c
-        return TensorElement._new(tuple(tags), terms)
+        return TensorElement._new(tuple(tags), _exact(terms))
 
     def contract_counit(self, i: int) -> "TensorElement":
-        """Apply the counit to slot i (keep only terms whose slot i is empty)."""
+        """Apply the counit to slot i (keep only terms whose slot i is empty;
+        the kept keys stay distinct, so no coefficient is summed)."""
         if not 0 <= i < self.nslots:
             raise ValueError(f"no slot {i} in a {self.nslots}-slot tensor")
         tags = self.tags[:i] + self.tags[i + 1 :]
         terms: dict[tuple[Word, ...], Coeff] = {}
         for ws, c in self.terms.items():
-            if ws[i]:
-                continue
-            key = ws[:i] + ws[i + 1 :]
-            terms[key] = terms.get(key, 0) + c
+            if not ws[i]:
+                terms[ws[:i] + ws[i + 1 :]] = c
         return TensorElement._new(tags, terms)
 
     def map_slot(self, i: int, f: Callable[..., "TensorElement"]) -> "TensorElement":
@@ -259,22 +261,36 @@ class TensorElement:
         that carry its tags, extending linearly: ``f.word`` is handed their
         words, and every image expands into its slots in one dict.  The
         result has ``f.out_tags`` in place of those slots, so 0 maps to 0.
-        Slots of other tags, and images of other tags, are refused."""
+        Slots of other tags, and images of other tags, are refused.
+
+        One term with coefficient 1, a basis element, maps to its image
+        spliced into the term's other slots: a copy of the image's terms,
+        which are exact and stay distinct, so nothing is summed or
+        normalized and no caller holds the image itself."""
         j = i + len(f.tags)
         if self.tags[i:j] != f.tags:
             want = " (x) ".join(map(str, f.tags))
             raise ValueError(f"expected a {want} element, got {self.tags[i:j]}")
         word, out_tags = f.word, f.out_tags
+        tags = self.tags[:i] + out_tags + self.tags[j:]
+        basis = len(self.terms) == 1
         terms: dict[tuple[Word, ...], Coeff] = {}
         for ws, c in self.terms.items():
             image = word(*ws[i:j])
             if image.tags != out_tags:
                 raise ValueError(f"image tag mismatch: {out_tags} vs {image.tags}")
             head, tail = ws[:i], ws[j:]
+            # A basis element: its image's terms are exact and stay distinct spliced.
+            if basis and c == 1:
+                if not head and not tail:
+                    return TensorElement._new(tags, dict(image.terms))
+                return TensorElement._new(
+                    tags, {head + iws + tail: ic for iws, ic in image.terms.items()}
+                )
             for iws, ic in image.terms.items():
                 key = head + iws + tail
                 terms[key] = terms.get(key, 0) + c * ic
-        return TensorElement._new(self.tags[:i] + out_tags + self.tags[j:], terms)
+        return TensorElement._new(tags, _exact(terms))
 
     def sorted_terms(self) -> list[tuple[tuple[Word, ...], Coeff]]:
         return sorted(
@@ -317,7 +333,7 @@ def zero(tag: Tag) -> Element:
 
 
 def from_word(tag: Tag, word: Iterable[Tree], coeff=1) -> Element:
-    return TensorElement._new((tag,), {(normalize_word(tag, word),): _coeff(coeff)})
+    return TensorElement._new((tag,), _exact({(normalize_word(tag, word),): _coeff(coeff)}))
 
 
 class _TreeWords(dict):
@@ -371,7 +387,7 @@ def tensor(xs: Sequence[TensorElement]) -> TensorElement:
     terms: dict[tuple[Word, ...], Coeff] = {(): 1}
     for x in xs:
         terms = {ws + xws: c * k for ws, c in terms.items() for xws, k in x.terms.items()}
-    return TensorElement._new(tuple(tag for x in xs for tag in x.tags), terms)
+    return TensorElement._new(tuple(tag for x in xs for tag in x.tags), _exact(terms))
 
 
 def tensor_unit(tags: Sequence[Tag]) -> TensorElement:
@@ -382,7 +398,8 @@ def multiplicative(unit: Callable[[], T], letter: Callable[[L], T]) -> Callable[
     """Extend a map on letters to words: the product of ``letter(t)`` over
     the letters in written order.  The fold starts from the first letter,
     so ``unit()`` is built only for the empty word; a one-letter word gives
-    ``letter(t)`` itself, which callers only read (a splice copies it)."""
+    ``letter(t)`` itself, which callers only read: :meth:`TensorElement.map_slot`
+    copies an image's terms into a dict of its own, on its one-term path too."""
 
     def word_fn(word: Sequence[L]) -> T:
         if not word:

@@ -191,27 +191,44 @@ def ring_sum(values: Iterable[RingValue]) -> RingValue:
 
 def r_add(a: RingValue, b: RingValue) -> RingValue:
     """Sum in the ring; a scalar added to a matrix stands for that multiple
-    of the identity, so a scalar 0 leaves the matrix as it is."""
+    of the identity, so a scalar 0 leaves the matrix as it is.  A sum of two
+    scalars that is not an ``int`` or ``Fraction`` is refused."""
     if isinstance(a, Matrix):
         if not isinstance(b, Matrix):
             b = _fraction(b)
             if b == 0:
                 return a
             b = Matrix.identity(a.dim).scale(b)
-    elif isinstance(b, Matrix):
+        return a + b
+    if isinstance(b, Matrix):
         a = _fraction(a)
         if a == 0:
             return b
-        a = Matrix.identity(b.dim).scale(a)
-    return a + b
+        return Matrix.identity(b.dim).scale(a) + b
+    s = a + b
+    if type(s) is Fraction or type(s) is int:
+        return s
+    raise _inexact(a, "+", b, s)
 
 
 def r_mul(a: RingValue, b: RingValue) -> RingValue:
+    """Product in the ring, a scalar scaling a matrix; a product of two
+    scalars that is not an ``int`` or ``Fraction`` is refused."""
     if isinstance(a, Matrix):
         return a @ b if isinstance(b, Matrix) else a.scale(b)
     if isinstance(b, Matrix):
         return b.scale(a)
-    return a * b
+    p = a * b
+    if type(p) is Fraction or type(p) is int:
+        return p
+    raise _inexact(a, "*", b, p)
+
+
+def _inexact(a, op: str, b, result) -> TypeError:
+    """The refusal of a scalar ``a op b`` whose result is not exact."""
+    return TypeError(
+        f"ring values must be exact (int or Fraction), not {a!r} {op} {b!r} = {result!r}"
+    )
 
 
 def r_is_zero(a: RingValue) -> bool:
@@ -318,13 +335,18 @@ class Series:
         if not r_is_zero(inner[0]):
             raise ValueError("substituted series must have zero constant term")
         n = min(self.order, inner.order)
-        out = [self[0]] + [r_zero_like(self[0])] * n
         power = Series([r_one_like(inner[0])] + [r_zero_like(inner[0])] * n)
-        for k in range(1, n + 1):
+        powers = []
+        for _ in range(n):
             power = (power * inner).truncate(n)
-            for m in range(n + 1):
-                out[m] = r_add(out[m], r_mul(self[k], power[m]))
-        return Series(out)
+            powers.append(power.coeffs)
+        # Coefficient m sums self[k] * inner^k[m] over k = 1..n, after
+        # self[0] at m = 0 and a zero of self[0]'s ring elsewhere.
+        start = [self[0]] + [r_zero_like(self[0])] * n
+        return Series([
+            ring_sum(chain((start[m],), (r_mul(c, p[m]) for c, p in zip(self.coeffs[1:], powers))))
+            for m in range(n + 1)
+        ])
 
     def inverse(self) -> "Series":
         """Multiplicative inverse; requires an invertible constant term."""

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from treehopf.trees import E, Y, DEUXUN, DEUXDEUX, TROISQUATRE, all_trees_up_to, decompose_over
-from treehopf import checks
+from treehopf import algebra, checks
 from treehopf.algebra import (
     MAPS,
     TREE_WORDS,
@@ -373,13 +373,79 @@ class TestCoefficients:
         with pytest.raises(TypeError):
             tensor([x]).scale(0.5)
 
+    def test_every_construction_path_is_exact(self):
+        for seed in range(6):
+            cases = _construction_cases(seed)
+            assert set(cases) == set(_CONSTRUCTION_PATHS), seed
+            bad = {name: _inexact_terms(x) for name, x in cases.items() if _inexact_terms(x)}
+            assert bad == {}, seed
+            (c,) = cases["tensor"].terms.values()
+            assert c == 1 and type(c) is int, seed
+
+    def test_exactness_check_sees_a_missing_normalization(self, monkeypatch):
+        # With normalization switched off, every path whose sums can cancel
+        # or whose Fraction products can be integral leaves such a term.  A
+        # basis element's image is the map's own exact terms; contract_counit
+        # sums nothing, but here its input carries what tensor left behind.
+        monkeypatch.setattr(algebra, "_exact", lambda terms: terms)
+        for seed in range(6):
+            cases = _construction_cases(seed)
+            bad = {name for name, x in cases.items() if _inexact_terms(x)}
+            assert bad == set(_CONSTRUCTION_PATHS) - {"map_slot one term"}, seed
+
+
+# Every way a TensorElement is built from others, each with inputs that
+# cancel a sum or make a Fraction product integral.
+_CONSTRUCTION_PATHS = (
+    "+", "-", "scale", "scale 0", "*", "tensor", "slot_multiply", "contract_counit",
+    "map_slot one term", "map_slot one Fraction term", "map_slot several terms", "from_word 0",
+)
+
+
+def _construction_cases(seed: int) -> dict[str, TensorElement]:
+    rng = random.Random(seed)
+    tag = Tag.HALPHA
+    w1, w2, w3 = rng.sample([w for w in checks.basis_words(tag, 3) if w], 3)
+    h = Fraction(rng.choice([1, -1, 3, -5]), 2)
+    x = from_word(tag, w1, h) + from_word(tag, w2, h)
+    y = from_word(tag, w1, -h) + from_word(tag, w2, 1 - h) + from_word(tag, w3, Fraction(1, 3))
+    x_minus = from_word(tag, w1, h) - from_word(tag, w2, h)
+    two = from_word(tag, (), 2)
+    double = lift_linear((tag,), (tag,), lambda w: from_word(tag, w, 2))
+    to_two = lift_linear((tag,), (tag,), lambda w: two)
+    return {
+        "+": x + y,
+        "-": x - from_word(tag, w1, h) - from_word(tag, w2, h + 1),
+        "scale": x.scale(2),
+        "scale 0": x.scale(0),
+        # (h w1 + h w2)(h w1 - h w2 + 2): the cross terms cancel, h * 2 is integral.
+        "*": x * (x_minus + two),
+        "tensor": tensor([from_word(tag, w1).scale(Fraction(1, 2)), from_word(tag, w2).scale(2)]),
+        "slot_multiply": tensor([x, from_word(tag, w2) - from_word(tag, w1) + two]).slot_multiply(0, 1, 0),
+        "contract_counit": tensor([x, two + from_word(tag, w3)]).contract_counit(1),
+        "map_slot one term": tensor([from_word(tag, w1), from_word(tag, w3)]).map_slot(1, double),
+        "map_slot one Fraction term": from_word(tag, w1, h).map_slot(0, double),
+        # 2h + 2h is integral, and 2h - 2h cancels.
+        "map_slot several terms": x.map_slot(0, to_two) + x_minus.map_slot(0, to_two),
+        "from_word 0": from_word(tag, w1, 0),
+    }
+
+
+def _inexact_terms(x: TensorElement) -> list:
+    """The coefficients of x that are zero, integral ``Fraction``s, or not exact."""
+    return [
+        c for c in x.terms.values()
+        if not c or type(c) is not int and (type(c) is not Fraction or c.denominator == 1)
+    ]
+
 
 def _map_slot_oracle(t: TensorElement, i: int, f) -> TensorElement:
-    """The defining sum: each term's image spliced in, the pieces added.
-    The map is handed each word as the basis element ``from_word`` builds."""
+    """The defining sum: each term's image spliced in, the pieces added by
+    the normalizing constructor and ``+``.  The image of a word is read from
+    ``f.word``, not through ``map_slot``, the method under test."""
     out = None
     for ws, c in t.terms.items():
-        image = f(from_word(t.tags[i], ws[i]))
+        image = f.word(ws[i])
         piece = TensorElement(
             t.tags[:i] + image.tags + t.tags[i + 1 :],
             {ws[:i] + iws + ws[i + 1 :]: c * ic for iws, ic in image.terms.items()},
@@ -408,6 +474,22 @@ class TestMapSlot:
                     got = t.map_slot(i, MAPS[name])
                     assert got == _map_slot_oracle(t, i, MAPS[name]), (seed, name, i)
 
+    def test_one_term_inputs_against_oracle(self):
+        # A basis element (one term, coefficient 1) takes map_slot's copying
+        # path, and any other coefficient its general loop.
+        one_slot = {name: f.tags[0] for name, f in MAPS.items() if len(f.tags) == 1}
+        for name, tag in one_slot.items():
+            f = MAPS[name]
+            rng = random.Random(name)
+            words = checks.basis_words(tag, 3)
+            for c in (1, -1, 2, Fraction(1, 2)):
+                x, other = from_word(tag, rng.choice(words), c), from_word(tag, rng.choice(words))
+                for t, i in ((x, 0), (tensor([x, other]), 0), (tensor([other, x]), 1)):
+                    assert len(t.terms) == 1
+                    got = t.map_slot(i, f)
+                    assert got == _map_slot_oracle(t, i, f), (name, c, t, i)
+                    assert not _inexact_terms(got), (name, c, t, i)
+
     def test_image_tag_mismatch_rejected(self):
         t = tensor([embed_tree(Tag.HE, Y) + embed_tree(Tag.HE, DEUXUN)])
 
@@ -416,6 +498,15 @@ class TestMapSlot:
 
         with pytest.raises(ValueError):
             t.map_slot(0, lift_linear((Tag.HE,), (Tag.HE,), f))
+
+    def test_image_tag_mismatch_rejected_on_one_term(self):
+        # A basis element takes map_slot's copying path, which checks the
+        # image's tags too, whether the map spans every slot or not.
+        f = lift_linear((Tag.HE,), (Tag.HE,), lambda w: from_word(Tag.HGAMMA, w))
+        for t in (embed_tree(Tag.HE, Y), tensor([embed_tree(Tag.HE, Y), embed_tree(Tag.HE, DEUXUN)])):
+            assert list(t.terms.values()) == [1]
+            with pytest.raises(ValueError, match="image tag mismatch"):
+                t.map_slot(0, f)
 
     def test_image_of_undeclared_tags_rejected(self):
         # Every image has the same tags, but not the ones the map declares.

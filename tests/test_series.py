@@ -122,7 +122,8 @@ class TestMatrix:
 
 # The exactness gate: every entry point that takes a value from outside the
 # library refuses a float.  The ring operations r_add and r_mul convert a
-# scalar met beside a matrix; two scalars are ring values already.
+# scalar met beside a matrix, and refuse an inexact result of two scalars
+# (test_scalar_ring_operations_refuse_inexact_results).
 _OUTSIDE_FLOAT = {
     "from_word": lambda: from_word(Tag.HE, (Y,), 0.5),
     "Element": lambda: Element(Tag.HE, {(Y,): 0.5}),
@@ -142,6 +143,20 @@ _OUTSIDE_FLOAT = {
 def test_exactness_gate_refuses_floats(entry):
     with pytest.raises(TypeError, match="exact"):
         _OUTSIDE_FLOAT[entry]()
+
+
+@pytest.mark.parametrize(
+    "op, a, b", [(r_add, Fraction(1), 0.5), (r_mul, Fraction(1), 0.5), (r_mul, "1/2", 2)]
+)
+def test_scalar_ring_operations_refuse_inexact_results(op, a, b):
+    with pytest.raises(TypeError, match="must be exact"):
+        op(a, b)
+
+
+def test_scalar_ring_operations_keep_exact_results():
+    assert r_add(1, Fraction(1, 2)) == Fraction(3, 2)
+    assert r_mul(Fraction(2, 3), Fraction(3, 2)) == 1
+    assert type(r_add(2, 3)) is int and type(r_mul(2, 3)) is int
 
 
 # -- a second route for the integer matrix ------------------------------------
