@@ -227,39 +227,53 @@ def enumerate_trees(n: int) -> list[Tree]:
     return list(_level(n))
 
 
-def _joined(texts: list, m: int) -> Iterator[str]:
-    """The texts of order m from those of orders < m, in the order of _level."""
-    return (f"({l} v {r})" for k in range(m) for l in texts[m - 1 - k] for r in texts[k])
+def _rendered(texts: list, n: int) -> Iterator[str]:
+    """The texts of order n, in the order of _level, each built by one f-string.
 
-
-class _Regenerated:
-    """The texts of order m, generated afresh on every pass instead of held."""
-
-    def __init__(self, texts: list, m: int):
-        self.texts, self.m = texts, m
-
-    def __iter__(self) -> Iterator[str]:
-        return _joined(self.texts, self.m)
+    texts holds every text of the orders below len(texts), which is at
+    least 2 and at least n - 2.  A block of order n pairs a left order a
+    with a right order n - 1 - a.  When both are held, its texts are joined
+    from the held ones.  An order not held, n - 1 or n - 2, meets only
+    orders 0 and 1 here, one text each, so its block is its own order's
+    texts between a prefix and a suffix: that order's blocks are pushed,
+    with the prefix and suffix extended, on an explicit stack of the blocks
+    still to write, in canonical order."""
+    held = len(texts)
+    todo = [(n - 1 - b, b, "", "") for b in range(n - 1, -1, -1)]
+    while todo:
+        a, b, pre, post = todo.pop()
+        if a >= held:
+            post = f" v {texts[b][0]}){post}"
+            todo += [(a - 1 - c, c, pre + "(", post) for c in range(a - 1, -1, -1)]
+        elif b >= held:
+            pre = f"{pre}({texts[a][0]} v "
+            todo += [(b - 1 - c, c, pre, ")" + post) for c in range(b - 1, -1, -1)]
+        else:
+            rights = texts[b]
+            for l in texts[a]:
+                for r in rights:
+                    yield f"{pre}({l} v {r}){post}"
 
 
 def iter_rendered(n: int) -> Iterator[str]:
     """render(t) for every tree t of order n, in canonical order, building no tree.
 
-    Only the texts of orders below n - 2 are held.  Orders n - 1 and n - 2,
-    the two largest below n, meet only orders 0 and 1, one text each, so
-    they are generated again on every pass instead of held; order n is
-    generated.  A transient of the stream therefore stays small (0.7 MB at
-    order 12) next to whatever the caller has already filled.  Each
-    regenerated level holds only the lower texts, not the list that holds
-    it, so no reference cycle forms and the held texts are freed as soon as
-    the stream ends.
+    Each text is built once: the texts of orders 2 to n - 3 are built and
+    held, orders 0 and 1 have one text each, and each text of order n is
+    built from held ones.  Orders n - 1 and n - 2, the two largest below n,
+    meet only orders 0 and 1 within order n, so they are not held: each of
+    their texts is written inside a text of order n, between a prefix and a
+    suffix (see _rendered).  A transient of the stream therefore stays small
+    (0.7 MB at order 12, 2.6 MB at order 13) next to whatever the caller has
+    already filled.  The stream holds only the lists of held texts, so no
+    reference cycle forms and they are freed as soon as the stream ends.
     """
     if n < 0:
         raise ValueError("order must be non-negative")
-    texts: list = [["e"]]
-    for m in range(1, n):
-        texts.append(list(_joined(texts, m)) if m < n - 2 else _Regenerated(texts[:m], m))
-    return _joined(texts, n) if n else iter(texts[0])
+    texts: list = [["e"], ["(e v e)"]]
+    while len(texts) < n - 2:
+        texts.append(list(_rendered(texts, len(texts))))
+    return iter(texts[n]) if n < len(texts) else _rendered(texts, n)
 
 
 def all_trees_up_to(n: int) -> list[Tree]:

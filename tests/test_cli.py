@@ -60,10 +60,13 @@ class TestEnum:
         assert out == "3\n"
 
     def test_listing_renders_the_enumeration(self, capsys):
-        code, out, _ = run(capsys, "enum", "6")
-        assert code == 0
-        want = [f"Y6.{k}  {render(t)}" for k, t in enumerate(enumerate_trees(6), start=1)]
-        assert out.splitlines() == want
+        # Order 9's 4,862 lines are written in several blocks.
+        assert len(enumerate_trees(9)) > 4 * cli.ENUM_BLOCK_LINES
+        for n in range(10):
+            code, out, _ = run(capsys, "enum", str(n))
+            assert code == 0
+            want = [f"Y{n}.{k}  {render(t)}\n" for k, t in enumerate(enumerate_trees(n), start=1)]
+            assert out == "".join(want), n
 
     @pytest.mark.parametrize("n", [ENUM_MAX_ORDER + 1, -1])
     def test_order_out_of_bounds(self, capsys, n):

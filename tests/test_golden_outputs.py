@@ -1,12 +1,14 @@
-"""The byte-identity gate: every `map` and `renorm` output, hashed.
+"""The byte-identity gate: every `map`, `renorm` and `enum` output, hashed.
 
 `tests/golden_outputs.json` holds one sha256 per (map, format), over every
 single-slot map applied to the 65 trees of order <= 5 in each of the
-`ascii`, `latex` and `json` formats, and one per (ring, order), over
-`renorm` for seeds 0-3 at the default `--d 4`.  Each digest covers the exit
-code, stdout and stderr of every run, so a failure names the map or the
-renorm grid cell whose output changed.  A change that alters an output on
-purpose regenerates the file with
+`ascii`, `latex` and `json` formats, one per (ring, order), over `renorm`
+for seeds 0-3 at the default `--d 4`, and one per `enum` order: the listing
+(`enum/n`, orders 0-11) and the count (`enum-count/n`, orders 0-13).  Each
+digest covers the exit code, stdout and stderr of every run, so a failure
+names the map, the renorm grid cell or the enum order whose output
+changed.  A change that alters an output on purpose regenerates the file
+with
 
     PYTHONPATH=src python3 tests/test_golden_outputs.py
 
@@ -30,6 +32,8 @@ FORMATS = ("ascii", "latex", "json")
 RINGS = ("scalar", "matrix")
 RENORM_ORDERS = range(1, 9)
 RENORM_SEEDS = range(4)
+ENUM_LIST_ORDERS = range(12)
+ENUM_COUNT_ORDERS = range(14)
 
 
 def _run(argv) -> bytes:
@@ -66,8 +70,18 @@ def renorm_digests() -> dict:
     return digests
 
 
+def enum_digests() -> dict:
+    """'enum/n' -> sha256 over the listing of order n, 'enum-count/n' over its count."""
+    digests = {}
+    for n in ENUM_LIST_ORDERS:
+        digests[f"enum/{n}"] = hashlib.sha256(_run(["enum", str(n)])).hexdigest()
+    for n in ENUM_COUNT_ORDERS:
+        digests[f"enum-count/{n}"] = hashlib.sha256(_run(["enum", str(n), "--count-only"])).hexdigest()
+    return digests
+
+
 def compute() -> dict:
-    return {"map": map_digests(), "renorm": renorm_digests()}
+    return {"map": map_digests(), "renorm": renorm_digests(), "enum": enum_digests()}
 
 
 def _golden() -> dict:
@@ -87,12 +101,17 @@ def test_renorm_outputs_are_golden():
     assert _changed(renorm_digests(), _golden()["renorm"]) == []
 
 
+def test_enum_outputs_are_golden():
+    assert _changed(enum_digests(), _golden()["enum"]) == []
+
+
 def test_grid_size():
     golden = _golden()
     single = [name for name, f in cli.MAPS.items() if len(f.tags) == 1]
     assert len(all_trees_up_to(MAP_MAX_ORDER)) == 65
     assert len(golden["map"]) == 3 * len(single)
     assert len(golden["renorm"]) == len(RINGS) * len(RENORM_ORDERS)
+    assert len(golden["enum"]) == len(ENUM_LIST_ORDERS) + len(ENUM_COUNT_ORDERS)
 
 
 def test_damaged_map_changes_its_digests_and_its_composites(monkeypatch):
@@ -102,6 +121,21 @@ def test_damaged_map_changes_its_digests_and_its_composites(monkeypatch):
     monkeypatch.setitem(cli.MAPS, "sigma", lift_linear(sigma.tags, sigma.out_tags, lambda w: sigma.word(w).scale(2)))
     changed = _changed(map_digests(), _golden()["map"])
     assert changed == sorted(f"{name}/{fmt}" for name in ("delta-gamma", "sigma") for fmt in FORMATS)
+
+
+def test_swapped_texts_change_one_listing_digest(monkeypatch):
+    # Negative control: two adjacent texts of order 7 swapped change the
+    # order-7 listing and nothing else, not even the order-7 count.
+    stream = cli.iter_rendered
+
+    def swapped(n):
+        texts = list(stream(n))
+        if n == 7:
+            texts[100], texts[101] = texts[101], texts[100]
+        return iter(texts)
+
+    monkeypatch.setattr(cli, "iter_rendered", swapped)
+    assert _changed(enum_digests(), _golden()["enum"]) == ["enum/7"]
 
 
 if __name__ == "__main__":

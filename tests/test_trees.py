@@ -354,16 +354,29 @@ class TestStream:
         with pytest.raises(ValueError, match="non-negative"):
             iter_rendered(-1)
 
+    def test_sampled_large_orders_match_unranked_trees(self):
+        # Second route at the large orders: each sampled text against the
+        # tree unranked from its rank, which builds only the sampled trees.
+        for n in (11, 12, 13):
+            last = catalan(n) - 1
+            sampled = {k: text for k, text in enumerate(iter_rendered(n)) if k % 1009 == 0 or k == last}
+            assert sorted(sampled) == sorted({*range(0, last, 1009), last}), n
+            for k, text in sampled.items():
+                assert text == render(tree_unrank(n, k + 1)), (n, k)
+
     def test_holds_neither_of_the_two_largest_lower_levels(self):
         # Held, the 58,786 texts of order 11 alone take about 7 MB and those
         # of order 10 about 2 MB; the whole order-12 stream peaks near 0.7 MB.
-        tracemalloc.start()
-        try:
-            assert sum(1 for _ in iter_rendered(12)) == catalan(12)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5 * 2**20
+        # Counting order 13 holds its orders up to 10 and peaks near 2.6 MB;
+        # holding order 11 as well would add the 7 MB.
+        for n, bound in ((12, 1.5), (13, 4)):
+            tracemalloc.start()
+            try:
+                assert sum(1 for _ in iter_rendered(n)) == catalan(n)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound * 2**20, n
 
 
 class TestUnrank:
