@@ -3,7 +3,9 @@
 `tests/golden_outputs.json` holds one sha256 per (map, format), over every
 single-slot map applied to the 65 trees of order <= 5 in each of the
 `ascii`, `latex` and `json` formats, one per (ring, order), over `renorm`
-for seeds 0-3 at the default `--d 4`, and one per `enum` order: the listing
+for seeds 0-3 at the default `--d 4`, one per (d, order), over `renorm
+--ring matrix --d d` for d = 1-3 and orders 1-6 on the same seeds, and one
+per `enum` order: the listing
 (`enum/n`, orders 0-11) and the count (`enum-count/n`, orders 0-13).  Each
 digest covers the exit code, stdout and stderr of every run, so a failure
 names the map, the renorm grid cell or the enum order whose output
@@ -32,6 +34,8 @@ FORMATS = ("ascii", "latex", "json")
 RINGS = ("scalar", "matrix")
 RENORM_ORDERS = range(1, 9)
 RENORM_SEEDS = range(4)
+RENORM_SMALL_D = range(1, 4)
+RENORM_SMALL_D_ORDERS = range(1, 7)
 ENUM_LIST_ORDERS = range(12)
 ENUM_COUNT_ORDERS = range(14)
 
@@ -70,6 +74,19 @@ def renorm_digests() -> dict:
     return digests
 
 
+def renorm_small_d_digests() -> dict:
+    """'d<d>/order' -> sha256 over the matrix-ring renorm reports of the
+    seeds with d x d matrices."""
+    digests = {}
+    for d in RENORM_SMALL_D:
+        for order in RENORM_SMALL_D_ORDERS:
+            h = hashlib.sha256()
+            for seed in RENORM_SEEDS:
+                h.update(_run(["renorm", "--seed", str(seed), "--ring", "matrix", "--d", str(d), "--order", str(order)]))
+            digests[f"d{d}/{order}"] = h.hexdigest()
+    return digests
+
+
 def enum_digests() -> dict:
     """'enum/n' -> sha256 over the listing of order n, 'enum-count/n' over its count."""
     digests = {}
@@ -81,7 +98,12 @@ def enum_digests() -> dict:
 
 
 def compute() -> dict:
-    return {"map": map_digests(), "renorm": renorm_digests(), "enum": enum_digests()}
+    return {
+        "map": map_digests(),
+        "renorm": renorm_digests(),
+        "renorm-small-d": renorm_small_d_digests(),
+        "enum": enum_digests(),
+    }
 
 
 def _golden() -> dict:
@@ -101,6 +123,10 @@ def test_renorm_outputs_are_golden():
     assert _changed(renorm_digests(), _golden()["renorm"]) == []
 
 
+def test_renorm_small_d_outputs_are_golden():
+    assert _changed(renorm_small_d_digests(), _golden()["renorm-small-d"]) == []
+
+
 def test_enum_outputs_are_golden():
     assert _changed(enum_digests(), _golden()["enum"]) == []
 
@@ -111,6 +137,7 @@ def test_grid_size():
     assert len(all_trees_up_to(MAP_MAX_ORDER)) == 65
     assert len(golden["map"]) == 3 * len(single)
     assert len(golden["renorm"]) == len(RINGS) * len(RENORM_ORDERS)
+    assert len(golden["renorm-small-d"]) == len(RENORM_SMALL_D) * len(RENORM_SMALL_D_ORDERS)
     assert len(golden["enum"]) == len(ENUM_LIST_ORDERS) + len(ENUM_COUNT_ORDERS)
 
 
