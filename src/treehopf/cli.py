@@ -141,17 +141,17 @@ def cmd_check(args) -> int:
 
 
 # Largest order `renorm` accepts.  Each order costs three to six times the
-# one before: order 8 takes about 0.1 s (scalar ring) or 0.4 s (4x4 matrices)
-# and 19-22 MB, order 10 about 1.5 s or 5.4 s and 76-104 MB (a fresh process
-# on a 2-CPU x86-64 VM with Python 3.11), so order 12 would run for a minute
-# or more with matrices.
+# one before: order 8 takes about 0.06-0.09 s (scalar ring) or 0.16-0.23 s
+# (4x4 matrices) and 19-23 MB, order 10 about 1.0-1.2 s or 2.3-2.4 s and
+# 74-107 MB (a fresh process on a 2-CPU x86-64 VM with Python 3.11), so
+# order 12 would run for half a minute or more with matrices.
 RENORM_MAX_ORDER = 8
 
 # Largest matrix dimension `renorm --ring matrix` accepts.  Each character
 # draws d^2 fractions per tree before any check runs: at order 8, d = 16
-# takes about 5 s and 44 MB, d = 32 17 s and 119 MB (a fresh process on a
-# 2-CPU x86-64 VM with Python 3.11), and each doubling of d costs three to
-# four times the time.
+# takes about 1.1-1.6 s and 44 MB, d = 32 4.5-4.7 s and 108-116 MB (a fresh
+# process on a 2-CPU x86-64 VM with Python 3.11), and each doubling of d
+# costs about three times the time.
 RENORM_MAX_D = 16
 
 

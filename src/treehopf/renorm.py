@@ -17,8 +17,9 @@ each report multiplies by, so a Dyson report compares A with the bare series
 at the substituted coupling alpha0 = alpha / Z3, coefficient by coefficient.
 Both reports read the counterterm c_gamma the same way, through the charge
 coaction and alpha0, so ``dyson_reports`` builds that charge side
-(``_charge_side``) once for the two, with the coaction pairs of all trees of
-one order coalesced: one ring product per distinct pair.
+(``_charge_side``) once for the two: the coaction pairs of all trees of one
+order coalesced, one ring product per distinct pair and one ``ring_sum`` per
+left factor, and the powers of alpha0 that both substitutions read.
 Its oracle is the registered-map pairing ``renormalized_photon`` and
 ``renormalized_electron``, which read ``delta-gamma``, ``delta-e`` and
 ``antipode-p-e`` from this module's ``MAPS`` at call time, so a map set from
@@ -31,6 +32,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
@@ -41,6 +43,7 @@ from .series import (
     Matrix,
     RingValue,
     Series,
+    Substitution,
     r_add,
     r_eq,
     r_is_central,
@@ -148,11 +151,27 @@ def _slot_product(c, values: Iterable[RingValue]) -> RingValue:
 
 
 _FRACTIONS = tuple(Fraction(num, den) for num in range(-3, 4) for den in range(1, 5))
+# _FRACTIONS as (numerator, denominator) pairs in lowest terms.
+_FRACTION_PARTS = tuple((f.numerator, f.denominator) for f in _FRACTIONS)
+
+
+def _random_index(rng: random.Random) -> int:
+    """The index in ``_FRACTIONS`` of num/den, from the same draws as
+    ``randint(-3, 3)`` then ``randint(1, 4)``."""
+    return 4 * rng.randrange(7) + rng.randrange(4)
 
 
 def _random_fraction(rng: random.Random) -> Fraction:
-    """num/den from the same draws as ``randint(-3, 3)`` then ``randint(1, 4)``."""
-    return _FRACTIONS[4 * rng.randrange(7) + rng.randrange(4)]
+    return _FRACTIONS[_random_index(rng)]
+
+
+def _random_matrix(rng: random.Random, d: int) -> Matrix:
+    """The d x d matrix of d^2 ``_random_fraction`` draws, row by row, built
+    from ``_FRACTION_PARTS`` with one lcm and one gcd."""
+    parts = [_FRACTION_PARTS[_random_index(rng)] for _ in range(d * d)]
+    den = lcm(*(b for _, b in parts))
+    flat = [a * (den // b) for a, b in parts]
+    return Matrix._lowest(tuple(tuple(flat[i : i + d]) for i in range(0, d * d, d)), den)
 
 
 def make_toy_character(
@@ -181,7 +200,7 @@ def make_toy_character(
         elif tag.generators:
             values[t] = Matrix.identity(d).scale(_random_fraction(rng))
         else:
-            values[t] = Matrix.from_rows([[_random_fraction(rng) for _ in range(d)] for _ in range(d)])
+            values[t] = _random_matrix(rng, d)
     ring_one = Matrix.identity(d) if kind == "matrix" else Fraction(1)
     return Character(tag, values, ring_one)
 
@@ -261,32 +280,39 @@ class _ChargeSide(NamedTuple):
     """What both Dyson reports read of the charge counterterm c_gamma: per
     order m, the charge sums S_m(a1) = sum of k·c_gamma(a2) over the charge
     coaction pairs (a1, a2) of all trees of order m, k their multiplicity;
-    and the substituted coupling alpha0 = alpha / Z3."""
+    and the substitution of the coupling alpha0 = alpha / Z3, its powers
+    built once."""
 
     sums: tuple[dict[Tree, RingValue], ...]
-    alpha0: Series
+    alpha0: Substitution
 
 
 def _charge_side(c_gamma: Character, n: int) -> _ChargeSide:
     """The charge side to order n.  The multiplicities of each pair are
     summed over the trees of one order first, so each distinct (a1, a2)
-    costs one ring product per order, and each a2's charge value is read
-    once per call."""
-    charge: dict[Tree, RingValue] = {}
+    costs one ring product per order, the terms of each a1 one
+    ``ring_sum``, and each a2's charge value is read once per call."""
+    values: dict[Tree, RingValue] = {}
+
+    def charge(a2: Tree) -> RingValue:
+        c = values.get(a2)
+        if c is None:
+            c = values[a2] = c_gamma.on_word(tree_word(Tag.HALPHA, a2))
+        return c
+
     sums = []
     for m in range(1, n + 1):
         pairs: Counter[tuple[Tree, Tree]] = Counter()
         for a in enumerate_trees(m):
             pairs.update(charge_coaction_tree(a))
-        s: dict[Tree, RingValue] = {}
-        for (a1, a2), k in pairs.items():
-            c = charge.get(a2)
-            if c is None:
-                c = charge[a2] = c_gamma.on_word(tree_word(Tag.HALPHA, a2))
-            v = _slot_product(k, [c])
-            s[a1] = r_add(s[a1], v) if a1 in s else v
+        # Each a1's pairs, each list then replaced by its sum in place.
+        s: dict[Tree, list | RingValue] = {}
+        for pair in pairs:
+            s.setdefault(pair[0], []).append(pair)
+        for a1, group in s.items():
+            s[a1] = ring_sum(_slot_product(pairs[pair], [charge(pair[1])]) for pair in group)
         sums.append(s)
-    return _ChargeSide(tuple(sums), ward_alpha0(z3_series(c_gamma, n)))
+    return _ChargeSide(tuple(sums), Substitution(ward_alpha0(z3_series(c_gamma, n))))
 
 
 def _coaction_series(u: Character, side: _ChargeSide) -> Series:
@@ -335,9 +361,9 @@ def _dyson_report(which: str, u: Character, side: _ChargeSide) -> DysonReport:
     """Residuals of A (``_coaction_series``) against the bare series of ``u``
     evaluated at the substituted coupling alpha0 = alpha / Z3.  Only u is
     read here; the charge side is built once and may serve both reports."""
-    n = side.alpha0.order
+    n = len(side.sums)
     lhs = _coaction_series(u, side)
-    rhs = assemble_series(u.letter, n, u.ring_one).compose(side.alpha0)
+    rhs = side.alpha0(assemble_series(u.letter, n, u.ring_one))
     return DysonReport(which, n, [r_add(lhs[k], r_mul(Fraction(-1), rhs[k])) for k in range(n + 1)])
 
 

@@ -179,14 +179,76 @@ def ring_value(x) -> RingValue:
     return x if isinstance(x, Matrix) else _fraction(x)
 
 
+_END = object()
+
+
 def ring_sum(values: Iterable[RingValue]) -> RingValue:
-    """Sum starting from the first value (no ``0 + v`` identity term); the
-    empty sum is ``Fraction(0)``."""
+    """The sum of ints, ``Fraction``s and matrices, a scalar standing for
+    that multiple of the identity, with the value and type of the pairwise
+    ``r_add`` fold: the empty sum is ``Fraction(0)``, a one-value sum is that
+    value, an all-``int`` sum is an ``int`` and a sum with a matrix is a
+    matrix.  The scalars are folded as one integer numerator and the
+    matrices as one list of integer numerators, each over a running common
+    denominator and reduced once at the end.  Matrices of different shapes,
+    or a non-square one that meets a nonzero scalar, raise ``ValueError``;
+    any other summand raises ``TypeError``."""
     it = iter(values)
-    acc = next(it, Fraction(0))
-    for v in it:
-        acc = r_add(acc, v)
-    return acc
+    first = next(it, _END)
+    if first is _END:
+        return Fraction(0)
+    second = next(it, _END)
+    if second is _END:
+        return first
+    sn, sd, ints = 0, 1, True  # the scalars so far: sn / sd
+    mn = None  # the matrices so far, row by row: mn / md
+    for v in chain((first, second), it):
+        t = type(v)
+        if t is Matrix:
+            if mn is None:
+                shape, mn, md = v.shape, list(chain.from_iterable(v.num)), v.den
+                square = shape[0] == shape[1]
+                if sn and not square:
+                    raise ValueError(f"cannot add a scalar to a {shape} matrix")
+                continue
+            if v.shape != shape:
+                raise ValueError(f"cannot add a {shape} and a {v.shape} matrix")
+            b = v.den
+            if md % b:
+                g = gcd(md, b)
+                f, h = b // g, md // g
+                mn = [x * f + y * h for x, y in zip(mn, chain.from_iterable(v.num))]
+                md *= f
+            else:
+                h = md // b
+                mn = [x + y * h for x, y in zip(mn, chain.from_iterable(v.num))]
+            continue
+        if t is Fraction:
+            ints = False
+            a, b = v.numerator, v.denominator
+        elif t is int or t is bool:
+            a, b = v, 1
+        else:
+            raise TypeError(f"ring values must be exact (int, Fraction or Matrix), not {v!r}")
+        if sd % b:
+            g = gcd(sd, b)
+            sn = sn * (b // g) + a * (sd // g)
+            sd *= b // g
+        else:
+            sn += a * (sd // b)
+        if a and mn is not None and not square:
+            raise ValueError(f"cannot add a scalar to a {shape} matrix")
+    if mn is None:
+        return sn if ints else Fraction(sn, sd)
+    if sn:
+        den = lcm(md, sd)
+        f = den // md
+        mn = [x * f for x in mn]
+        c, step = sn * (den // sd), shape[1] + 1
+        for i in range(0, len(mn), step):
+            mn[i] += c
+        md = den
+    rows, cols = shape
+    return Matrix._lowest(tuple(tuple(mn[i * cols : (i + 1) * cols]) for i in range(rows)), md)
 
 
 def r_add(a: RingValue, b: RingValue) -> RingValue:
@@ -330,23 +392,10 @@ class Series:
         ))
 
     def compose(self, inner: "Series") -> "Series":
-        """Substitution self(inner); the inner series must have zero constant
-        term so the truncation is well defined."""
-        if not r_is_zero(inner[0]):
-            raise ValueError("substituted series must have zero constant term")
-        n = min(self.order, inner.order)
-        power = Series([r_one_like(inner[0])] + [r_zero_like(inner[0])] * n)
-        powers = []
-        for _ in range(n):
-            power = (power * inner).truncate(n)
-            powers.append(power.coeffs)
-        # Coefficient m sums self[k] * inner^k[m] over k = 1..n, after
-        # self[0] at m = 0 and a zero of self[0]'s ring elsewhere.
-        start = [self[0]] + [r_zero_like(self[0])] * n
-        return Series([
-            ring_sum(chain((start[m],), (r_mul(c, p[m]) for c, p in zip(self.coeffs[1:], powers))))
-            for m in range(n + 1)
-        ])
+        """Substitution self(inner), through ``Substitution``; the inner
+        series must have zero constant term so the truncation is well
+        defined."""
+        return Substitution(inner.truncate(min(self.order, inner.order)))(self)
 
     def inverse(self) -> "Series":
         """Multiplicative inverse; requires an invertible constant term."""
@@ -375,6 +424,53 @@ class Series:
 
     def __repr__(self) -> str:
         return f"Series({list(self.coeffs)!r})"
+
+
+class Substitution:
+    """Substitution of one series q, with zero constant term, into others.
+    The powers q^1, ..., q^n to q's order n are built once, each from its
+    order-k coefficient on (q^k has no lower terms), so neither they nor a
+    substitution multiply by a zero."""
+
+    __slots__ = ("inner", "powers")
+
+    def __init__(self, inner: Series):
+        if not r_is_zero(inner[0]):
+            raise ValueError("substituted series must have zero constant term")
+        q = inner.coeffs
+        # powers[k - 1][i] is q^k[k + i], the sum of q^(k-1)[k - 1 + j]
+        # q[i + 1 - j] over j = 0..i.
+        power = q[1:]
+        powers = [power]
+        for k in range(2, len(q)):
+            power = tuple(
+                ring_sum(r_mul(power[j], q[i + 1 - j]) for j in range(i + 1))
+                for i in range(len(q) - k)
+            )
+            powers.append(power)
+        self.inner = inner
+        self.powers = tuple(powers)
+
+    def __call__(self, outer: Series) -> Series:
+        """outer(q) to the smaller order n: coefficient m sums outer[k] q^k[m]
+        over k = 1..m, after outer[0] at m = 0.  The products by zero that
+        are not taken would make a coefficient a matrix as soon as one of
+        outer[0..n] or q[0..m] is (a scalar c stands for c times the
+        identity), so such a coefficient is made one."""
+        q, powers = self.inner.coeffs, self.powers
+        n = min(outer.order, len(q) - 1)
+        coeffs = [outer[0]] + [
+            ring_sum(r_mul(outer[k], powers[k - 1][m - k]) for k in range(1, m + 1))
+            for m in range(1, n + 1)
+        ]
+        if n:
+            like = next((c for c in outer.coeffs[: n + 1] if isinstance(c, Matrix)), None)
+            for m, c in enumerate(coeffs):
+                if like is None and isinstance(q[m], Matrix):
+                    like = q[m]
+                if like is not None and not isinstance(c, Matrix):
+                    coeffs[m] = r_add(r_zero_like(like), c)
+        return Series(coeffs)
 
 
 def one(n: int) -> Series:

@@ -64,6 +64,17 @@ class Tree:
                     s.rank = above + l.rank * cat[b] + r.rank
         return self.order, self.rank
 
+    # A tree compares by identity, so a copy is the tree itself and a pickle
+    # stores its name (n, k), read back through the interned trees.
+    def __reduce__(self):
+        return tree_unrank, tree_index(self)
+
+    def __copy__(self) -> "Tree":
+        return self
+
+    def __deepcopy__(self, memo) -> "Tree":
+        return self
+
     def __repr__(self) -> str:
         return f"Tree({render(self)})"
 

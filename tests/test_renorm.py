@@ -90,6 +90,26 @@ class TestCharacter:
             assert v == Matrix.identity(3).scale(v.rows[0][0])
 
     @pytest.mark.parametrize("tag", list(Tag), ids=lambda tag: tag.value)
+    def test_toy_matrices_are_the_matrices_of_their_draws(self, tag):
+        # Each value is Matrix.from_rows of the same seeded draws: d^2 of
+        # them row by row, or one on the diagonal on the generator tags.
+        for d in range(1, 5):
+            for seed in range(6):
+                chi = make_toy_character(tag, seed, kind="matrix", d=d, max_order=3)
+                rng = random.Random(f"{seed}-{tag.value}-matrix-{d}")
+                want = {}
+                for t in all_trees_up_to(3):
+                    if tag.generators:
+                        c = renorm._random_fraction(rng)
+                        want[t] = Matrix.from_rows([[c if i == j else 0 for j in range(d)] for i in range(d)])
+                    elif t is not E:
+                        want[t] = Matrix.from_rows(
+                            [[renorm._random_fraction(rng) for _ in range(d)] for _ in range(d)]
+                        )
+                assert list(chi.values) == list(want)
+                assert [(v.num, v.den) for v in chi.values.values()] == [(v.num, v.den) for v in want.values()]
+
+    @pytest.mark.parametrize("tag", list(Tag), ids=lambda tag: tag.value)
     def test_unknown_toy_kind_refused(self, tag):
         # Checked before any value is drawn: at max_order 0 a free algebra
         # draws none.

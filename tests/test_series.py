@@ -15,8 +15,12 @@ from treehopf.trees import Y
 from treehopf.series import (
     Matrix,
     Series,
+    Substitution,
     r_add,
     r_mul,
+    r_one_like,
+    r_zero_like,
+    ring_sum,
     cocycle_check,
     divide_by_alpha,
     gc,
@@ -479,3 +483,156 @@ class TestShapesAndSeriesEquality:
             assert (Series([Matrix.from_rows([])]) == Series([c])) is False
         assert Series([Matrix.zeros(2)]) != Series([Matrix.zeros(3)])
         assert Series([Matrix.identity(2)]) != Series([Matrix.from_rows([[1, 2], [3, 4], [5, 6]])])
+
+
+# -- the ring's one sum and the substitution, against pairwise folds ----------
+
+
+def ref_sum(values):
+    """The pairwise ``r_add`` fold from the first value."""
+    it = iter(values)
+    acc = next(it, Fraction(0))
+    for v in it:
+        acc = r_add(acc, v)
+    return acc
+
+
+def _outcome(fn, values):
+    """``fn(values)`` as (type, value), or the type of what it raises."""
+    try:
+        v = fn(values)
+    except (TypeError, ValueError) as e:
+        return type(e)
+    return type(v), v
+
+
+def _rand_summand(rng, shape):
+    rows, cols = shape
+    kind = rng.choice(("int", "int", "fraction", "fraction", "zero", "dense", "central", "zero matrix"))
+    if kind == "int":
+        return rng.randint(-3, 3)
+    if kind == "fraction":
+        return _rand_fraction(rng)
+    if kind == "zero":
+        return Fraction(0)
+    if kind == "central" and rows == cols:
+        return Matrix.identity(rows).scale(_rand_fraction(rng))
+    if kind == "zero matrix":
+        return Matrix.from_rows([[0] * cols for _ in range(rows)])
+    return Matrix.from_rows([[_rand_fraction(rng) for _ in range(cols)] for _ in range(rows)])
+
+
+def _sum_mismatches(sum_fn) -> tuple[list, set]:
+    """The seeded mixes on which sum_fn and the pairwise fold differ in value,
+    type or error, and the outcome types met."""
+    rng = random.Random(36)
+    bad, kinds = [], set()
+    for _ in range(600):
+        shape = rng.choice(((1, 1), (2, 2), (3, 3), (2, 3)))
+        values = [_rand_summand(rng, shape) for _ in range(rng.randint(0, 6))]
+        if rng.random() < 0.05:
+            values.insert(rng.randint(0, len(values)), _rand_summand(rng, (2, 2)))
+        want = _outcome(ref_sum, values)
+        kinds.add(want[0] if isinstance(want, tuple) else want)
+        if _outcome(sum_fn, iter(values)) != want:
+            bad.append(values)
+    return bad, kinds
+
+
+class TestRingSum:
+    def test_matches_the_pairwise_fold(self):
+        bad, kinds = _sum_mismatches(ring_sum)
+        assert bad == []
+        assert kinds == {int, Fraction, Matrix, ValueError}
+
+    def test_edge_cases(self):
+        assert _outcome(ring_sum, []) == (Fraction, 0)
+        m = Matrix.from_rows([[1, 2], [3, 4]])
+        for v in (3, Fraction(1, 2), m, True):
+            assert ring_sum([v]) is v
+        assert _outcome(ring_sum, [True, True]) == (int, 2)
+        assert _outcome(ring_sum, [Fraction(1, 2), Fraction(1, 2)]) == (Fraction, 1)
+        assert ring_sum([1, -1, Matrix.from_rows([[1, 2, 3]])]) == Matrix.from_rows([[1, 2, 3]])
+        assert ring_sum([m, Fraction(-1, 3), m]) == m + m + Matrix.identity(2).scale(Fraction(-1, 3))
+        with pytest.raises(ValueError, match="cannot add"):
+            ring_sum([m, Fraction(1), Matrix.identity(3)])
+        with pytest.raises(ValueError, match="cannot add"):
+            ring_sum([Matrix.from_rows([[1, 2, 3]]), 1])
+        for values in ([Fraction(1), 0.5], [0.5, 1], [m, 0.5], [Matrix.identity(2), 1, 0.0]):
+            with pytest.raises(TypeError, match="exact"):
+                ring_sum(values)
+
+    def test_broken_copies_fail(self):
+        # Negative controls: a sum that makes an all-int sum a Fraction, or
+        # that drops its last summand, differs from the pairwise fold.
+        def fraction_for_ints(values):
+            v = ring_sum(values)
+            return Fraction(v) if type(v) is int else v
+
+        def drop_last(values):
+            return ring_sum(list(values)[:-1])
+
+        for broken in (fraction_for_ints, drop_last):
+            assert _sum_mismatches(broken)[0] != []
+
+
+def ref_compose(f: Series, q: Series) -> Series:
+    """f(q) by Cauchy powers over every coefficient, zeros included, and
+    pairwise folds: coefficient m is f[0] (m = 0) or a zero of f[0]'s ring,
+    plus f[k] q^k[m] for k = 1..n."""
+    n = min(f.order, q.order)
+    power = [r_one_like(q[0])] + [r_zero_like(q[0])] * n
+    out = [f[0]] + [r_zero_like(f[0])] * n
+    for k in range(1, n + 1):
+        power = [ref_sum(r_mul(power[i], q[m - i]) for i in range(m + 1)) for m in range(n + 1)]
+        out = [r_add(out[m], r_mul(f[k], power[m])) for m in range(n + 1)]
+    return Series(out)
+
+
+def _typed(s: Series) -> list:
+    return [(type(c), c) for c in s.coeffs]
+
+
+def _rand_mixed(rng, order, zero_constant=False):
+    """A series whose coefficients are scalars or 2 x 2 matrices, central or not."""
+    def coeff():
+        if rng.random() < 0.5:
+            return _rand_fraction(rng)
+        return _rand_summand(rng, (2, 2)) if rng.random() < 0.7 else Matrix.zeros(2)
+
+    first = rng.choice((Fraction(0), Matrix.zeros(2))) if zero_constant else coeff()
+    return Series([first] + [coeff() for _ in range(order)])
+
+
+class TestComposeTypes:
+    def test_scalar_outer_with_matrix_inner(self):
+        # Coefficient 0 is a matrix: the zero constant term of the inner
+        # series is one, though no product by it is taken.
+        got = Series([Fraction(2), Fraction(1)]).compose(Series([Matrix.zeros(2), Matrix.identity(2)]))
+        assert _typed(got) == [(Matrix, Matrix.identity(2).scale(2)), (Matrix, Matrix.identity(2))]
+        # A matrix from q[2] on makes coefficients 2 and up matrices.
+        f = Series([Fraction(1), Fraction(2), Fraction(3), Fraction(4)])
+        q = Series([Fraction(0), Fraction(1), Matrix.zeros(2), Fraction(0)])
+        assert [t for t, _ in _typed(f.compose(q))] == [Fraction, Fraction, Matrix, Matrix]
+        assert _typed(f.compose(q)) == _typed(ref_compose(f, q))
+
+    def test_matches_the_reference_fold(self):
+        rng = random.Random(3636)
+        kinds = set()
+        for _ in range(300):
+            f = _rand_mixed(rng, rng.randint(0, 4))
+            q = _rand_mixed(rng, rng.randint(0, 4), zero_constant=True)
+            got, want = f.compose(q), ref_compose(f, q)
+            assert _typed(got) == _typed(want)
+            kinds |= {(type(f[0]), t) for t, _ in _typed(got)}
+        assert kinds == {(t, u) for t in (Fraction, Matrix) for u in (Fraction, Matrix)} - {(Matrix, Fraction)}
+
+    def test_one_substitution_serves_many_series(self):
+        rng = random.Random(7)
+        q = _rand_mixed(rng, 5, zero_constant=True)
+        sub = Substitution(q)
+        for order in range(7):
+            f = _rand_mixed(rng, order)
+            assert _typed(sub(f)) == _typed(ref_compose(f, q))
+        with pytest.raises(ValueError):
+            Substitution(one(3))

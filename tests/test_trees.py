@@ -2,19 +2,22 @@
 enumeration, naming, and text round-trips."""
 
 import ast
+import copy
 import gc
 import os
+import pickle
 import random
 import subprocess
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from treehopf import trees
-from treehopf.algebra import Tag, embed_tree
+from treehopf.algebra import MAPS, Tag, embed_tree, from_word
 from treehopf.trees import (
     Tree,
     E,
@@ -637,3 +640,76 @@ class TestNoRecursion:
             "    return [t]\n"
         )
         assert recursive_functions(source) == {"key", "size"}
+
+
+def _copies(x) -> dict:
+    """x through pickle at each protocol from 2 up, copy and deepcopy."""
+    out = {f"pickle{p}": pickle.loads(pickle.dumps(x, p)) for p in range(2, pickle.HIGHEST_PROTOCOL + 1)}
+    out["copy"] = copy.copy(x)
+    out["deepcopy"] = copy.deepcopy(x)
+    return out
+
+
+def _tree_copy_failures(ts) -> list:
+    """(route, tree text) for each copy of a tree that is not the tree."""
+    return [(route, render(t)) for t in ts for route, c in _copies(t).items() if c is not t]
+
+
+def _element_copy_failures(xs) -> list:
+    """(route, index) for each copy of an element that differs from it or
+    holds other trees than it does."""
+    def trees_of(x):
+        return [t for ws in x.terms for w in ws for t in w]
+
+    return [
+        (route, i)
+        for i, x in enumerate(xs)
+        for route, c in _copies(x).items()
+        if c != x or c.tags != x.tags or list(map(id, trees_of(c))) != list(map(id, trees_of(x)))
+    ]
+
+
+def _elements() -> list:
+    """One-slot elements of every tag, sums and words among them, and the
+    multi-slot images of the coproducts and coactions."""
+    small = [t for t in all_trees_up_to(3) if t is not E]
+    ones = [embed_tree(tag, t) for tag in Tag for t in small]
+    ones += [embed_tree(Tag.HALPHA, E), from_word(Tag.HE, (Y, DEUXUN), Fraction(-2, 3))]
+    ones.append(sum(ones[:4], ones[4]))
+    multi = [MAPS[name](embed_tree(tag, t)) for name, tag in (("delta-e", Tag.HE), ("delta-gamma", Tag.HGAMMA)) for t in small]
+    multi.append(MAPS["delta-e"](from_word(Tag.HE, (Y, TROISDEUX))))
+    return ones + multi
+
+
+class TestCopyAndPickle:
+    """A tree compares by identity, so each copy must be the tree itself: a
+    pickle goes through the tree's name, and copy and deepcopy return it."""
+
+    def test_every_small_tree_comes_back_as_itself(self):
+        assert _tree_copy_failures(all_trees_up_to(6)) == []
+
+    def test_deep_combs_come_back_as_themselves(self):
+        assert _tree_copy_failures([right_comb(2000), left_comb(2000)]) == []
+
+    def test_elements_come_back_with_the_same_trees(self):
+        xs = _elements()
+        assert {x.nslots for x in xs} == {1, 2, 3}
+        assert {x.tags[0] for x in xs} == set(Tag)
+        assert _element_copy_failures(xs) == []
+        # A copy maps as the element does.
+        for x in xs[:5]:
+            for c in _copies(x).values():
+                assert MAPS[x.tags[0].coproduct](c) == MAPS[x.tags[0].coproduct](x)
+
+    def test_a_tree_without_its_reduce_fails(self, monkeypatch):
+        # Negative control: the default pickle of a slotted object builds new
+        # trees, and copy and deepcopy do too without their methods.
+        monkeypatch.delattr(Tree, "__reduce__")
+        small = all_trees_up_to(3)
+        assert {route for route, _ in _tree_copy_failures(small)} == {
+            f"pickle{p}" for p in range(2, pickle.HIGHEST_PROTOCOL + 1)
+        }
+        assert _element_copy_failures(_elements()) != []
+        monkeypatch.delattr(Tree, "__copy__")
+        monkeypatch.delattr(Tree, "__deepcopy__")
+        assert {"copy", "deepcopy"} <= {route for route, _ in _tree_copy_failures(small)}
