@@ -132,7 +132,7 @@ CHECK_MAX_ORDER = 8
 def cmd_check(args) -> int:
     if args.order is not None and args.order > CHECK_MAX_ORDER:
         raise ValueError(f"check sweeps orders up to {CHECK_MAX_ORDER}; order {number_text(args.order)} is too large")
-    maps = checks.corrupt_map(MAPS, args.corrupt) if args.corrupt else MAPS
+    maps = MAPS if args.corrupt is None else checks.corrupt_map(MAPS, args.corrupt)
     ok = True
     for r in checks.run_suite(args.suite, args.order, maps):
         print(r.line())
@@ -165,8 +165,7 @@ def cmd_renorm(args) -> int:
     u_gamma = renorm.make_toy_character(Tag.HGAMMA, args.seed, args.ring, args.d, max_order=args.order)
     u_e = renorm.make_toy_character(Tag.HE, args.seed, args.ring, args.d, max_order=args.order)
     c_gamma = renorm.make_toy_character(Tag.HALPHA, args.seed + 1, "scalar", args.d, max_order=args.order)
-    c_e = renorm.make_toy_character(Tag.HE, args.seed + 2, "scalar", args.d, max_order=args.order)
-    photon, electron = renorm.dyson_reports(u_gamma, u_e, c_gamma, c_e, args.order)
+    photon, electron = renorm.dyson_reports(u_gamma, u_e, c_gamma, args.order)
     report = {
         "seed": args.seed,
         "ring": args.ring,

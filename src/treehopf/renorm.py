@@ -15,7 +15,9 @@ factor first, with A read from the charge coaction table
 (``_coaction_series``).  B = 1/Z3 and ``z2_series`` = 1/Z2 cancel the factor
 each report multiplies by, so a Dyson report compares A with the bare series
 at the substituted coupling alpha0 = alpha / Z3, coefficient by coefficient.
-Both reports read the counterterm c_gamma the same way, through the charge
+Z2 cancels, so no report reads the electron counterterm c_e:
+``dyson_reports`` takes none and ``treehopf renorm`` draws none.  Both
+reports read the counterterm c_gamma the same way, through the charge
 coaction and alpha0, so ``dyson_reports`` builds that charge side
 (``_charge_side``) once for the two: the coaction pairs of all trees of one
 order coalesced, one ring product per distinct pair and one ``ring_sum`` per
@@ -386,13 +388,12 @@ def dyson_check_electron(
     return _dyson_report("electron", u, _charge_side(c_gamma, n))
 
 
-def dyson_reports(
-    u_gamma: Character, u_e: Character, c_gamma: Character, c_e: Character, n: int
-) -> tuple[DysonReport, DysonReport]:
+def dyson_reports(u_gamma: Character, u_e: Character, c_gamma: Character, n: int) -> tuple[DysonReport, DysonReport]:
     """The photon and electron reports of ``dyson_check_photon`` and
     ``dyson_check_electron``, which read the same c_gamma: its charge side
-    is built once and read by both."""
-    _check_tags((u_gamma, c_gamma, u_e, c_e), (Tag.HGAMMA, Tag.HALPHA, Tag.HE, Tag.HE))
+    is built once and read by both.  No report reads c_e (see
+    ``dyson_check_electron``), so it takes none."""
+    _check_tags((u_gamma, c_gamma, u_e), (Tag.HGAMMA, Tag.HALPHA, Tag.HE))
     side = _charge_side(c_gamma, n)
     return _dyson_report("photon", u_gamma, side), _dyson_report("electron", u_e, side)
 

@@ -20,16 +20,20 @@ import re
 from typing import Iterator, Optional, Sequence
 
 
-class Tree:
-    """Immutable planar binary tree.  Build via :data:`E` and :func:`graft`."""
+class _Interned(type):
+    """The type of Tree: calling the class makes no tree."""
+
+    def __call__(cls, *args, **kwargs):
+        raise TypeError("Tree() makes no tree: trees are E and graft(l, r)")
+
+
+class Tree(metaclass=_Interned):
+    """Immutable planar binary tree: :data:`E` or :func:`graft` of two trees.
+
+    Trees are interned, so equal trees are one object: ``Tree(...)`` raises
+    TypeError, and only ``_tree`` allocates a tree, for E, graft and _level."""
 
     __slots__ = ("left", "right", "order", "rank")
-
-    def __init__(self, left: Optional["Tree"], right: Optional["Tree"], rank: Optional[int] = None):
-        self.left = left
-        self.right = right
-        self.order = 0 if left is None else left.order + right.order + 1
-        self.rank = 0 if left is None else rank
 
     def sort_key(self) -> tuple[int, int]:
         """The canonical key (order, rank), rank the 0-based position in the level.
@@ -82,7 +86,20 @@ class Tree:
         return render(self)
 
 
-E = Tree(None, None)
+_alloc = object.__new__
+
+
+def _tree(left: Optional[Tree], right: Optional[Tree], order: int, rank: Optional[int]) -> Tree:
+    """A new Tree with these slots, for its callers to intern."""
+    t = _alloc(Tree)
+    t.left = left
+    t.right = right
+    t.order = order
+    t.rank = rank
+    return t
+
+
+E = _tree(None, None, 0, 0)
 
 # The listed levels: _enum_cache[m] holds every tree of order m, in
 # canonical order, each at the index of its rank, and _offsets[m][a] is the
@@ -109,8 +126,7 @@ def graft(left: Tree, right: Tree) -> Tree:
     key = (left, right)
     t = _pool.get(key)
     if t is None:
-        t = Tree(left, right)
-        _pool[key] = t
+        t = _pool[key] = _tree(left, right, m, None)
     return t
 
 
@@ -182,12 +198,12 @@ def _level(n: int) -> list[Tree]:
     A listed level is the intern table of its order.  It is built in
     canonical order, left orders descending, then left and right subtrees in
     their own levels' order, so each tree's rank is its index and no sort is
-    needed; each tree is constructed with its rank.  A tree the pool already
-    holds then takes the place of the one constructed at the rank its
-    sort_key gives, so it is listed as itself.  Only once the level and its
-    block offsets are appended are its trees dropped from the pool, so a
-    build that raises leaves the pool and the cache as they were, apart from
-    the levels already finished.
+    needed; each tree is allocated by _tree with its index as its rank.  A
+    tree the pool already holds then takes the place of the one allocated at
+    the rank its sort_key gives, so it is listed as itself.  Only once the
+    level and its block offsets are appended are its trees dropped from the
+    pool, so a build that raises leaves the pool and the cache as they were,
+    apart from the levels already finished.
 
     The missing levels are built with the cyclic garbage collector paused.
     Each batch of allocations would start a collection that traverses the
@@ -216,7 +232,7 @@ def _level(n: int) -> list[Tree]:
                 rights = _enum_cache[m - 1 - a]
                 for l in _enum_cache[a]:
                     for r in rights:
-                        level.append(Tree(l, r, len(level)))
+                        level.append(_tree(l, r, m, len(level)))
             mine = pooled.get(m, ())
             for t in mine:
                 level[t.sort_key()[1]] = t

@@ -380,6 +380,15 @@ class TestCheck:
         assert out == ""
         assert err == "error: unknown map 'nosuch'\n"
 
+    def test_empty_corrupt_map_is_refused(self, capsys, monkeypatch):
+        # An empty name is refused like any unknown one, so the negative
+        # control never runs the sweeps on the true maps.
+        monkeypatch.setattr(cli.checks, "run_suite", _never_called)
+        code, out, err = run(capsys, "check", "counit", "--corrupt=")
+        assert code == 2
+        assert out == ""
+        assert err == "error: unknown map ''\n"
+
     @pytest.mark.parametrize("argv", [["all", "--order", "-1"], ["coassoc", "--order", "-2"]])
     def test_negative_order_is_usage_error(self, capsys, argv):
         code, out, err = run(capsys, "check", *argv)

@@ -571,7 +571,7 @@ class TestDysonConsistency:
         for dropped in (False, True):
             if dropped:
                 _drop_one_coaction_pair(monkeypatch, (u, cg), 3)
-            photon, electron = renorm.dyson_reports(u, ue, cg, ce, 4)
+            photon, electron = renorm.dyson_reports(u, ue, cg, 4)
             assert photon.to_json() == dyson_check_photon(u, cg, 4).to_json()
             assert electron.to_json() == dyson_check_electron(ue, cg, ce, 4).to_json()
             assert photon.ok is electron.ok is not dropped
@@ -580,8 +580,8 @@ class TestDysonConsistency:
 
     def test_shared_reports_refuse_mismatched_tags(self):
         u, ue, cg, ce = _coaction_characters("scalar", n=2)
-        assert all(r.ok for r in renorm.dyson_reports(u, ue, cg, ce, 2))
-        for args in [(ue, ue, cg, ce), (u, u, cg, ce), (u, ue, ce, ce), (u, ue, cg, cg)]:
+        assert all(r.ok for r in renorm.dyson_reports(u, ue, cg, 2))
+        for args in [(ue, ue, cg), (u, u, cg), (u, ue, ce)]:
             with pytest.raises(ValueError):
                 renorm.dyson_reports(*args, 2)
 

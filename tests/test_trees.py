@@ -254,7 +254,7 @@ class TestCollectorPause:
         levels = len(trees._enum_cache)
         pooled = tree_unrank(6, 100)
         pool = dict(trees._pool)
-        real_tree, calls = trees.Tree, 0
+        real_tree, calls = trees._tree, 0
 
         def failing_tree(*args):
             nonlocal calls
@@ -263,14 +263,14 @@ class TestCollectorPause:
                 raise RuntimeError("construction failed")
             return real_tree(*args)
 
-        monkeypatch.setattr(trees, "Tree", failing_tree)
+        monkeypatch.setattr(trees, "_tree", failing_tree)
         gc.enable()
         with pytest.raises(RuntimeError, match="construction failed"):
             trees._level(6)
         assert gc.isenabled()
         assert len(trees._enum_cache) == levels
         assert trees._pool == pool
-        monkeypatch.setattr(trees, "Tree", real_tree)
+        monkeypatch.setattr(trees, "_tree", real_tree)
         level = trees._level(6)
         # Second route: unranking builds each tree of order 6 on its own.
         expected = [tree_unrank(6, k) for k in range(1, catalan(6) + 1)]
@@ -303,6 +303,23 @@ class TestInterning:
             if t is not E:
                 assert graft(t.left, t.right) is t
 
+    def test_every_route_reaches_the_listed_tree(self, fresh_levels):
+        def routes(n):
+            parsed = [parse(text) for text in iter_rendered(n)]
+            return [
+                parsed,
+                [t if t is E else graft(t.left, t.right) for t in parsed],
+                [tree_unrank(n, k) for k in range(1, catalan(n) + 1)],
+                [pickle.loads(pickle.dumps(t)) for t in parsed],
+            ]
+
+        pooled = {n: routes(n) for n in range(7)}  # only order 0 is listed yet
+        for n in range(7):
+            level = trees._level(n)
+            for route in pooled[n] + routes(n) + [enumerate_trees(n)]:
+                assert len(route) == len(level)
+                assert all(t is u for t, u in zip(route, level))
+
     def test_pooled_tree_is_listed_as_itself(self, fresh_levels):
         parsed = [parse(text) for text in iter_rendered(6)]
         assert all(t.rank is None for t in parsed)
@@ -312,6 +329,19 @@ class TestInterning:
         assert all(u is t for u, t in zip(level, parsed))
         assert len(level) == len(parsed)
         assert trees._pool == {}
+
+
+class TestNoConstructor:
+    """Trees are made only by E and graft, so equal trees are one object."""
+
+    @pytest.mark.parametrize("args", [(E, E), (None, None), ()])
+    def test_calling_the_class_raises(self, args):
+        with pytest.raises(TypeError):
+            Tree(*args)
+
+    def test_class_defines_no_constructor(self):
+        assert "__init__" not in vars(Tree)
+        assert "__new__" not in vars(Tree)
 
 
 class TestNoGarbageCycles:
